@@ -1,8 +1,9 @@
 // Micro-benchmarks of the library's hot paths (google-benchmark):
 // successor generation, node-key hashing, ct-graph construction at several
-// sequence lengths, stay-query evaluation, pattern-query evaluation,
-// trajectory sampling, and the dispatched SIMD kernels (scalar vs vector,
-// selected by the benchmark arg: 0 = forced scalar, 1 = runtime dispatch).
+// sequence lengths, the graph digest, stay-query evaluation, pattern-query
+// evaluation, trajectory sampling, and the dispatched kernels — SIMD and
+// CRC-32 (scalar vs vector, selected by the benchmark arg: 0 = forced
+// scalar, 1 = runtime dispatch).
 
 #include <cstdint>
 #include <memory>
@@ -10,6 +11,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "common/simd.h"
 #include "core/builder.h"
@@ -106,6 +108,18 @@ void BM_BuildCtGraph(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildCtGraph)->Arg(60)->Arg(180)->Arg(600)
     ->Unit(benchmark::kMillisecond);
+
+/// The FNV graph digest the blob encoder, the view and trace provenance
+/// share; a serial chain of one xor-multiply per nonzero-range byte.
+void BM_GraphDigest(benchmark::State& state) {
+  const CtGraph& graph = SharedGraph();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(graph.Digest());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(graph.NumNodes()));
+}
+BENCHMARK(BM_GraphDigest)->Unit(benchmark::kMicrosecond);
 
 void BM_StayQueryEvaluatorConstruction(benchmark::State& state) {
   const CtGraph& graph = SharedGraph();
@@ -260,6 +274,23 @@ void BM_SimdScanProbeGroup(benchmark::State& state) {
       static_cast<std::int64_t>(kGroups * simd::kProbeGroupWidth));
 }
 BENCHMARK(BM_SimdScanProbeGroup)->Arg(0)->Arg(1);
+
+/// CRC-32 over a 1 MiB buffer (about one fleet blob): slicing-by-8 vs the
+/// PCLMULQDQ folding kernel.
+void BM_Crc32(benchmark::State& state) {
+  ScopedKernelPath path(state.range(0) == 1);
+  Rng rng(14);
+  std::vector<unsigned char> bytes(std::size_t{1} << 20);
+  for (unsigned char& b : bytes) {
+    b = static_cast<unsigned char>(rng.UniformInt(0, 255));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_Crc32)->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace rfidclean

@@ -12,10 +12,14 @@
 // The perf points double as a differential suite: the zero-copy view must
 // produce the same FNV digest, bit-identical node marginals and the
 // bit-identical most-likely trajectory as the owning CtGraph it was encoded
-// from, and Materialize() must round-trip to the same text bytes.
+// from, and Materialize() must round-trip to the same text bytes. Each
+// point also records `blob_digest`, an FNV-1a digest of the blob bytes, so
+// builds that dispatch differently (vector, --force-scalar, SIMD-off) can
+// be checked for writing identical blobs.
 //
 //   store_roundtrip [--ticks 100,1000,10000] [--reps N] [--seed S]
 //                   [--out BENCH_store.json] [--work FILE.cts] [--paper]
+//                   [--force-scalar]
 
 #include <algorithm>
 #include <cstdint>
@@ -28,6 +32,9 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/crc32.h"
+#include "common/fnv.h"
+#include "common/simd.h"
 #include "common/stopwatch.h"
 #include "common/strings.h"
 #include "common/table.h"
@@ -49,8 +56,20 @@ const char* FlagValue(int argc, char** argv, const char* name) {
   return nullptr;
 }
 
+bool HasFlag(int argc, char** argv, const char* name) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], name) == 0) return true;
+  }
+  return false;
+}
+
 int Main(int argc, char** argv) {
   const BenchScale scale = BenchScale::FromArgs(argc, argv);
+  // Routes Crc32 (and every other dispatched kernel) to the scalar
+  // reference; the blobs must not change.
+  if (HasFlag(argc, argv, "--force-scalar")) {
+    simd::ForceScalarForTesting(true);
+  }
   const char* ticks_arg = FlagValue(argc, argv, "--ticks");
   const char* reps_arg = FlagValue(argc, argv, "--reps");
   const char* seed_arg = FlagValue(argc, argv, "--seed");
@@ -88,7 +107,8 @@ int Main(int argc, char** argv) {
   json.params()
       .Add("dataset", "SYN1")
       .Add("families", "DU+LT+TT")
-      .Add("seed", static_cast<long long>(seed));
+      .Add("seed", static_cast<long long>(seed))
+      .Add("crc32_kernel_active", Crc32KernelActive() ? 1 : 0);
 
   Table table({"ticks", "reps", "nodes", "edges", "text", "blob", "ratio",
                "B/node", "build ms", "encode ms", "load ms", "speedup",
@@ -125,6 +145,8 @@ int Main(int argc, char** argv) {
       encode_millis.push_back(watch.ElapsedMillis());
     }
     const std::size_t blob_bytes = blob.size();
+    Fnv64 blob_fnv;
+    blob_fnv.Mix(blob.data(), blob.size());
 
     // Persist one blob per point into a fresh container, then time the full
     // validated mmap load path: open (header + index walk), LoadView
@@ -230,7 +252,8 @@ int Main(int argc, char** argv) {
         .Add("load_millis", load)
         .Add("load_millis_best", load_best)
         .Add("load_speedup", speedup, 1)
-        .AddHex64("digest", graph.value().Digest());
+        .AddHex64("digest", graph.value().Digest())
+        .AddHex64("blob_digest", blob_fnv.Digest());
   }
   table.Print(std::cout);
   std::remove(work.c_str());

@@ -6,8 +6,6 @@ namespace rfidclean {
 
 namespace {
 
-constexpr std::uint32_t kPolynomial = 0xEDB88320u;
-
 // Slicing-by-8 [Kounavis & Berry]: kTables[0] is the classic byte-at-a-time
 // table; kTables[k][i] advances the CRC of byte i through k further zero
 // bytes, so eight table lookups consume eight input bytes per iteration
@@ -18,7 +16,7 @@ constexpr std::array<std::array<std::uint32_t, 256>, 8> MakeTables() {
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit) {
-      crc = (crc >> 1) ^ ((crc & 1u) != 0 ? kPolynomial : 0u);
+      crc = (crc >> 1) ^ ((crc & 1u) != 0 ? kCrc32Polynomial : 0u);
     }
     tables[0][i] = crc;
   }
@@ -45,7 +43,14 @@ inline std::uint32_t LoadLe32(const unsigned char* p) {
 
 }  // namespace
 
-std::uint32_t Crc32(const void* data, std::size_t size, std::uint32_t seed) {
+namespace internal {
+
+#if RFIDCLEAN_SIMD_ENABLED
+const bool g_cpu_clmul_ok = __builtin_cpu_supports("pclmul");
+#endif
+
+std::uint32_t Crc32Scalar(const void* data, std::size_t size,
+                          std::uint32_t seed) {
   const unsigned char* bytes = static_cast<const unsigned char*>(data);
   std::uint32_t crc = ~seed;
   while (size >= 8) {
@@ -62,6 +67,30 @@ std::uint32_t Crc32(const void* data, std::size_t size, std::uint32_t seed) {
     crc = (crc >> 8) ^ kTables[0][(crc ^ bytes[i]) & 0xFFu];
   }
   return ~crc;
+}
+
+}  // namespace internal
+
+bool Crc32KernelActive() {
+#if RFIDCLEAN_SIMD_ENABLED
+  return internal::g_cpu_clmul_ok && !simd::internal::g_force_scalar;
+#else
+  return false;
+#endif
+}
+
+std::uint32_t Crc32(const void* data, std::size_t size, std::uint32_t seed) {
+#if RFIDCLEAN_SIMD_ENABLED
+  if (size >= 64 && Crc32KernelActive()) {
+    // The kernel folds whole 16-byte blocks; the seed chains the tail.
+    const unsigned char* bytes = static_cast<const unsigned char*>(data);
+    const std::size_t folded = size & ~std::size_t{15};
+    return internal::Crc32Scalar(
+        bytes + folded, size - folded,
+        internal::Crc32FoldPclmul(bytes, folded, seed));
+  }
+#endif
+  return internal::Crc32Scalar(data, size, seed);
 }
 
 }  // namespace rfidclean

@@ -6,6 +6,7 @@
 #include "common/float_eq.h"
 #include "common/fnv.h"
 #include "common/strings.h"
+#include "core/graph_digest.h"
 
 namespace rfidclean {
 
@@ -59,23 +60,11 @@ std::size_t CtGraph::NumEdges() const {
 
 std::uint64_t CtGraph::Digest() const {
   Fnv64 fnv;
-  fnv.MixI64(length());
-  fnv.MixU64(static_cast<std::uint64_t>(nodes_.size()));
+  MixGraphDigestHeader(&fnv, length(), nodes_.size());
   for (const Node& node : nodes_) {
-    fnv.MixI64(node.time);
-    fnv.MixI64(node.key.location);
-    fnv.MixI64(node.key.delta);
-    fnv.MixU64(static_cast<std::uint64_t>(node.key.departures.size()));
-    for (const Departure& departure : node.key.departures) {
-      fnv.MixI64(departure.time);
-      fnv.MixI64(departure.location);
-    }
-    fnv.MixDouble(node.source_probability);
-    fnv.MixU64(static_cast<std::uint64_t>(node.out_edges.size()));
-    for (const Edge& edge : node.out_edges) {
-      fnv.MixI64(edge.to);
-      fnv.MixDouble(edge.probability);
-    }
+    MixGraphDigestNode(&fnv, node.time, node.key.location, node.key.delta,
+                       node.key.departures, node.source_probability,
+                       node.out_edges);
   }
   return fnv.Digest();
 }

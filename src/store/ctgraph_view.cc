@@ -5,6 +5,7 @@
 #include "common/float_eq.h"
 #include "common/fnv.h"
 #include "common/strings.h"
+#include "core/graph_digest.h"
 #include "store/graph_codec.h"
 
 namespace rfidclean::store {
@@ -66,29 +67,15 @@ Timestamp CtGraphView::TimeOf(NodeId id) const {
 }
 
 std::uint64_t CtGraphView::Digest() const {
-  // Mirrors CtGraph::Digest() field for field; blob node ids run in layer
-  // order, so iterating layers enumerates ids 0..N-1 in order.
+  // Blob node ids run in layer order, so iterating layers enumerates ids
+  // 0..N-1 in order, as CtGraph::Digest() does.
   Fnv64 fnv;
-  fnv.MixI64(length());
-  fnv.MixU64(static_cast<std::uint64_t>(NumNodes()));
+  MixGraphDigestHeader(&fnv, length(), NumNodes());
   for (Timestamp t = 0; t < length(); ++t) {
     for (NodeId id : NodesAt(t)) {
-      const DepartureSpan departures = DeparturesOf(id);
-      fnv.MixI64(t);
-      fnv.MixI64(LocationOf(id));
-      fnv.MixI64(DeltaOf(id));
-      fnv.MixU64(static_cast<std::uint64_t>(departures.size()));
-      for (const Departure& departure : departures) {
-        fnv.MixI64(departure.time);
-        fnv.MixI64(departure.location);
-      }
-      fnv.MixDouble(SourceProbability(id));
-      const EdgeRange edges = OutEdges(id);
-      fnv.MixU64(static_cast<std::uint64_t>(edges.size()));
-      for (const EdgeRef edge : edges) {
-        fnv.MixI64(edge.to);
-        fnv.MixDouble(edge.probability);
-      }
+      MixGraphDigestNode(&fnv, t, LocationOf(id), DeltaOf(id),
+                         DeparturesOf(id), SourceProbability(id),
+                         OutEdges(id));
     }
   }
   return fnv.Digest();

@@ -47,6 +47,7 @@ struct DepartureSpan {
     return static_cast<std::size_t>(last - first);
   }
   bool empty() const { return first == last; }
+  const Departure& operator[](std::size_t i) const { return first[i]; }
 };
 
 /// Random-access range over one node's out-edges, materializing EdgeRef

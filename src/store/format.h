@@ -117,16 +117,36 @@ struct IndexEntry {
 
 /// ---- Little-endian field codecs ----
 
+/// In-place writers. The one-pass blob encoder writes through these into a
+/// buffer sized in advance; the Put* appenders below reuse them.
+inline void StoreU32(unsigned char* p, std::uint32_t v) {
+  p[0] = static_cast<unsigned char>(v & 0xFF);
+  p[1] = static_cast<unsigned char>((v >> 8) & 0xFF);
+  p[2] = static_cast<unsigned char>((v >> 16) & 0xFF);
+  p[3] = static_cast<unsigned char>((v >> 24) & 0xFF);
+}
+
+inline void StoreU64(unsigned char* p, std::uint64_t v) {
+  StoreU32(p, static_cast<std::uint32_t>(v & 0xFFFFFFFFu));
+  StoreU32(p + 4, static_cast<std::uint32_t>(v >> 32));
+}
+
+inline void StoreDouble(unsigned char* p, double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  StoreU64(p, bits);
+}
+
 inline void PutU32(std::string* out, std::uint32_t v) {
-  out->push_back(static_cast<char>(v & 0xFF));
-  out->push_back(static_cast<char>((v >> 8) & 0xFF));
-  out->push_back(static_cast<char>((v >> 16) & 0xFF));
-  out->push_back(static_cast<char>((v >> 24) & 0xFF));
+  unsigned char bytes[4] = {};
+  StoreU32(bytes, v);
+  out->append(reinterpret_cast<const char*>(bytes), sizeof(bytes));
 }
 
 inline void PutU64(std::string* out, std::uint64_t v) {
-  PutU32(out, static_cast<std::uint32_t>(v & 0xFFFFFFFFu));
-  PutU32(out, static_cast<std::uint32_t>(v >> 32));
+  unsigned char bytes[8] = {};
+  StoreU64(bytes, v);
+  out->append(reinterpret_cast<const char*>(bytes), sizeof(bytes));
 }
 
 inline void PutI64(std::string* out, std::int64_t v) {
@@ -168,11 +188,6 @@ inline double LoadDouble(const unsigned char* p) {
   double v = 0.0;
   std::memcpy(&v, &bits, sizeof(v));
   return v;
-}
-
-/// Pads `out` with zero bytes up to the next kSectionAlign boundary.
-inline void PadToAlign(std::string* out) {
-  while (out->size() % kSectionAlign != 0) out->push_back('\0');
 }
 
 inline std::uint64_t AlignUp(std::uint64_t offset) {

@@ -5,7 +5,9 @@
 #include <vector>
 
 #include "common/crc32.h"
+#include "common/fnv.h"
 #include "common/strings.h"
+#include "core/graph_digest.h"
 #include "core/self_audit.h"
 #include "obs/metrics.h"
 #include "store/blob_layout.h"
@@ -14,19 +16,6 @@
 namespace rfidclean::store {
 
 namespace {
-
-/// Whether node ids already run 0..N-1 in layer order (true for every
-/// graph the builder or a decoder produced).
-bool IsLayerOrdered(const CtGraph& graph) {
-  NodeId next = 0;
-  for (Timestamp t = 0; t < graph.length(); ++t) {
-    for (NodeId id : graph.NodesAt(t)) {
-      if (id != next) return false;
-      ++next;
-    }
-  }
-  return true;
-}
 
 /// Rebuilds `graph` with ids renumbered into layer order (stable within
 /// each layer). The result is equivalent — same nodes, same edges, same
@@ -54,21 +43,173 @@ CtGraph Canonicalize(const CtGraph& graph) {
   return CtGraph::AssembleUnchecked(std::move(nodes), graph.length());
 }
 
-void EncodeKeys(const CtGraph& graph, std::string* out) {
+/// Everything the write pass needs to know before it allocates: the
+/// exact size and offset of every section, the blob size, and the graph
+/// digest for the header.
+struct BlobPlan {
+  std::uint64_t section_bytes[kNumSections] = {};
+  std::uint64_t section_offset[kNumSections] = {};
+  std::uint64_t blob_bytes = 0;
+  std::uint64_t num_edges = 0;
+  std::uint64_t digest = 0;
+
+  std::uint64_t Bytes(SectionId id) const {
+    return section_bytes[static_cast<std::uint32_t>(id) - 1];
+  }
+  std::uint64_t Offset(SectionId id) const {
+    return section_offset[static_cast<std::uint32_t>(id) - 1];
+  }
+};
+
+/// Pass 1: one walk over the nodes in id order that sizes both varint
+/// sections, counts the edges and mixes the graph digest. Returns false
+/// as soon as a node's time falls below its predecessor's, i.e. when the
+/// ids are not in layer order (the blob stores nodes in layer order).
+bool PlanBlob(const CtGraph& graph, BlobPlan* plan) {
+  const std::size_t num_nodes = graph.NumNodes();
+  Fnv64 fnv;
+  MixGraphDigestHeader(&fnv, graph.length(), num_nodes);
+  std::uint64_t key_bytes = 0;
+  std::uint64_t target_bytes = 0;
+  std::uint64_t num_edges = 0;
+  Timestamp prev_time = 0;
   std::int64_t prev_location = 0;
-  for (std::size_t i = 0; i < graph.NumNodes(); ++i) {
-    const NodeKey& key = graph.node(static_cast<NodeId>(i)).key;
-    PutZigzag(out, key.location - prev_location);
+  std::int64_t prev_target = 0;
+  for (std::size_t i = 0; i < num_nodes; ++i) {
+    const CtGraph::Node& node = graph.node(static_cast<NodeId>(i));
+    if (node.time < prev_time) return false;
+    prev_time = node.time;
+    const NodeKey& key = node.key;
+    const DepartureList& departures = key.departures;
+    key_bytes += VarintSize(ZigzagEncode(key.location - prev_location)) +
+                 VarintSize(ZigzagEncode(key.delta)) +
+                 VarintSize(departures.size());
     prev_location = key.location;
-    PutZigzag(out, key.delta);
-    PutVarint(out, key.departures.size());
     std::int64_t prev_tl_location = 0;
-    for (const Departure& departure : key.departures) {
-      PutZigzag(out, departure.time);
-      PutZigzag(out, departure.location - prev_tl_location);
+    for (std::size_t d = 0; d < departures.size(); ++d) {
+      const Departure& departure = departures[d];
+      key_bytes += VarintSize(ZigzagEncode(departure.time)) +
+                   VarintSize(
+                       ZigzagEncode(departure.location - prev_tl_location));
       prev_tl_location = departure.location;
     }
+    for (const CtGraph::Edge& edge : node.out_edges) {
+      target_bytes += VarintSize(ZigzagEncode(edge.to - prev_target));
+      prev_target = edge.to;
+    }
+    num_edges += node.out_edges.size();
+    MixGraphDigestNode(&fnv, node.time, key.location, key.delta, departures,
+                       node.source_probability, node.out_edges);
   }
+
+  // In SectionId order: LAYERS, KEYS, SRCPROB, EDGEROWS, EDGETGT, EDGEPROB.
+  const std::uint64_t sizes[kNumSections] = {
+      4 * (static_cast<std::uint64_t>(graph.length()) + 1),
+      key_bytes,
+      8 * static_cast<std::uint64_t>(graph.SourceNodes().size()),
+      4 * (static_cast<std::uint64_t>(num_nodes) + 1),
+      target_bytes,
+      8 * num_edges,
+  };
+  std::uint64_t offset = kBlobPreludeBytes;
+  for (std::uint32_t i = 0; i < kNumSections; ++i) {
+    plan->section_bytes[i] = sizes[i];
+    plan->section_offset[i] = offset;
+    offset = AlignUp(offset + sizes[i]);
+  }
+  plan->blob_bytes = offset;
+  plan->num_edges = num_edges;
+  plan->digest = fnv.Digest();
+  return true;
+}
+
+/// Pass 2: allocates the blob once at its final size (zero-filled, which
+/// covers every reserved field and padding byte) and writes the header,
+/// the section table and all six payloads in place.
+std::string WriteBlob(const CtGraph& graph, const BlobPlan& plan,
+                      std::int64_t tag, const GraphProvenance& provenance) {
+  std::string blob(static_cast<std::size_t>(plan.blob_bytes), '\0');
+  unsigned char* const base = reinterpret_cast<unsigned char*>(blob.data());
+  auto section = [&](SectionId id) { return base + plan.Offset(id); };
+
+  unsigned char* layers = section(SectionId::kLayers);
+  std::uint32_t running = 0;
+  for (Timestamp t = 0; t < graph.length(); ++t) {
+    StoreU32(layers, running);
+    layers += 4;
+    running += static_cast<std::uint32_t>(graph.NodesAt(t).size());
+  }
+  StoreU32(layers, running);
+
+  unsigned char* keys = section(SectionId::kKeys);
+  unsigned char* source_prob = section(SectionId::kSourceProb);
+  unsigned char* edge_rows = section(SectionId::kEdgeRows);
+  unsigned char* edge_targets = section(SectionId::kEdgeTargets);
+  unsigned char* edge_prob = section(SectionId::kEdgeProb);
+  std::int64_t prev_location = 0;
+  std::int64_t prev_target = 0;
+  std::uint32_t edge_cursor = 0;
+  StoreU32(edge_rows, 0);
+  edge_rows += 4;
+  for (std::size_t i = 0; i < graph.NumNodes(); ++i) {
+    const CtGraph::Node& node = graph.node(static_cast<NodeId>(i));
+    const NodeKey& key = node.key;
+    keys = WriteZigzag(keys, key.location - prev_location);
+    prev_location = key.location;
+    keys = WriteZigzag(keys, key.delta);
+    keys = WriteVarint(keys, key.departures.size());
+    std::int64_t prev_tl_location = 0;
+    for (std::size_t d = 0; d < key.departures.size(); ++d) {
+      const Departure& departure = key.departures[d];
+      keys = WriteZigzag(keys, departure.time);
+      keys = WriteZigzag(keys, departure.location - prev_tl_location);
+      prev_tl_location = departure.location;
+    }
+    if (node.time == 0) {
+      StoreDouble(source_prob, node.source_probability);
+      source_prob += 8;
+    }
+    edge_cursor += static_cast<std::uint32_t>(node.out_edges.size());
+    StoreU32(edge_rows, edge_cursor);
+    edge_rows += 4;
+    for (const CtGraph::Edge& edge : node.out_edges) {
+      edge_targets = WriteZigzag(edge_targets, edge.to - prev_target);
+      prev_target = edge.to;
+      StoreDouble(edge_prob, edge.probability);
+      edge_prob += 8;
+    }
+  }
+  // The sizing pass and this one must agree byte for byte.
+  RFID_CHECK(keys ==
+             section(SectionId::kKeys) + plan.Bytes(SectionId::kKeys));
+  RFID_CHECK(edge_targets == section(SectionId::kEdgeTargets) +
+                                 plan.Bytes(SectionId::kEdgeTargets));
+
+  // Header fields at their docs/FORMATS.md offsets; flags and reserved
+  // fields stay zero.
+  std::memcpy(base, kBlobMagic, sizeof(kBlobMagic));
+  StoreU32(base + 8, kFormatVersion);
+  StoreU64(base + 16, static_cast<std::uint64_t>(tag));
+  StoreU32(base + 24, static_cast<std::uint32_t>(graph.length()));
+  StoreU64(base + 32, graph.NumNodes());
+  StoreU64(base + 40, plan.num_edges);
+  StoreU64(base + 48, provenance.input_digest);
+  StoreU64(base + 56, provenance.constraint_digest);
+  StoreU64(base + 64, plan.digest);
+  for (std::uint32_t i = 0; i < kNumSections; ++i) {
+    unsigned char* entry =
+        base + kBlobHeaderBytes + std::size_t{kSectionEntryBytes} * i;
+    const unsigned char* payload = base + plan.section_offset[i];
+    StoreU32(entry, i + 1);
+    StoreU32(entry + 4,
+             Crc32(payload, static_cast<std::size_t>(plan.section_bytes[i])));
+    StoreU64(entry + 8, plan.section_offset[i]);
+    StoreU64(entry + 16, plan.section_bytes[i]);
+  }
+  StoreU32(base + kBlobHeaderBytes - 4,
+           Crc32(base + kBlobHeaderBytes, kBlobTableBytes,
+                 Crc32(base, kBlobHeaderBytes - 4)));
+  return blob;
 }
 
 }  // namespace
@@ -77,90 +218,15 @@ std::string EncodeCtGraphBlob(const CtGraph& graph, std::int64_t tag,
                               const GraphProvenance& provenance) {
   RFID_STATS(obs::PhaseTimer timer(obs::Phase::kStoreEncode));
   RFID_CHECK_GT(graph.length(), 0);
-  if (!IsLayerOrdered(graph)) {
-    return EncodeCtGraphBlob(Canonicalize(graph), tag, provenance);
-  }
-
-  const std::uint64_t num_nodes = graph.NumNodes();
-  const std::uint64_t num_edges = graph.NumEdges();
-
-  std::string payloads[kNumSections];
-  std::string& layers = payloads[0];
-  std::string& keys = payloads[1];
-  std::string& source_prob = payloads[2];
-  std::string& edge_rows = payloads[3];
-  std::string& edge_targets = payloads[4];
-  std::string& edge_prob = payloads[5];
-
-  std::uint32_t running = 0;
-  for (Timestamp t = 0; t < graph.length(); ++t) {
-    PutU32(&layers, running);
-    running += static_cast<std::uint32_t>(graph.NodesAt(t).size());
-  }
-  PutU32(&layers, running);
-
-  EncodeKeys(graph, &keys);
-
-  for (NodeId id : graph.SourceNodes()) {
-    PutDouble(&source_prob, graph.node(id).source_probability);
-  }
-
-  std::uint32_t edge_cursor = 0;
-  std::int64_t prev_target = 0;
-  PutU32(&edge_rows, 0);
-  for (std::size_t i = 0; i < num_nodes; ++i) {
-    const CtGraph::Node& node = graph.node(static_cast<NodeId>(i));
-    edge_cursor += static_cast<std::uint32_t>(node.out_edges.size());
-    PutU32(&edge_rows, edge_cursor);
-    for (const CtGraph::Edge& edge : node.out_edges) {
-      PutZigzag(&edge_targets, edge.to - prev_target);
-      prev_target = edge.to;
-      PutDouble(&edge_prob, edge.probability);
-    }
-  }
-
+  BlobPlan plan;
   std::string blob;
-  std::uint64_t total = kBlobPreludeBytes;
-  for (const std::string& payload : payloads) {
-    total = AlignUp(total + payload.size());
+  if (PlanBlob(graph, &plan)) {
+    blob = WriteBlob(graph, plan, tag, provenance);
+  } else {
+    const CtGraph canonical = Canonicalize(graph);
+    RFID_CHECK(PlanBlob(canonical, &plan));
+    blob = WriteBlob(canonical, plan, tag, provenance);
   }
-  blob.reserve(static_cast<std::size_t>(total));
-
-  blob.append(kBlobMagic, sizeof(kBlobMagic));
-  PutU32(&blob, kFormatVersion);
-  PutU32(&blob, 0);  // flags
-  PutI64(&blob, tag);
-  PutI32(&blob, graph.length());
-  PutU32(&blob, 0);  // reserved
-  PutU64(&blob, num_nodes);
-  PutU64(&blob, num_edges);
-  PutU64(&blob, provenance.input_digest);
-  PutU64(&blob, provenance.constraint_digest);
-  PutU64(&blob, graph.Digest());
-  blob.append(20, '\0');  // reserved [72, 92)
-  PutU32(&blob, 0);       // header_crc, patched below
-
-  std::uint64_t offset = kBlobPreludeBytes;
-  for (std::uint32_t i = 0; i < kNumSections; ++i) {
-    PutU32(&blob, i + 1);
-    PutU32(&blob, Crc32(payloads[i].data(), payloads[i].size()));
-    PutU64(&blob, offset);
-    PutU64(&blob, payloads[i].size());
-    PutU64(&blob, 0);  // reserved
-    offset = AlignUp(offset + payloads[i].size());
-  }
-  for (const std::string& payload : payloads) {
-    blob.append(payload);
-    PadToAlign(&blob);
-  }
-
-  const std::uint32_t header_crc =
-      Crc32(blob.data() + kBlobHeaderBytes, kBlobTableBytes,
-            Crc32(blob.data(), kBlobHeaderBytes - 4));
-  std::string crc_bytes;
-  PutU32(&crc_bytes, header_crc);
-  blob.replace(kBlobHeaderBytes - 4, 4, crc_bytes);
-
   RFID_STATS(obs::Add(obs::Counter::kStoreBlobsEncoded));
   RFID_STATS(obs::Add(obs::Counter::kStoreBytesEncoded, blob.size()));
   return blob;

@@ -1,8 +1,9 @@
 #ifndef RFIDCLEAN_STORE_VARINT_H_
 #define RFIDCLEAN_STORE_VARINT_H_
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
-#include <string>
 
 /// \file
 /// LEB128 varints and zigzag-mapped signed varints, the compression
@@ -15,13 +16,21 @@
 
 namespace rfidclean::store {
 
-/// Appends `value` as an LEB128 varint (1..10 bytes).
-inline void PutVarint(std::string* out, std::uint64_t value) {
+/// Bytes the LEB128 encoding of `value` takes (1..10).
+inline std::size_t VarintSize(std::uint64_t value) {
+  if (value < 0x80u) return 1;  // the delta-coded common case
+  return (static_cast<std::size_t>(std::bit_width(value)) + 6) / 7;
+}
+
+/// Writes `value` as an LEB128 varint at `out`, which must have room for
+/// VarintSize(value) bytes; returns the byte past it.
+inline unsigned char* WriteVarint(unsigned char* out, std::uint64_t value) {
   while (value >= 0x80u) {
-    out->push_back(static_cast<char>((value & 0x7Fu) | 0x80u));
+    *out++ = static_cast<unsigned char>((value & 0x7Fu) | 0x80u);
     value >>= 7;
   }
-  out->push_back(static_cast<char>(value));
+  *out++ = static_cast<unsigned char>(value);
+  return out;
 }
 
 /// Zigzag-maps a signed value (0, -1, 1, -2, ... -> 0, 1, 2, 3, ...) so
@@ -36,8 +45,8 @@ inline std::int64_t ZigzagDecode(std::uint64_t value) {
          -static_cast<std::int64_t>(value & 1u);
 }
 
-inline void PutZigzag(std::string* out, std::int64_t value) {
-  PutVarint(out, ZigzagEncode(value));
+inline unsigned char* WriteZigzag(unsigned char* out, std::int64_t value) {
+  return WriteVarint(out, ZigzagEncode(value));
 }
 
 /// Reads one varint from [*cursor, end), advancing *cursor past it. Returns

@@ -105,4 +105,17 @@ file(WRITE ${WORK_DIR}/not_a_store.cts "this is not a ct-store container")
 run_step_expect_failure(${CLI} store verify
                         --store ${WORK_DIR}/not_a_store.cts)
 
+# Long TL lists: on 8 floors some node keys carry more than the four
+# departures a DepartureList holds inline. Storing (and digesting) such a
+# graph must work end to end and leave a store that deep-verifies.
+set(LONG_TL_DIR ${WORK_DIR}/long_tl)
+file(MAKE_DIRECTORY ${LONG_TL_DIR})
+run_step(${CLI} generate --floors 8 --duration 120 --seed 3
+         --out ${LONG_TL_DIR}/)
+run_step(${CLI} clean --dir ${LONG_TL_DIR} --store ${LONG_TL_DIR}/g.cts)
+run_step(${CLI} store verify --store ${LONG_TL_DIR}/g.cts)
+if(NOT step_output MATCHES "1 blobs, 0 explain summaries verified ok")
+  message(FATAL_ERROR "long-TL store verify is wrong:\n${step_output}")
+endif()
+
 message(STATUS "cli store smoke test passed")

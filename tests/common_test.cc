@@ -1,8 +1,13 @@
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/fnv.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/small_vector.h"
@@ -384,6 +389,86 @@ TEST(StopwatchTest, ElapsedIsMonotonic) {
   EXPECT_GE(second, first);
   stopwatch.Reset();
   EXPECT_GE(stopwatch.ElapsedMillis(), 0.0);
+}
+
+// --- FNV-1a 64 ---------------------------------------------------------------
+
+/// The digest definition, one byte at a time: the value's 8 bytes in
+/// little-endian order, each as an xor then a multiply by the prime.
+std::uint64_t ReferenceMixU64(std::uint64_t hash, std::uint64_t value) {
+  for (int i = 0; i < 8; ++i) {
+    hash ^= (value >> (8 * i)) & 0xFFu;
+    hash *= kFnvPrime;
+  }
+  return hash;
+}
+
+/// Mixes every value through each of the three value mixers, comparing
+/// each running digest with the reference after every value.
+void ExpectFoldMatchesReference(const std::vector<std::uint64_t>& values) {
+  Fnv64 as_u64;
+  Fnv64 as_i64;
+  Fnv64 as_double;
+  std::uint64_t reference = kFnvOffsetBasis;
+  for (const std::uint64_t value : values) {
+    as_u64.MixU64(value);
+    as_i64.MixI64(static_cast<std::int64_t>(value));
+    as_double.MixDouble(std::bit_cast<double>(value));
+    reference = ReferenceMixU64(reference, value);
+    ASSERT_EQ(as_u64.Digest(), reference) << std::hex << value;
+    ASSERT_EQ(as_i64.Digest(), reference) << std::hex << value;
+    ASSERT_EQ(as_double.Digest(), reference) << std::hex << value;
+  }
+}
+
+TEST(Fnv64Test, FoldedMixersMatchByteAtATimeOnBoundaries) {
+  std::vector<std::uint64_t> values = {
+      0, 0xFF, 0x100, 0xFFFF, 0x10000, std::uint64_t{1} << 32,
+      std::uint64_t{1} << 48,
+      ~std::uint64_t{0},  // -1
+      0x8000000000000001ULL, 0x0100000000000000ULL, 0x00FF00FF00FF00FFULL};
+  for (const double d :
+       {0.0, -0.0, 0.5, 1.0, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::denorm_min()}) {
+    values.push_back(std::bit_cast<std::uint64_t>(d));
+  }
+  // Each value from several hash states, including a repeat of itself.
+  std::vector<std::uint64_t> stream;
+  for (const std::uint64_t a : values) {
+    for (const std::uint64_t b : values) {
+      stream.push_back(a);
+      stream.push_back(b);
+    }
+  }
+  ExpectFoldMatchesReference(stream);
+}
+
+TEST(Fnv64Test, FoldedMixersMatchByteAtATimeOnRandomValues) {
+  Rng rng(2024);
+  std::vector<std::uint64_t> values;
+  values.reserve(100000);
+  for (int i = 0; i < 100000; ++i) {
+    std::uint64_t value = (std::uint64_t{rng.NextUint32()} << 32) |
+                          rng.NextUint32();
+    // Mixed magnitudes: drop a random number of high bytes, then shift in
+    // a random number of zero low bytes, so every run length occurs.
+    value >>= 8 * rng.UniformInt(0, 7);
+    value <<= 8 * rng.UniformInt(0, 7);
+    if (rng.Bernoulli(0.1)) value = ~value;
+    values.push_back(value);
+  }
+  ExpectFoldMatchesReference(values);
+}
+
+TEST(Fnv64Test, MixHashesLittleEndianValueBytes) {
+  const std::uint64_t value = 0x0123456789ABCDEFULL;
+  const unsigned char bytes[8] = {0xEF, 0xCD, 0xAB, 0x89,
+                                  0x67, 0x45, 0x23, 0x01};
+  Fnv64 by_value;
+  by_value.MixU64(value);
+  Fnv64 by_bytes;
+  by_bytes.Mix(bytes, sizeof(bytes));
+  EXPECT_EQ(by_value.Digest(), by_bytes.Digest());
 }
 
 }  // namespace

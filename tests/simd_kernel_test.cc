@@ -8,6 +8,7 @@
 #include <limits>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/rng.h"
 
 namespace rfidclean::simd {
@@ -245,6 +246,82 @@ TEST(SimdDispatchTest, ForceScalarToggles) {
   EXPECT_FALSE(VectorKernelsActive());
   ForceScalarForTesting(false);
   EXPECT_EQ(VectorKernelsActive(), active_before);
+}
+
+// --- CRC-32 folding kernel ---------------------------------------------------
+
+/// Random bytes with room for every start offset the tests use.
+std::vector<unsigned char> MakeBytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed, /*stream=*/92);
+  std::vector<unsigned char> bytes(n);
+  for (unsigned char& b : bytes) {
+    b = static_cast<unsigned char>(rng.UniformInt(0, 255));
+  }
+  return bytes;
+}
+
+TEST(Crc32KernelTest, KnownAnswer) {
+  // The CRC-32/ISO-HDLC check value.
+  const char* check = "123456789";
+  EXPECT_EQ(rfidclean::Crc32(check, 9), 0xCBF43926u);
+  EXPECT_EQ(rfidclean::internal::Crc32Scalar(check, 9, 0), 0xCBF43926u);
+}
+
+TEST(Crc32KernelTest, DispatchedMatchesScalarAtEveryLengthAndOffset) {
+  const std::vector<unsigned char> bytes = MakeBytes(1024 + 16, 1);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t n = 0; n <= 1024; ++n) {
+      const unsigned char* data = bytes.data() + offset;
+      for (const std::uint32_t seed : {0u, 0x9E3779B9u}) {
+        ASSERT_EQ(rfidclean::Crc32(data, n, seed),
+                  rfidclean::internal::Crc32Scalar(data, n, seed))
+            << "offset=" << offset << " n=" << n << " seed=" << seed;
+      }
+    }
+  }
+}
+
+TEST(Crc32KernelTest, DispatchedMatchesScalarOnRandomLongInputs) {
+  const std::vector<unsigned char> bytes = MakeBytes(1 << 17, 2);
+  Rng rng(3);
+  for (int round = 0; round < 2000; ++round) {
+    const std::size_t offset = rng.UniformIndex(64);
+    const std::size_t n = rng.UniformIndex(bytes.size() - offset);
+    const std::uint32_t seed = rng.NextUint32();
+    ASSERT_EQ(rfidclean::Crc32(bytes.data() + offset, n, seed),
+              rfidclean::internal::Crc32Scalar(bytes.data() + offset, n, seed))
+        << "round=" << round;
+  }
+}
+
+TEST(Crc32KernelTest, SeedChainsAnySplitOnBothPaths) {
+  const std::vector<unsigned char> bytes = MakeBytes(300, 4);
+  for (const bool force_scalar : {false, true}) {
+    ForceScalarForTesting(force_scalar);
+    for (const std::size_t n : {std::size_t{0}, std::size_t{63},
+                                std::size_t{64}, std::size_t{65},
+                                std::size_t{200}, std::size_t{300}}) {
+      const std::uint32_t whole = rfidclean::Crc32(bytes.data(), n);
+      for (std::size_t k = 0; k <= n; ++k) {
+        ASSERT_EQ(rfidclean::Crc32(bytes.data() + k, n - k,
+                                   rfidclean::Crc32(bytes.data(), k)),
+                  whole)
+            << "force_scalar=" << force_scalar << " n=" << n << " k=" << k;
+      }
+    }
+  }
+  ForceScalarForTesting(false);
+}
+
+TEST(Crc32KernelTest, ForceScalarTurnsTheKernelOff) {
+  const bool active_before = rfidclean::Crc32KernelActive();
+  if (!CompiledIn()) {
+    EXPECT_FALSE(active_before);
+  }
+  ForceScalarForTesting(true);
+  EXPECT_FALSE(rfidclean::Crc32KernelActive());
+  ForceScalarForTesting(false);
+  EXPECT_EQ(rfidclean::Crc32KernelActive(), active_before);
 }
 
 }  // namespace

@@ -203,5 +203,45 @@ TEST_P(StoreRoundTripPropertyTest, AllSerializationPathsAreBitFaithful) {
 INSTANTIATE_TEST_SUITE_P(Seeds, StoreRoundTripPropertyTest,
                          ::testing::Range(0, 20));
 
+/// A TL list longer than DepartureList's four inline slots continues on
+/// the heap, where range-for iteration aborts; the shared digest helper and
+/// the encoder must index it. Hand-assembled because the cleaner only
+/// spills on large multi-floor deployments.
+TEST(StoreSpilledTlTest, SixEntryTlListRoundTripsWithEqualDigests) {
+  std::vector<CtGraph::Node> nodes(3);
+  nodes[0].time = 0;
+  nodes[0].key.location = 1;
+  for (LocationId l = 2; l < 8; ++l) {
+    nodes[0].key.departures.push_back(Departure{l + 10, l});
+  }
+  nodes[0].source_probability = 1.0;
+  nodes[0].out_edges = {{1, 0.25}, {2, 0.75}};
+  nodes[1].time = 1;
+  nodes[1].key.location = 3;
+  nodes[1].key.departures = nodes[0].key.departures;
+  nodes[1].key.departures.push_back(Departure{30, 9});
+  nodes[2].time = 1;
+  nodes[2].key.location = 4;
+  Result<CtGraph> graph = CtGraph::Assemble(std::move(nodes), 2);
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  ASSERT_EQ(graph.value().node(0).key.departures.size(), 6u);
+  const std::uint64_t digest = graph.value().Digest();
+
+  const std::string blob = EncodeCtGraphBlob(graph.value(), /*tag=*/5);
+  Result<CtGraph> decoded = DecodeCtGraphBlob(blob);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded.value().Digest(), digest);
+  EXPECT_EQ(decoded.value().node(1).key.departures,
+            graph.value().node(1).key.departures);
+  EXPECT_EQ(EncodeCtGraphBlob(decoded.value(), /*tag=*/5), blob);
+
+  Result<CtGraphView> view = CtGraphView::Map(
+      reinterpret_cast<const unsigned char*>(blob.data()), blob.size(),
+      MapVerify::kFull);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  EXPECT_EQ(view.value().Digest(), digest);
+  EXPECT_EQ(view.value().DeparturesOf(0).size(), 6u);
+}
+
 }  // namespace
 }  // namespace rfidclean
