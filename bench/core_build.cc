@@ -3,7 +3,8 @@
 // ct-graph of one fig8a-style SYN1 trajectory at T = 100 / 1 000 / 10 000
 // ticks under DU+LT+TT constraints and emits BENCH_core.json with the
 // median build time, ns per timestamp, forward-phase node+edge throughput
-// and peak RSS per point, plus an FNV digest of the serialized graph so
+// and peak RSS per point, the built graph's size (graph_bytes,
+// CtGraph::ApproximateBytes), plus an FNV digest of the serialized graph so
 // perf runs double as a semantic cross-check (the digest is timing-free
 // and must be stable across core refactors).
 //
@@ -360,6 +361,7 @@ int Main(int argc, char** argv) {
     std::vector<double> millis;
     millis.reserve(static_cast<std::size_t>(reps));
     std::uint64_t digest = 0xcbf29ce484222325ULL;
+    std::size_t graph_bytes = 0;
     for (int r = 0; r < reps; ++r) {
       // Scope the obs counters to the final rep so the emitted stats_*
       // fields describe exactly one build (and stay rep-count-invariant).
@@ -382,6 +384,7 @@ int Main(int argc, char** argv) {
         std::ostringstream os;
         WriteCtGraph(graph.value(), os);
         digest = Fnv1a(digest, os.str());
+        graph_bytes = graph.value().ApproximateBytes();
       }
     }
     if (explain_arg != nullptr) {
@@ -444,6 +447,7 @@ int Main(int argc, char** argv) {
         .Add("final_nodes", stats.final_nodes)
         .Add("final_edges", stats.final_edges)
         .Add("peak_rss_bytes", rss)
+        .Add("graph_bytes", graph_bytes)
         .Add("stats_forward_nodes",
              static_cast<long long>(
                  stats_snapshot.Get(obs::Counter::kForwardNodes)))

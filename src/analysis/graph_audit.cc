@@ -25,25 +25,25 @@ void AuditEdges(const CtGraph& graph, const AuditOptions& options,
                 AuditReport* report) {
   for (std::size_t i = 0; i < graph.NumNodes(); ++i) {
     const NodeId id = static_cast<NodeId>(i);
-    const CtGraph::Node& node = graph.node(id);
-    for (const CtGraph::Edge& edge : node.out_edges) {
+    const Timestamp time = graph.TimeOf(id);
+    for (const CtGraph::Edge& edge : graph.OutEdges(id)) {
       ++report->edges_checked;
       if (!EdgeTargetInRange(graph, edge)) {
         AppendViolation(
             options, report,
-            AuditViolation{AuditCheck::kEdgeTargetRange, id, node.time,
+            AuditViolation{AuditCheck::kEdgeTargetRange, id, time,
                            StrFormat("edge targets unknown node %d",
                                      edge.to)});
         continue;
       }
-      const Timestamp to_time = graph.node(edge.to).time;
-      if (to_time != node.time + 1) {
+      const Timestamp to_time = graph.TimeOf(edge.to);
+      if (to_time != time + 1) {
         AppendViolation(
             options, report,
-            AuditViolation{AuditCheck::kLayering, id, node.time,
+            AuditViolation{AuditCheck::kLayering, id, time,
                            StrFormat("edge to node %d jumps t=%d -> t=%d "
                                      "instead of advancing by one",
-                                     edge.to, node.time, to_time)});
+                                     edge.to, time, to_time)});
       }
     }
   }
@@ -56,8 +56,7 @@ void AuditAcyclicity(const CtGraph& graph, const AuditOptions& options,
                      AuditReport* report) {
   std::vector<std::size_t> in_degree(graph.NumNodes(), 0);
   for (std::size_t i = 0; i < graph.NumNodes(); ++i) {
-    for (const CtGraph::Edge& edge : graph.node(static_cast<NodeId>(i))
-                                         .out_edges) {
+    for (const CtGraph::Edge& edge : graph.OutEdges(static_cast<NodeId>(i))) {
       if (EdgeTargetInRange(graph, edge)) {
         ++in_degree[static_cast<std::size_t>(edge.to)];
       }
@@ -72,7 +71,7 @@ void AuditAcyclicity(const CtGraph& graph, const AuditOptions& options,
     const NodeId id = ready.back();
     ready.pop_back();
     ++processed;
-    for (const CtGraph::Edge& edge : graph.node(id).out_edges) {
+    for (const CtGraph::Edge& edge : graph.OutEdges(id)) {
       if (!EdgeTargetInRange(graph, edge)) continue;
       if (--in_degree[static_cast<std::size_t>(edge.to)] == 0) {
         ready.push_back(edge.to);
@@ -94,7 +93,7 @@ void AuditAcyclicity(const CtGraph& graph, const AuditOptions& options,
         AuditViolation{
             AuditCheck::kAcyclicity, witness,
             witness == kInvalidNode ? Timestamp{-1}
-                                    : graph.node(witness).time,
+                                    : graph.TimeOf(witness),
             StrFormat("topological sort stuck with %zu of %zu nodes "
                       "unprocessed (cycle)",
                       graph.NumNodes() - processed, graph.NumNodes())});
@@ -113,18 +112,19 @@ void AuditLayers(const CtGraph& graph, const AuditOptions& options,
   }
   for (std::size_t i = 0; i < graph.NumNodes(); ++i) {
     const NodeId id = static_cast<NodeId>(i);
-    const CtGraph::Node& node = graph.node(id);
-    const bool is_target = node.time == graph.length() - 1;
-    if (is_target && !node.out_edges.empty()) {
+    const Timestamp time = graph.TimeOf(id);
+    const std::size_t out_degree = graph.OutEdges(id).size();
+    const bool is_target = time == graph.length() - 1;
+    if (is_target && out_degree != 0) {
       AppendViolation(
           options, report,
-          AuditViolation{AuditCheck::kTermination, id, node.time,
+          AuditViolation{AuditCheck::kTermination, id, time,
                          StrFormat("target node has %zu outgoing edge(s)",
-                                   node.out_edges.size())});
-    } else if (!is_target && node.out_edges.empty()) {
+                                   out_degree)});
+    } else if (!is_target && out_degree == 0) {
       AppendViolation(
           options, report,
-          AuditViolation{AuditCheck::kTermination, id, node.time,
+          AuditViolation{AuditCheck::kTermination, id, time,
                          "non-target node has no outgoing edge (dead "
                          "branch not pruned)"});
     }
@@ -146,7 +146,7 @@ void AuditReachability(const CtGraph& graph, const AuditOptions& options,
   while (!stack.empty()) {
     const NodeId id = stack.back();
     stack.pop_back();
-    for (const CtGraph::Edge& edge : graph.node(id).out_edges) {
+    for (const CtGraph::Edge& edge : graph.OutEdges(id)) {
       if (!EdgeTargetInRange(graph, edge)) continue;
       if (!forward[static_cast<std::size_t>(edge.to)]) {
         forward[static_cast<std::size_t>(edge.to)] = true;
@@ -158,8 +158,7 @@ void AuditReachability(const CtGraph& graph, const AuditOptions& options,
   // Backward sweep needs the reverse adjacency once.
   std::vector<std::vector<NodeId>> reverse(graph.NumNodes());
   for (std::size_t i = 0; i < graph.NumNodes(); ++i) {
-    for (const CtGraph::Edge& edge : graph.node(static_cast<NodeId>(i))
-                                         .out_edges) {
+    for (const CtGraph::Edge& edge : graph.OutEdges(static_cast<NodeId>(i))) {
       if (EdgeTargetInRange(graph, edge)) {
         reverse[static_cast<std::size_t>(edge.to)].push_back(
             static_cast<NodeId>(i));
@@ -192,7 +191,7 @@ void AuditReachability(const CtGraph& graph, const AuditOptions& options,
                            : "node reaches no target");
     AppendViolation(options, report,
                     AuditViolation{AuditCheck::kReachability, id,
-                                   graph.node(id).time, reason});
+                                   graph.TimeOf(id), reason});
   }
 }
 

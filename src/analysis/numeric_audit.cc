@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/float_eq.h"
@@ -55,7 +56,7 @@ double TotalPathMass(const CtGraph& graph) {
   for (Timestamp t = graph.length() - 2; t >= 0; --t) {
     for (NodeId id : graph.NodesAt(t)) {
       double mass = 0.0;
-      for (const CtGraph::Edge& edge : graph.node(id).out_edges) {
+      for (const CtGraph::Edge& edge : graph.OutEdges(id)) {
         if (!TargetInRange(graph, edge)) continue;
         mass += edge.probability * suffix[static_cast<std::size_t>(edge.to)];
       }
@@ -64,7 +65,7 @@ double TotalPathMass(const CtGraph& graph) {
   }
   double total = 0.0;
   for (NodeId id : graph.SourceNodes()) {
-    total += graph.node(id).source_probability *
+    total += graph.SourceProbability(id) *
              suffix[static_cast<std::size_t>(id)];
   }
   return total;
@@ -76,11 +77,10 @@ void AuditNumerics(const CtGraph& graph, const AuditOptions& options,
 
   double source_sum = 0.0;
   for (NodeId id : graph.SourceNodes()) {
-    const CtGraph::Node& node = graph.node(id);
-    CheckProbability(node.source_probability,
-                     AuditCheck::kFiniteProbabilities, id, node.time,
-                     "source", options, report);
-    source_sum += node.source_probability;
+    const double probability = graph.SourceProbability(id);
+    CheckProbability(probability, AuditCheck::kFiniteProbabilities, id,
+                     graph.TimeOf(id), "source", options, report);
+    source_sum += probability;
   }
   if (!ApproxOne(source_sum, options.epsilon)) {
     AppendViolation(
@@ -92,14 +92,15 @@ void AuditNumerics(const CtGraph& graph, const AuditOptions& options,
 
   for (std::size_t i = 0; i < graph.NumNodes(); ++i) {
     const NodeId id = static_cast<NodeId>(i);
-    const CtGraph::Node& node = graph.node(id);
-    if (node.out_edges.empty()) continue;
+    const std::span<const CtGraph::Edge> out_edges = graph.OutEdges(id);
+    if (out_edges.empty()) continue;
+    const Timestamp time = graph.TimeOf(id);
     double out_sum = 0.0;
     bool finite = true;
-    for (const CtGraph::Edge& edge : node.out_edges) {
+    for (const CtGraph::Edge& edge : out_edges) {
       finite &= CheckProbability(edge.probability,
-                                 AuditCheck::kFiniteProbabilities, id,
-                                 node.time, "edge", options, report);
+                                 AuditCheck::kFiniteProbabilities, id, time,
+                                 "edge", options, report);
       out_sum += edge.probability;
     }
     // A broken summand already produced a finite-probabilities violation;
@@ -107,7 +108,7 @@ void AuditNumerics(const CtGraph& graph, const AuditOptions& options,
     if (finite && !ApproxOne(out_sum, options.epsilon)) {
       AppendViolation(
           options, report,
-          AuditViolation{AuditCheck::kEdgeNormalization, id, node.time,
+          AuditViolation{AuditCheck::kEdgeNormalization, id, time,
                          StrFormat("outgoing probabilities sum to %.12f",
                                    out_sum)});
     }

@@ -13,9 +13,9 @@
 namespace rfidclean {
 
 /// A vector with inline storage for up to `N` elements, spilling to the heap
-/// beyond that. Used for the per-node "recent departures" lists (TL) of
-/// ct-graph nodes, which are almost always tiny: keeping them inline is what
-/// makes the §6.7 memory-footprint experiment faithful.
+/// beyond that. Used for the "recent departures" lists (TL) of location-node
+/// keys during construction, which are almost always tiny: keeping them
+/// inline spares the forward phase a heap allocation per key.
 ///
 /// Restricted to trivially copyable `T` — sufficient for our use and keeps
 /// the implementation simple and exception-free.

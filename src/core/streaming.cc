@@ -72,6 +72,24 @@ Status StreamingCleaner::Push(const std::vector<Candidate>& candidates) {
   }
   obs::PhaseTimer phase_timer(obs::Phase::kForward);
   RFID_RETURN_IF_ERROR(ValidateCandidates(candidates));
+  // The plan indexes ticks and candidates by position, so the Push stream
+  // must be exactly the candidate lists the plan was computed from. A tick
+  // past the plan or of another width is rejected before any state moves.
+  if (preflight_plan_ != nullptr) {
+    const std::size_t t = static_cast<std::size_t>(TicksSeen());
+    const std::size_t planned_ticks = preflight_plan_->admissible.size();
+    if (t >= planned_ticks) {
+      return InvalidArgumentError(StrFormat(
+          "tick %zu is past the preflight plan, which covers %zu ticks", t,
+          planned_ticks));
+    }
+    const std::size_t planned = preflight_plan_->admissible[t].size();
+    if (candidates.size() != planned) {
+      return InvalidArgumentError(StrFormat(
+          "tick %zu has %zu candidates but the preflight plan has %zu", t,
+          candidates.size(), planned));
+    }
+  }
 
   // Explain capture: the attribution pass needs the *full* tick (with the
   // plan's pruned flags), not the filtered one the engine sees. Dead code
@@ -83,9 +101,7 @@ Status StreamingCleaner::Push(const std::vector<Candidate>& candidates) {
     tick.reserve(candidates.size());
     for (std::size_t i = 0; i < candidates.size(); ++i) {
       const bool pruned =
-          preflight_plan_ != nullptr &&
-          t < preflight_plan_->admissible.size() &&
-          !preflight_plan_->admissible[t][i];
+          preflight_plan_ != nullptr && !preflight_plan_->admissible[t][i];
       tick.push_back(
           {candidates[i].location, candidates[i].probability, pruned});
     }
@@ -94,12 +110,10 @@ Status StreamingCleaner::Push(const std::vector<Candidate>& candidates) {
 
   // Static pruning: validation always sees the caller's full tick, then
   // candidates the plan proved dead are dropped before the engine does any
-  // work. The plan indexes by position, so the Push stream must be exactly
-  // the candidate lists the plan was computed from.
+  // work.
   const std::vector<Candidate>* effective = &candidates;
   if (preflight_plan_ != nullptr) {
     const std::size_t t = static_cast<std::size_t>(TicksSeen());
-    RFID_CHECK_LT(t, preflight_plan_->admissible.size());
     if (preflight_plan_->PrunedAt(static_cast<Timestamp>(t))) {
       preflight_plan_->FilterTick(static_cast<Timestamp>(t), candidates,
                                   &plan_filtered_);

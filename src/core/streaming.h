@@ -76,9 +76,12 @@ class StreamingCleaner {
 
   /// Appends the candidate interpretation of the next tick (location,
   /// probability pairs summing to 1, as produced by AprioriModel /
-  /// LSequence). Fails with FailedPrecondition when the new tick leaves no
-  /// consistent interpretation, in either of two ways — further Pushes are
-  /// rejected after both:
+  /// LSequence). Fails with InvalidArgument, leaving the cleaner as it was,
+  /// when the tick is malformed or, under a preflight plan, lies past the
+  /// plan's last tick or holds a different number of candidates than the
+  /// plan has for it. Fails with FailedPrecondition when the new tick
+  /// leaves no consistent interpretation, in either of two ways — further
+  /// Pushes are rejected after both:
   ///  - structurally: no frontier node admits a successor; nothing is
   ///    appended and the cleaner stays observably at its previous state;
   ///  - numerically: successors exist, but the filtered mass of every one

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <utility>
 
 #include "common/check.h"
@@ -813,40 +814,47 @@ Result<CtGraph> ConditionAndCompact(WorkGraph&& work, BuildStats* stats,
   // --- Compaction: alive nodes reachable from a surviving source through
   // live edges (explicit reachability: per-edge products can underflow to
   // zero under extreme probability ranges). A live edge is one whose
-  // conditioned probability stayed positive.
+  // conditioned probability stayed positive and whose target is alive.
+  // Every edge points into the next layer, so one pass in id order settles
+  // each node's reachability before the node is visited: it numbers the
+  // survivors in id order and counts their TL entries and live edges, and
+  // the write pass fills arrays of exactly that size.
   RFID_TRACE_SPAN(compact_span, "backward", "compact");
-  std::vector<bool> reachable(nodes.size(), false);
+  // kInvalidNode: not reached (yet); kReached: reached, not yet numbered.
+  constexpr NodeId kReached = std::numeric_limits<NodeId>::max();
+  std::vector<NodeId> remap(nodes.size(), kInvalidNode);
   {
     const auto [begin, end] = layer_range(0);
     for (std::int32_t id = begin; id < end; ++id) {
       const WorkNode& node = nodes[static_cast<std::size_t>(id)];
       if (node.alive && node.source_probability > 0.0) {
-        reachable[static_cast<std::size_t>(id)] = true;
+        remap[static_cast<std::size_t>(id)] = kReached;
       }
     }
   }
-  for (Timestamp t = 0; t + 1 < length; ++t) {
-    const auto [begin, end] = layer_range(t);
-    for (std::int32_t id = begin; id < end; ++id) {
-      if (!reachable[static_cast<std::size_t>(id)]) continue;
-      const WorkNode& node = nodes[static_cast<std::size_t>(id)];
-      const WorkEdge* out =
-          edges.data() + static_cast<std::size_t>(node.edge_begin);
-      for (std::int32_t k = 0; k < node.edge_count; ++k) {
-        if (out[k].probability > 0.0 &&
-            nodes[static_cast<std::size_t>(out[k].to)].alive) {
-          reachable[static_cast<std::size_t>(out[k].to)] = true;
-        }
+  std::size_t survivors = 0;
+  std::size_t live_edges = 0;
+  std::size_t departures = 0;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (remap[i] == kInvalidNode) continue;
+    remap[i] = static_cast<NodeId>(survivors++);
+    const WorkNode& node = nodes[i];
+    departures += work.keys.key(node.key_id).departures.size();
+    const WorkEdge* out =
+        edges.data() + static_cast<std::size_t>(node.edge_begin);
+    for (std::int32_t k = 0; k < node.edge_count; ++k) {
+      const std::size_t to = static_cast<std::size_t>(out[k].to);
+      if (out[k].probability > 0.0 && nodes[to].alive) {
+        remap[to] = kReached;
+        ++live_edges;
       }
     }
   }
 
-  std::size_t survivors = 0;
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    if (nodes[i].alive && reachable[i]) {
-      ++survivors;
 #if RFIDCLEAN_EXPLAIN_ENABLED
-    } else if (explain_state != nullptr && nodes[i].alive) {
+  if (explain_state != nullptr) {
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      if (!nodes[i].alive || remap[i] != kInvalidNode) continue;
       // Stranded: the node survived the backward sweep but no surviving
       // source reaches it. Recorded at the real compaction decision point;
       // the mass is the node's forward a-priori inflow (informational —
@@ -862,9 +870,9 @@ Result<CtGraph> ConditionAndCompact(WorkGraph&& work, BuildStats* stats,
       ++explain_state->summary
             .constraints[static_cast<int>(obs::ExplainConstraint::kStranded)]
             .kills;
-#endif
     }
   }
+#endif
   // Conditioned source mass compaction drops: surviving t = 0 sources no
   // longer reachable. Structurally zero (every parent of an alive node is
   // alive), but sampled honestly so the per-phase split is measured, not
@@ -874,7 +882,7 @@ Result<CtGraph> ConditionAndCompact(WorkGraph&& work, BuildStats* stats,
     const auto [begin, end] = layer_range(0);
     for (std::int32_t id = begin; id < end; ++id) {
       const WorkNode& node = nodes[static_cast<std::size_t>(id)];
-      if (node.alive && !reachable[static_cast<std::size_t>(id)]) {
+      if (node.alive && remap[static_cast<std::size_t>(id)] == kInvalidNode) {
         stranded_mass += node.source_probability;
       }
     }
@@ -885,52 +893,32 @@ Result<CtGraph> ConditionAndCompact(WorkGraph&& work, BuildStats* stats,
           : 0u;
   RFID_STATS(
       obs::ObserveValue(obs::Dist::kMassLostCompactionPpb, compaction_ppb));
-  std::vector<CtGraph::Node> compact;
-  compact.reserve(survivors);
-  std::vector<NodeId> remap(nodes.size(), kInvalidNode);
+
+  CtGraph::Arrays compact;
+  compact.Reserve(survivors, departures, live_edges);
   for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (remap[i] == kInvalidNode) continue;
     const WorkNode& node = nodes[i];
-    if (!node.alive || !reachable[i]) continue;
-    remap[i] = static_cast<NodeId>(compact.size());
-    CtGraph::Node out;
-    out.time = node.time;
-    out.key = work.keys.key(node.key_id);
-    out.source_probability =
-        node.time == 0 ? node.source_probability / source_mass : 0.0;
-    compact.push_back(std::move(out));
-  }
-  [[maybe_unused]] std::size_t live_edges_total = 0;  // trace arg only
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const NodeId from = remap[i];
-    if (from == kInvalidNode) continue;
-    const WorkNode& node = nodes[i];
+    const NodeKey& key = work.keys.key(node.key_id);
+    compact.AddNode(node.time, key.location, key.delta,
+                    node.time == 0 ? node.source_probability / source_mass
+                                   : 0.0);
+    key.departures.ForEach(
+        [&compact](const Departure& d) { compact.AddDeparture(d); });
     const WorkEdge* out =
         edges.data() + static_cast<std::size_t>(node.edge_begin);
-    // Count first so each out_edges vector is allocated exactly once (the
-    // slice is hot in cache for the second pass).
-    std::size_t live = 0;
-    for (std::int32_t k = 0; k < node.edge_count; ++k) {
-      if (out[k].probability > 0.0 &&
-          remap[static_cast<std::size_t>(out[k].to)] != kInvalidNode) {
-        ++live;
-      }
-    }
-    live_edges_total += live;
-    std::vector<CtGraph::Edge>& out_edges =
-        compact[static_cast<std::size_t>(from)].out_edges;
-    out_edges.reserve(live);
     for (std::int32_t k = 0; k < node.edge_count; ++k) {
       if (out[k].probability <= 0.0) continue;
       const NodeId to = remap[static_cast<std::size_t>(out[k].to)];
       if (to == kInvalidNode) continue;
-      out_edges.push_back(CtGraph::Edge{to, out[k].probability});
+      compact.AddEdge(CtGraph::Edge{to, out[k].probability});
     }
   }
   RFID_TRACE(
       compact_span.AddArg("nodes", static_cast<std::uint64_t>(survivors)));
   RFID_TRACE(compact_span.AddArg(
-      "edges", static_cast<std::uint64_t>(live_edges_total)));
-  Result<CtGraph> graph = CtGraph::Assemble(std::move(compact), length);
+      "edges", static_cast<std::uint64_t>(live_edges)));
+  Result<CtGraph> graph = CtGraph::FromArrays(std::move(compact), length);
   RFID_CHECK(graph.ok());  // Construction invariants guarantee validity.
   if (stats != nullptr) {
     stats->backward_millis = stopwatch.ElapsedMillis();

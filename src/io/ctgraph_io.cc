@@ -40,18 +40,17 @@ bool ParseDouble(const std::string& text, double* out) {
 void WriteCtGraph(const CtGraph& graph, std::ostream& os) {
   os << StrFormat("ctgraph %d %zu\n", graph.length(), graph.NumNodes());
   for (std::size_t i = 0; i < graph.NumNodes(); ++i) {
-    const CtGraph::Node& node = graph.node(static_cast<NodeId>(i));
-    os << StrFormat("node %zu %d %d %d %.17g", i, node.time,
-                    node.key.location, node.key.delta,
-                    node.source_probability);
-    node.key.departures.ForEach([&os](const Departure& d) {
+    const NodeId id = static_cast<NodeId>(i);
+    os << StrFormat("node %zu %d %d %d %.17g", i, graph.TimeOf(id),
+                    graph.LocationOf(id), graph.DeltaOf(id),
+                    graph.SourceProbability(id));
+    for (const Departure& d : graph.DeparturesOf(id)) {
       os << StrFormat(" %d,%d", d.time, d.location);
-    });
+    }
     os << '\n';
   }
   for (std::size_t i = 0; i < graph.NumNodes(); ++i) {
-    for (const CtGraph::Edge& edge :
-         graph.node(static_cast<NodeId>(i)).out_edges) {
+    for (const CtGraph::Edge& edge : graph.OutEdges(static_cast<NodeId>(i))) {
       os << StrFormat("edge %zu %d %.17g\n", i, edge.to, edge.probability);
     }
   }
@@ -167,7 +166,7 @@ Result<CtGraph> ReadCtGraph(std::istream& is) {
           StrFormat("node %zu declared in header but has no 'node' row", i));
     }
   }
-  return CtGraph::Assemble(std::move(nodes), length);
+  return CtGraph::Assemble(nodes, length);
 }
 
 }  // namespace rfidclean

@@ -11,14 +11,13 @@ std::vector<double> ExpectedTransitionCounts(const CtGraph& graph,
   std::vector<double> marginals = NodeMarginals(graph);
   for (Timestamp t = 0; t + 1 < graph.length(); ++t) {
     for (NodeId id : graph.NodesAt(t)) {
-      const CtGraph::Node& node = graph.node(id);
-      RFID_CHECK_LT(static_cast<std::size_t>(node.key.location),
-                    num_locations);
+      const LocationId from = graph.LocationOf(id);
+      RFID_CHECK_LT(static_cast<std::size_t>(from), num_locations);
       double mass = marginals[static_cast<std::size_t>(id)];
       if (mass == 0.0) continue;
-      for (const CtGraph::Edge& edge : node.out_edges) {
-        LocationId to = graph.node(edge.to).key.location;
-        flow[static_cast<std::size_t>(node.key.location) * num_locations +
+      for (const CtGraph::Edge& edge : graph.OutEdges(id)) {
+        LocationId to = graph.LocationOf(edge.to);
+        flow[static_cast<std::size_t>(from) * num_locations +
              static_cast<std::size_t>(to)] += mass * edge.probability;
       }
     }

@@ -36,17 +36,16 @@ double EvaluateTrajectoryQuery(const CtGraph& graph, const Pattern& pattern) {
   std::vector<NodeStates> masses(graph.NumNodes());
 
   for (NodeId id : graph.SourceNodes()) {
-    const CtGraph::Node& node = graph.node(id);
-    int state = matcher.Step(matcher.StartState(), node.key.location);
+    int state = matcher.Step(matcher.StartState(), graph.LocationOf(id));
     Accumulate(&masses[static_cast<std::size_t>(id)], state,
-               node.source_probability);
+               graph.SourceProbability(id));
   }
   for (Timestamp t = 0; t + 1 < graph.length(); ++t) {
     for (NodeId id : graph.NodesAt(t)) {
       NodeStates& current = masses[static_cast<std::size_t>(id)];
       if (current.empty()) continue;
-      for (const CtGraph::Edge& edge : graph.node(id).out_edges) {
-        LocationId next_location = graph.node(edge.to).key.location;
+      for (const CtGraph::Edge& edge : graph.OutEdges(id)) {
+        LocationId next_location = graph.LocationOf(edge.to);
         NodeStates& next = masses[static_cast<std::size_t>(edge.to)];
         for (const StateMass& entry : current) {
           int state = matcher.Step(entry.state, next_location);

@@ -38,7 +38,7 @@ double TrajectoryEntropy(const CtGraph& graph) {
   std::vector<double> marginals = NodeMarginals(graph);
   std::vector<double> probabilities;
   for (NodeId id : graph.SourceNodes()) {
-    probabilities.push_back(graph.node(id).source_probability);
+    probabilities.push_back(graph.SourceProbability(id));
   }
   double entropy = EntropyBits(probabilities);
   for (Timestamp t = 0; t + 1 < graph.length(); ++t) {
@@ -46,7 +46,7 @@ double TrajectoryEntropy(const CtGraph& graph) {
       double mass = marginals[static_cast<std::size_t>(id)];
       if (mass <= 0.0) continue;
       probabilities.clear();
-      for (const CtGraph::Edge& edge : graph.node(id).out_edges) {
+      for (const CtGraph::Edge& edge : graph.OutEdges(id)) {
         probabilities.push_back(edge.probability);
       }
       entropy += mass * EntropyBits(probabilities);

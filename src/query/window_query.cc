@@ -24,20 +24,19 @@ double MassOfConstrainedPaths(const CtGraph& graph, Timestamp from,
                               Timestamp to, Allowed allowed) {
   std::vector<double> alpha(graph.NumNodes(), 0.0);
   for (NodeId id : graph.SourceNodes()) {
-    const CtGraph::Node& node = graph.node(id);
-    bool ok = node.time < from || node.time > to ||
-              allowed(node.key.location);
+    const Timestamp time = graph.TimeOf(id);
+    bool ok = time < from || time > to || allowed(graph.LocationOf(id));
     alpha[static_cast<std::size_t>(id)] =
-        ok ? node.source_probability : 0.0;
+        ok ? graph.SourceProbability(id) : 0.0;
   }
   for (Timestamp t = 0; t + 1 < graph.length(); ++t) {
     for (NodeId id : graph.NodesAt(t)) {
       double mass = alpha[static_cast<std::size_t>(id)];
       if (mass == 0.0) continue;
-      for (const CtGraph::Edge& edge : graph.node(id).out_edges) {
-        const CtGraph::Node& next = graph.node(edge.to);
-        bool ok = next.time < from || next.time > to ||
-                  allowed(next.key.location);
+      for (const CtGraph::Edge& edge : graph.OutEdges(id)) {
+        const Timestamp next_time = graph.TimeOf(edge.to);
+        bool ok = next_time < from || next_time > to ||
+                  allowed(graph.LocationOf(edge.to));
         if (ok) {
           alpha[static_cast<std::size_t>(edge.to)] +=
               mass * edge.probability;
@@ -70,7 +69,7 @@ double ExpectedTicksAtInWindow(const CtGraph& graph, LocationId location,
   double expected = 0.0;
   for (Timestamp t = from; t <= to; ++t) {
     for (NodeId id : graph.NodesAt(t)) {
-      if (graph.node(id).key.location == location) {
+      if (graph.LocationOf(id) == location) {
         expected += marginals[static_cast<std::size_t>(id)];
       }
     }

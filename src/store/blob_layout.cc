@@ -1,7 +1,6 @@
 #include "store/blob_layout.h"
 
 #include <cstring>
-#include <limits>
 
 #include "common/crc32.h"
 #include "common/strings.h"
@@ -36,100 +35,6 @@ const char* SectionName(SectionId id) {
     case SectionId::kEdgeProb: return "EDGEPROB";
   }
   return "?";
-}
-
-/// Decodes the KEYS section: per node, in id order,
-///   zigzag(location - prev_location)   (prev_location persists, init 0)
-///   zigzag(delta)
-///   varint(|TL|)
-///   per TL entry: zigzag(time), zigzag(location - prev_tl_location)
-///                 (prev_tl_location resets to 0 per node)
-Status DecodeKeys(const ParsedBlob& blob, BlobContents* contents) {
-  const unsigned char* cursor = blob.SectionData(SectionId::kKeys);
-  const unsigned char* end = cursor + blob.SectionSize(SectionId::kKeys);
-  const std::uint64_t num_nodes = blob.header.num_nodes;
-
-  // Every TL entry costs at least two bytes, so this bounds the total
-  // departure count below 2^32 and keeps the tl_begin offsets in u32.
-  if (blob.SectionSize(SectionId::kKeys) / 2 >
-      std::numeric_limits<std::uint32_t>::max() - 1) {
-    return BlobError("KEYS section", "section too large");
-  }
-  contents->locations.reserve(static_cast<std::size_t>(num_nodes));
-  contents->deltas.reserve(static_cast<std::size_t>(num_nodes));
-  contents->tl_begin.reserve(static_cast<std::size_t>(num_nodes) + 1);
-  contents->tl_begin.push_back(0);
-  std::int64_t prev_location = 0;
-  for (std::uint64_t i = 0; i < num_nodes; ++i) {
-    auto key_error = [&](const std::string& detail) {
-      return BlobError("KEYS section",
-                       StrFormat("node %llu: %s",
-                                 static_cast<unsigned long long>(i),
-                                 detail.c_str()));
-    };
-    std::int64_t location_delta = 0;
-    std::int64_t delta = 0;
-    std::uint64_t tl_count = 0;
-    if (!GetZigzag(&cursor, end, &location_delta) ||
-        !GetZigzag(&cursor, end, &delta) ||
-        !GetVarint(&cursor, end, &tl_count)) {
-      return key_error("truncated or malformed varint");
-    }
-    const std::int64_t location = prev_location + location_delta;
-    if (location < 0 || location > std::numeric_limits<std::int32_t>::max()) {
-      return key_error(StrFormat("location %lld out of range",
-                                 static_cast<long long>(location)));
-    }
-    prev_location = location;
-    if (delta < kDeltaBottom ||
-        delta > std::numeric_limits<std::int32_t>::max()) {
-      return key_error(StrFormat("delta %lld out of range",
-                                 static_cast<long long>(delta)));
-    }
-    // Every TL entry costs at least two bytes; a count the remaining bytes
-    // cannot hold is corruption, caught before sizing any container.
-    if (tl_count > static_cast<std::uint64_t>(end - cursor) / 2 + 1) {
-      return key_error(StrFormat("TL count %llu exceeds section capacity",
-                                 static_cast<unsigned long long>(tl_count)));
-    }
-    contents->locations.push_back(static_cast<LocationId>(location));
-    contents->deltas.push_back(static_cast<Timestamp>(delta));
-    std::int64_t prev_tl_location = 0;
-    for (std::uint64_t d = 0; d < tl_count; ++d) {
-      std::int64_t time = 0;
-      std::int64_t tl_location_delta = 0;
-      if (!GetZigzag(&cursor, end, &time) ||
-          !GetZigzag(&cursor, end, &tl_location_delta)) {
-        return key_error("truncated TL entry");
-      }
-      if (time < 0 || time > std::numeric_limits<std::int32_t>::max()) {
-        return key_error(StrFormat("TL time %lld out of range",
-                                   static_cast<long long>(time)));
-      }
-      const std::int64_t tl_location = prev_tl_location + tl_location_delta;
-      // TL lists are sorted by location with no duplicates (location_node.h
-      // invariant), so each decoded location must strictly exceed the last;
-      // the first must simply be a valid id.
-      const std::int64_t floor = d == 0 ? 0 : prev_tl_location + 1;
-      if (tl_location < floor ||
-          tl_location > std::numeric_limits<std::int32_t>::max()) {
-        return key_error(StrFormat("TL location %lld breaks sorted order",
-                                   static_cast<long long>(tl_location)));
-      }
-      prev_tl_location = tl_location;
-      contents->departures.push_back(
-          Departure{static_cast<Timestamp>(time),
-                    static_cast<LocationId>(tl_location)});
-    }
-    contents->tl_begin.push_back(
-        static_cast<std::uint32_t>(contents->departures.size()));
-  }
-  if (cursor != end) {
-    return BlobError("KEYS section",
-                     StrFormat("%zu trailing bytes after the last key",
-                               static_cast<std::size_t>(end - cursor)));
-  }
-  return Status::Ok();
 }
 
 /// Decodes the EDGETGT section: per edge in CSR order,
@@ -202,6 +107,21 @@ Result<std::vector<NodeId>> DecodeEdgeTargets(const BlobContents& contents) {
 }
 
 }  // namespace
+
+namespace internal_blob {
+
+Status KeyError(std::uint64_t node, const std::string& detail) {
+  return BlobError("KEYS section",
+                   StrFormat("node %llu: %s",
+                             static_cast<unsigned long long>(node),
+                             detail.c_str()));
+}
+
+Status KeySectionError(const std::string& detail) {
+  return BlobError("KEYS section", detail);
+}
+
+}  // namespace internal_blob
 
 Result<ParsedBlob> ParseAndVerifyBlob(const unsigned char* data,
                                       std::size_t size,
@@ -425,7 +345,14 @@ Result<BlobContents> ParseBlobContents(const unsigned char* data,
                   static_cast<unsigned long long>(header.num_edges)));
   }
 
-  RFID_RETURN_IF_ERROR(DecodeKeys(blob, &contents));
+  // Deltas and TL lists are validated here but not kept (see BlobContents).
+  contents.locations.reserve(static_cast<std::size_t>(header.num_nodes));
+  RFID_RETURN_IF_ERROR(WalkKeys(
+      blob, [&contents](std::uint64_t, LocationId location, Timestamp,
+                        std::span<const Departure> tl) {
+        contents.locations.push_back(location);
+        contents.num_departures += tl.size();
+      }));
   RFID_ASSIGN_OR_RETURN(contents.edge_targets, DecodeEdgeTargets(contents));
 
   RFID_STATS(obs::Add(obs::Counter::kStoreBlobsDecoded));

@@ -3,12 +3,16 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/result.h"
 #include "core/ct_graph.h"
 #include "core/location_node.h"
 #include "store/format.h"
+#include "store/varint.h"
 
 /// \file
 /// Shared parse-and-verify layer for binary ct-graph blobs. Both decode
@@ -73,10 +77,13 @@ Result<ParsedBlob> ParseAndVerifyBlob(
 /// Fully structurally-validated contents of one blob. The fixed-width
 /// sections stay as aliases into the input bytes (read via the
 /// endian-stable Load* codecs, which compile to plain loads on
-/// little-endian hosts); the varint-compressed sections are decoded into
-/// owned vectors. Probability *semantics* (sums to one, reachability) are
-/// not checked here — CtGraph::Assemble and CtGraphView::CheckConsistency
-/// own those.
+/// little-endian hosts); of the varint-compressed sections, the node
+/// locations and the edge targets are decoded into owned arrays. The
+/// per-node deltas and TL lists are decoded and validated but not kept: no
+/// query reads them, and WalkKeys decodes them again for the digest and
+/// for materialization. Probability *semantics* (sums to one,
+/// reachability) are not checked here — CtGraph::FromArrays and
+/// CtGraphView::CheckConsistency own those.
 struct BlobContents {
   ParsedBlob parsed;
 
@@ -86,15 +93,9 @@ struct BlobContents {
   const unsigned char* source_prob = nullptr;  // layer-0 count x double
   const unsigned char* edge_prob = nullptr;    // num_edges x double
 
-  // Decoded varint sections, flattened into parallel arrays: densely packed
-  // sequential writes keep the decode loop memory-bound-friendly at
-  // multi-hundred-thousand-node scale (per-node NodeKey objects with inline
-  // small-vectors measurably dominated load time).
-  std::vector<LocationId> locations;    // one per node, id order
-  std::vector<Timestamp> deltas;        // one per node, id order
-  std::vector<std::uint32_t> tl_begin;  // num_nodes + 1 offsets into...
-  std::vector<Departure> departures;    // ...concatenated sorted TL lists
+  std::vector<LocationId> locations;  // one per node, id order
   std::vector<NodeId> edge_targets;  // CSR order, next-layer membership held
+  std::uint64_t num_departures = 0;  // TL entries over all nodes
 
   std::uint32_t LayerBegin(std::int32_t t) const {
     return LoadU32(layer_begin + std::size_t{4} * static_cast<std::size_t>(t));
@@ -104,9 +105,110 @@ struct BlobContents {
   }
 };
 
+namespace internal_blob {
+
+/// WalkKeys' InvalidArgument statuses, "ct-graph blob: KEYS section:
+/// node <node>: <detail>" and "ct-graph blob: KEYS section: <detail>" (out
+/// of line: the error path is cold).
+Status KeyError(std::uint64_t node, const std::string& detail);
+Status KeySectionError(const std::string& detail);
+
+}  // namespace internal_blob
+
+/// The one decoder of the KEYS section. Per node, in id order, the section
+/// holds
+///   zigzag(location - prev_location)   (prev_location persists, init 0)
+///   zigzag(delta)
+///   varint(|TL|)
+///   per TL entry: zigzag(time), zigzag(location - prev_tl_location)
+///                 (prev_tl_location resets to 0 per node)
+/// WalkKeys validates every field (ranges, sorted TL lists, exact section
+/// consumption) and calls visit(node, location, delta, tl) once per node,
+/// where `tl` is a std::span<const Departure> valid during the call. It
+/// stops at the first defect and returns it. ParseBlobContents, the
+/// materializing decoder and CtGraphView::Digest all decode through it.
+template <typename Visit>
+Status WalkKeys(const ParsedBlob& blob, Visit&& visit) {
+  using internal_blob::KeyError;
+  const unsigned char* cursor = blob.SectionData(SectionId::kKeys);
+  const unsigned char* end = cursor + blob.SectionSize(SectionId::kKeys);
+  const std::uint64_t num_nodes = blob.header.num_nodes;
+  constexpr std::int64_t kMaxI32 = std::numeric_limits<std::int32_t>::max();
+
+  // Every TL entry costs at least two bytes, so this bounds the total
+  // departure count below 2^32 (the 32-bit offsets of CtGraph).
+  if (blob.SectionSize(SectionId::kKeys) / 2 >
+      std::numeric_limits<std::uint32_t>::max() - 1) {
+    return internal_blob::KeySectionError("section too large");
+  }
+  std::vector<Departure> tl;
+  std::int64_t prev_location = 0;
+  for (std::uint64_t i = 0; i < num_nodes; ++i) {
+    std::int64_t location_delta = 0;
+    std::int64_t delta = 0;
+    std::uint64_t tl_count = 0;
+    if (!GetZigzag(&cursor, end, &location_delta) ||
+        !GetZigzag(&cursor, end, &delta) ||
+        !GetVarint(&cursor, end, &tl_count)) {
+      return KeyError(i, "truncated or malformed varint");
+    }
+    const std::int64_t location = prev_location + location_delta;
+    if (location < 0 || location > kMaxI32) {
+      return KeyError(i, "location " + std::to_string(location) +
+                             " out of range");
+    }
+    prev_location = location;
+    if (delta < kDeltaBottom || delta > kMaxI32) {
+      return KeyError(i, "delta " + std::to_string(delta) + " out of range");
+    }
+    // Every TL entry costs at least two bytes; a count the remaining bytes
+    // cannot hold is corruption, caught before sizing any container.
+    if (tl_count > static_cast<std::uint64_t>(end - cursor) / 2 + 1) {
+      return KeyError(i, "TL count " + std::to_string(tl_count) +
+                             " exceeds section capacity");
+    }
+    if (tl.size() < tl_count) tl.resize(static_cast<std::size_t>(tl_count));
+    std::int64_t prev_tl_location = 0;
+    for (std::uint64_t d = 0; d < tl_count; ++d) {
+      std::int64_t time = 0;
+      std::int64_t tl_location_delta = 0;
+      if (!GetZigzag(&cursor, end, &time) ||
+          !GetZigzag(&cursor, end, &tl_location_delta)) {
+        return KeyError(i, "truncated TL entry");
+      }
+      if (time < 0 || time > kMaxI32) {
+        return KeyError(i, "TL time " + std::to_string(time) +
+                               " out of range");
+      }
+      const std::int64_t tl_location = prev_tl_location + tl_location_delta;
+      // TL lists are sorted by location with no duplicates (location_node.h
+      // invariant), so each decoded location must strictly exceed the last;
+      // the first must simply be a valid id.
+      const std::int64_t floor = d == 0 ? 0 : prev_tl_location + 1;
+      if (tl_location < floor || tl_location > kMaxI32) {
+        return KeyError(i, "TL location " + std::to_string(tl_location) +
+                               " breaks sorted order");
+      }
+      prev_tl_location = tl_location;
+      tl[static_cast<std::size_t>(d)] =
+          Departure{static_cast<Timestamp>(time),
+                    static_cast<LocationId>(tl_location)};
+    }
+    visit(i, static_cast<LocationId>(location), static_cast<Timestamp>(delta),
+          std::span<const Departure>(tl.data(),
+                                     static_cast<std::size_t>(tl_count)));
+  }
+  if (cursor != end) {
+    return internal_blob::KeySectionError(
+        std::to_string(end - cursor) + " trailing bytes after the last key");
+  }
+  return Status::Ok();
+}
+
 /// Runs ParseAndVerifyBlob and then decodes + validates every section:
 /// layer offsets (start at 0, strictly increase, end at num_nodes), node
-/// keys (field ranges, sorted TL lists, exact section consumption), CSR
+/// keys (WalkKeys: field ranges, sorted TL lists, exact section
+/// consumption), CSR
 /// edge rows (start at 0, monotone, end at num_edges, empty exactly on the
 /// last layer) and edge targets (each lands in its source's next layer).
 /// On success the blob is safe to expose through bounds-trusting accessors.

@@ -67,17 +67,22 @@ Timestamp CtGraphView::TimeOf(NodeId id) const {
 }
 
 std::uint64_t CtGraphView::Digest() const {
-  // Blob node ids run in layer order, so iterating layers enumerates ids
+  // Blob node ids run in layer order, so the key walk enumerates ids
   // 0..N-1 in order, as CtGraph::Digest() does.
   Fnv64 fnv;
   MixGraphDigestHeader(&fnv, length(), NumNodes());
-  for (Timestamp t = 0; t < length(); ++t) {
-    for (NodeId id : NodesAt(t)) {
-      MixGraphDigestNode(&fnv, t, LocationOf(id), DeltaOf(id),
-                         DeparturesOf(id), SourceProbability(id),
-                         OutEdges(id));
-    }
-  }
+  Timestamp t = 0;
+  const Status walked = WalkKeys(
+      contents_.parsed, [&](std::uint64_t i, LocationId location,
+                            Timestamp delta, std::span<const Departure> tl) {
+        while (i >= contents_.LayerBegin(t + 1)) ++t;
+        const NodeId id = static_cast<NodeId>(i);
+        MixGraphDigestNode(&fnv, t, location, delta, tl,
+                           SourceProbability(id), OutEdges(id));
+      });
+  // Map already walked these bytes, which must stay unchanged while the
+  // view lives, so a second walk cannot fail.
+  RFID_CHECK(walked.ok());
   return fnv.Digest();
 }
 

@@ -16,13 +16,15 @@
 /// \file
 /// Immutable zero-copy view over a binary ct-graph blob. The fixed-width
 /// sections — layer offsets, CSR edge rows, source and edge probability
-/// doubles — are read in place from the mapped bytes (never copied); only
-/// the varint-compressed sections (node keys, edge targets) are decoded
-/// into owned arrays at Map time. The view satisfies the same structural
-/// graph concept as CtGraph (length / NodesAt / OutEdges / LocationOf /
-/// SourceProbability), so the templated query algorithms in src/query run
-/// on either representation and produce bit-identical results; invariants
-/// of the aliasing are specified in docs/ALGORITHM.md §12.
+/// doubles — are read in place from the mapped bytes (never copied); of the
+/// varint-compressed sections only the node locations and edge targets are
+/// decoded into owned arrays at Map time. The per-node deltas and TL lists
+/// are parsed and validated there but not kept. The view satisfies the
+/// same structural graph concept as CtGraph (length / NodesAt / OutEdges /
+/// LocationOf / SourceProbability / TimeOf), so the templated query
+/// algorithms in src/query run on either representation and produce
+/// bit-identical results; invariants of the aliasing are specified in
+/// docs/ALGORITHM.md §12.
 ///
 /// Lifetime: a view never owns the blob bytes unless constructed through
 /// an overload taking a keepalive. Map(data, size) requires the caller to
@@ -35,19 +37,6 @@ namespace rfidclean::store {
 struct EdgeRef {
   NodeId to = kInvalidNode;
   double probability = 0.0;
-};
-
-/// Contiguous span over one node's TL departure list.
-struct DepartureSpan {
-  const Departure* first = nullptr;
-  const Departure* last = nullptr;
-  const Departure* begin() const { return first; }
-  const Departure* end() const { return last; }
-  std::size_t size() const {
-    return static_cast<std::size_t>(last - first);
-  }
-  bool empty() const { return first == last; }
-  const Departure& operator[](std::size_t i) const { return first[i]; }
 };
 
 /// Random-access range over one node's out-edges, materializing EdgeRef
@@ -188,20 +177,7 @@ class CtGraphView {
   LocationId LocationOf(NodeId id) const {
     return contents_.locations[CheckedIndex(id)];
   }
-  /// The node key's transit-literal delta (kDeltaBottom when absent).
-  Timestamp DeltaOf(NodeId id) const {
-    return contents_.deltas[CheckedIndex(id)];
-  }
-  /// The node key's TL departure list (sorted by location), as a
-  /// contiguous span into the view's decoded arrays.
-  DepartureSpan DeparturesOf(NodeId id) const {
-    const std::size_t i = CheckedIndex(id);
-    return DepartureSpan{
-        contents_.departures.data() + contents_.tl_begin[i],
-        contents_.departures.data() + contents_.tl_begin[i + 1]};
-  }
-  /// p_N of a source node; 0 for non-sources (mirrors the unused field of
-  /// CtGraph::Node).
+  /// p_N of a source node; 0 for non-sources.
   double SourceProbability(NodeId id) const {
     const std::size_t i = CheckedIndex(id);
     if (i >= contents_.LayerBegin(1)) return 0.0;
@@ -228,7 +204,8 @@ class CtGraphView {
   }
 
   /// FNV digest of the viewed graph, bit-identical to what
-  /// CtGraph::Digest() returns for the equivalent owning graph.
+  /// CtGraph::Digest() returns for the equivalent owning graph. Decodes the
+  /// deltas and TL lists, which the view does not keep, again.
   std::uint64_t Digest() const;
 
   /// Re-verifies the CtGraph semantic invariants (source mass, per-node

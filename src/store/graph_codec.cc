@@ -1,6 +1,7 @@
 #include "store/graph_codec.h"
 
 #include <cstring>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -34,13 +35,21 @@ CtGraph Canonicalize(const CtGraph& graph) {
   std::vector<CtGraph::Node> nodes;
   nodes.reserve(graph.NumNodes());
   for (NodeId old : old_order) {
-    CtGraph::Node node = graph.node(old);
-    for (CtGraph::Edge& edge : node.out_edges) {
-      edge.to = new_id[static_cast<std::size_t>(edge.to)];
+    CtGraph::Node node;
+    node.time = graph.TimeOf(old);
+    node.key.location = graph.LocationOf(old);
+    node.key.delta = graph.DeltaOf(old);
+    for (const Departure& departure : graph.DeparturesOf(old)) {
+      node.key.departures.push_back(departure);
+    }
+    node.source_probability = graph.SourceProbability(old);
+    for (const CtGraph::Edge& edge : graph.OutEdges(old)) {
+      node.out_edges.push_back(CtGraph::Edge{
+          new_id[static_cast<std::size_t>(edge.to)], edge.probability});
     }
     nodes.push_back(std::move(node));
   }
-  return CtGraph::AssembleUnchecked(std::move(nodes), graph.length());
+  return CtGraph::AssembleUnchecked(nodes, graph.length());
 }
 
 /// Everything the write pass needs to know before it allocates: the
@@ -76,30 +85,32 @@ bool PlanBlob(const CtGraph& graph, BlobPlan* plan) {
   std::int64_t prev_location = 0;
   std::int64_t prev_target = 0;
   for (std::size_t i = 0; i < num_nodes; ++i) {
-    const CtGraph::Node& node = graph.node(static_cast<NodeId>(i));
-    if (node.time < prev_time) return false;
-    prev_time = node.time;
-    const NodeKey& key = node.key;
-    const DepartureList& departures = key.departures;
-    key_bytes += VarintSize(ZigzagEncode(key.location - prev_location)) +
-                 VarintSize(ZigzagEncode(key.delta)) +
+    const NodeId id = static_cast<NodeId>(i);
+    const Timestamp time = graph.TimeOf(id);
+    if (time < prev_time) return false;
+    prev_time = time;
+    const LocationId location = graph.LocationOf(id);
+    const Timestamp delta = graph.DeltaOf(id);
+    const std::span<const Departure> departures = graph.DeparturesOf(id);
+    key_bytes += VarintSize(ZigzagEncode(location - prev_location)) +
+                 VarintSize(ZigzagEncode(delta)) +
                  VarintSize(departures.size());
-    prev_location = key.location;
+    prev_location = location;
     std::int64_t prev_tl_location = 0;
-    for (std::size_t d = 0; d < departures.size(); ++d) {
-      const Departure& departure = departures[d];
+    for (const Departure& departure : departures) {
       key_bytes += VarintSize(ZigzagEncode(departure.time)) +
                    VarintSize(
                        ZigzagEncode(departure.location - prev_tl_location));
       prev_tl_location = departure.location;
     }
-    for (const CtGraph::Edge& edge : node.out_edges) {
+    const std::span<const CtGraph::Edge> out_edges = graph.OutEdges(id);
+    for (const CtGraph::Edge& edge : out_edges) {
       target_bytes += VarintSize(ZigzagEncode(edge.to - prev_target));
       prev_target = edge.to;
     }
-    num_edges += node.out_edges.size();
-    MixGraphDigestNode(&fnv, node.time, key.location, key.delta, departures,
-                       node.source_probability, node.out_edges);
+    num_edges += out_edges.size();
+    MixGraphDigestNode(&fnv, time, location, delta, departures,
+                       graph.SourceProbability(id), out_edges);
   }
 
   // In SectionId order: LAYERS, KEYS, SRCPROB, EDGEROWS, EDGETGT, EDGEPROB.
@@ -152,27 +163,28 @@ std::string WriteBlob(const CtGraph& graph, const BlobPlan& plan,
   StoreU32(edge_rows, 0);
   edge_rows += 4;
   for (std::size_t i = 0; i < graph.NumNodes(); ++i) {
-    const CtGraph::Node& node = graph.node(static_cast<NodeId>(i));
-    const NodeKey& key = node.key;
-    keys = WriteZigzag(keys, key.location - prev_location);
-    prev_location = key.location;
-    keys = WriteZigzag(keys, key.delta);
-    keys = WriteVarint(keys, key.departures.size());
+    const NodeId id = static_cast<NodeId>(i);
+    const LocationId location = graph.LocationOf(id);
+    keys = WriteZigzag(keys, location - prev_location);
+    prev_location = location;
+    keys = WriteZigzag(keys, graph.DeltaOf(id));
+    const std::span<const Departure> departures = graph.DeparturesOf(id);
+    keys = WriteVarint(keys, departures.size());
     std::int64_t prev_tl_location = 0;
-    for (std::size_t d = 0; d < key.departures.size(); ++d) {
-      const Departure& departure = key.departures[d];
+    for (const Departure& departure : departures) {
       keys = WriteZigzag(keys, departure.time);
       keys = WriteZigzag(keys, departure.location - prev_tl_location);
       prev_tl_location = departure.location;
     }
-    if (node.time == 0) {
-      StoreDouble(source_prob, node.source_probability);
+    if (graph.TimeOf(id) == 0) {
+      StoreDouble(source_prob, graph.SourceProbability(id));
       source_prob += 8;
     }
-    edge_cursor += static_cast<std::uint32_t>(node.out_edges.size());
+    const std::span<const CtGraph::Edge> out_edges = graph.OutEdges(id);
+    edge_cursor += static_cast<std::uint32_t>(out_edges.size());
     StoreU32(edge_rows, edge_cursor);
     edge_rows += 4;
-    for (const CtGraph::Edge& edge : node.out_edges) {
+    for (const CtGraph::Edge& edge : out_edges) {
       edge_targets = WriteZigzag(edge_targets, edge.to - prev_target);
       prev_target = edge.to;
       StoreDouble(edge_prob, edge.probability);
@@ -238,40 +250,30 @@ Result<CtGraph> DecodeCtGraphBlob(const unsigned char* data,
   RFID_ASSIGN_OR_RETURN(contents, ParseBlobContents(data, size));
   const BlobHeader& header = contents.parsed.header;
 
-  std::vector<CtGraph::Node> nodes(
-      static_cast<std::size_t>(header.num_nodes));
-  for (std::int32_t t = 0; t < header.length; ++t) {
-    for (std::uint32_t i = contents.LayerBegin(t);
-         i < contents.LayerBegin(t + 1); ++i) {
-      nodes[i].time = t;
-    }
-  }
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    NodeKey& key = nodes[i].key;
-    key.location = contents.locations[i];
-    key.delta = contents.deltas[i];
-    for (std::uint32_t d = contents.tl_begin[i]; d < contents.tl_begin[i + 1];
-         ++d) {
-      key.departures.push_back(contents.departures[d]);
-    }
-  }
-  for (std::uint32_t i = 0; i < contents.LayerBegin(1); ++i) {
-    nodes[i].source_probability =
-        LoadDouble(contents.source_prob + std::size_t{8} * i);
-  }
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const std::uint32_t begin = contents.EdgeRow(i);
-    const std::uint32_t end = contents.EdgeRow(i + 1);
-    nodes[i].out_edges.reserve(end - begin);
-    for (std::uint32_t e = begin; e < end; ++e) {
-      nodes[i].out_edges.push_back(CtGraph::Edge{
-          contents.edge_targets[e],
-          LoadDouble(contents.edge_prob + std::size_t{8} * e)});
-    }
-  }
+  CtGraph::Arrays arrays;
+  arrays.Reserve(static_cast<std::size_t>(header.num_nodes),
+                 static_cast<std::size_t>(contents.num_departures),
+                 static_cast<std::size_t>(header.num_edges));
+  const std::uint32_t num_sources = contents.LayerBegin(1);
+  Timestamp t = 0;
+  RFID_RETURN_IF_ERROR(WalkKeys(
+      contents.parsed, [&](std::uint64_t i, LocationId location,
+                           Timestamp delta, std::span<const Departure> tl) {
+        while (i >= contents.LayerBegin(t + 1)) ++t;
+        const double source_probability =
+            i < num_sources ? LoadDouble(contents.source_prob + 8 * i) : 0.0;
+        arrays.AddNode(t, location, delta, source_probability);
+        for (const Departure& departure : tl) arrays.AddDeparture(departure);
+        for (std::uint32_t e = contents.EdgeRow(i);
+             e < contents.EdgeRow(i + 1); ++e) {
+          arrays.AddEdge(CtGraph::Edge{
+              contents.edge_targets[e],
+              LoadDouble(contents.edge_prob + std::size_t{8} * e)});
+        }
+      }));
 
   Result<CtGraph> graph =
-      CtGraph::Assemble(std::move(nodes), header.length);
+      CtGraph::FromArrays(std::move(arrays), header.length);
   if (!graph.ok()) {
     return InvalidArgumentError(StrFormat(
         "ct-graph blob: decoded graph fails invariants: %s",

@@ -64,11 +64,10 @@ TEST_F(PipelineTest, StrongerConstraintsNeverEnlargeTheGraph) {
     for (Timestamp t = 0; t < 120; ++t) {
       std::set<LocationId> du_locations;
       for (NodeId id : du_graph.value().NodesAt(t)) {
-        du_locations.insert(du_graph.value().node(id).key.location);
+        du_locations.insert(du_graph.value().LocationOf(id));
       }
       for (NodeId id : all_graph.value().NodesAt(t)) {
-        EXPECT_TRUE(du_locations.count(
-            all_graph.value().node(id).key.location))
+        EXPECT_TRUE(du_locations.count(all_graph.value().LocationOf(id)))
             << "t=" << t;
       }
     }

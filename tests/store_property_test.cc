@@ -1,3 +1,5 @@
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -7,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/graph_audit.h"
+#include "common/fnv.h"
 #include "common/rng.h"
 #include "constraints/constraint_set.h"
 #include "core/builder.h"
@@ -224,15 +227,15 @@ TEST(StoreSpilledTlTest, SixEntryTlListRoundTripsWithEqualDigests) {
   nodes[2].key.location = 4;
   Result<CtGraph> graph = CtGraph::Assemble(std::move(nodes), 2);
   ASSERT_TRUE(graph.ok()) << graph.status().ToString();
-  ASSERT_EQ(graph.value().node(0).key.departures.size(), 6u);
+  ASSERT_EQ(graph.value().DeparturesOf(0).size(), 6u);
   const std::uint64_t digest = graph.value().Digest();
 
   const std::string blob = EncodeCtGraphBlob(graph.value(), /*tag=*/5);
   Result<CtGraph> decoded = DecodeCtGraphBlob(blob);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded.value().Digest(), digest);
-  EXPECT_EQ(decoded.value().node(1).key.departures,
-            graph.value().node(1).key.departures);
+  EXPECT_TRUE(std::ranges::equal(decoded.value().DeparturesOf(1),
+                                  graph.value().DeparturesOf(1)));
   EXPECT_EQ(EncodeCtGraphBlob(decoded.value(), /*tag=*/5), blob);
 
   Result<CtGraphView> view = CtGraphView::Map(
@@ -240,7 +243,190 @@ TEST(StoreSpilledTlTest, SixEntryTlListRoundTripsWithEqualDigests) {
       MapVerify::kFull);
   ASSERT_TRUE(view.ok()) << view.status().ToString();
   EXPECT_EQ(view.value().Digest(), digest);
-  EXPECT_EQ(view.value().DeparturesOf(0).size(), 6u);
+  Result<CtGraph> materialized = view.value().Materialize();
+  ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
+  EXPECT_EQ(materialized.value().DeparturesOf(0).size(), 6u);
+}
+
+std::string TextOf(const CtGraph& graph) {
+  std::ostringstream os;
+  WriteCtGraph(graph, os);
+  return os.str();
+}
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// Blob bytes as one FNV-1a value, for pinning a blob without its bytes.
+std::uint64_t BlobFnv(const std::string& blob) {
+  Fnv64 fnv;
+  fnv.Mix(blob.data(), blob.size());
+  return fnv.Digest();
+}
+
+/// The input records of `graph`, in id order, read back through the
+/// accessors.
+std::vector<CtGraph::Node> RecordsOf(const CtGraph& graph) {
+  std::vector<CtGraph::Node> nodes(graph.NumNodes());
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const NodeId id = static_cast<NodeId>(i);
+    nodes[i].time = graph.TimeOf(id);
+    nodes[i].key.location = graph.LocationOf(id);
+    nodes[i].key.delta = graph.DeltaOf(id);
+    for (const Departure& departure : graph.DeparturesOf(id)) {
+      nodes[i].key.departures.push_back(departure);
+    }
+    nodes[i].source_probability = graph.SourceProbability(id);
+    for (const CtGraph::Edge& edge : graph.OutEdges(id)) {
+      nodes[i].out_edges.push_back(edge);
+    }
+  }
+  return nodes;
+}
+
+/// Every accessor of `actual` must answer as `expected`'s does, bit for
+/// bit.
+void ExpectSameAccessors(const CtGraph& expected, const CtGraph& actual) {
+  ASSERT_EQ(actual.length(), expected.length());
+  ASSERT_EQ(actual.NumNodes(), expected.NumNodes());
+  ASSERT_EQ(actual.NumEdges(), expected.NumEdges());
+  for (Timestamp t = 0; t < expected.length(); ++t) {
+    EXPECT_TRUE(std::ranges::equal(actual.NodesAt(t), expected.NodesAt(t)))
+        << "t=" << t;
+  }
+  for (std::size_t i = 0; i < expected.NumNodes(); ++i) {
+    const NodeId id = static_cast<NodeId>(i);
+    EXPECT_EQ(actual.TimeOf(id), expected.TimeOf(id)) << "node " << id;
+    EXPECT_EQ(actual.LocationOf(id), expected.LocationOf(id));
+    EXPECT_EQ(actual.DeltaOf(id), expected.DeltaOf(id));
+    EXPECT_TRUE(std::ranges::equal(actual.DeparturesOf(id),
+                                   expected.DeparturesOf(id)))
+        << "node " << id;
+    EXPECT_TRUE(SameBits(actual.SourceProbability(id),
+                         expected.SourceProbability(id)));
+    const auto a = actual.OutEdges(id);
+    const auto b = expected.OutEdges(id);
+    ASSERT_EQ(a.size(), b.size()) << "node " << id;
+    for (std::size_t e = 0; e < a.size(); ++e) {
+      EXPECT_EQ(a[e].to, b[e].to);
+      EXPECT_TRUE(SameBits(a[e].probability, b[e].probability));
+    }
+  }
+}
+
+/// Locations 1..7 are each the source of a long traveling-time constraint,
+/// so a walker that moves 1 -> 2 -> ... -> 7 collects one TL entry per
+/// tick: six at t = 6, past DepartureList's four inline slots. Location 0
+/// is the alternative at every tick, and 8 (the constrained destination)
+/// is reachable at t = 7 only from a history that never left 0.
+TEST(CtGraphFlatLayoutTest, FiveConstructionPathsAgree) {
+  ConstraintSet constraints(9);
+  for (LocationId l = 1; l <= 7; ++l) constraints.AddTravelingTime(l, 8, 20);
+  std::vector<std::vector<Candidate>> ticks;
+  for (LocationId l = 1; l <= 7; ++l) {
+    ticks.push_back({Candidate{l, 0.7}, Candidate{0, 0.3}});
+  }
+  ticks.push_back({Candidate{8, 0.5}, Candidate{0, 0.5}});
+  Result<LSequence> sequence = LSequence::Create(std::move(ticks));
+  ASSERT_TRUE(sequence.ok());
+  Result<CtGraph> built = CtGraphBuilder(constraints).Build(sequence.value());
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const CtGraph& graph = built.value();
+  std::size_t six_entry_nodes = 0;
+  for (std::size_t i = 0; i < graph.NumNodes(); ++i) {
+    six_entry_nodes += graph.DeparturesOf(static_cast<NodeId>(i)).size() == 6;
+  }
+  EXPECT_GT(six_entry_nodes, 0u);
+
+  // Digest and blob of this graph as the node-struct layout wrote them.
+  EXPECT_EQ(graph.Digest(), 0xf3af41a1f6fce6d3ULL);
+  const std::string blob = EncodeCtGraphBlob(graph, /*tag=*/7);
+  EXPECT_EQ(blob.size(), 8648u);
+  EXPECT_EQ(BlobFnv(blob), 0x919709168bdd88e0ULL);
+  const std::string text = TextOf(graph);
+
+  // The same nodes with the layers' id blocks in reverse order: not layer
+  // ordered, so the encoder canonicalizes them back to `graph`'s ids.
+  std::vector<NodeId> shuffled_id(graph.NumNodes(), kInvalidNode);
+  NodeId next = 0;
+  for (Timestamp t = graph.length() - 1; t >= 0; --t) {
+    for (NodeId id : graph.NodesAt(t)) {
+      shuffled_id[static_cast<std::size_t>(id)] = next++;
+    }
+  }
+  const std::vector<CtGraph::Node> records = RecordsOf(graph);
+  std::vector<CtGraph::Node> shuffled_records(records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    CtGraph::Node node = records[i];
+    for (CtGraph::Edge& edge : node.out_edges) {
+      edge.to = shuffled_id[static_cast<std::size_t>(edge.to)];
+    }
+    shuffled_records[static_cast<std::size_t>(shuffled_id[i])] =
+        std::move(node);
+  }
+  Result<CtGraph> shuffled =
+      CtGraph::Assemble(std::move(shuffled_records), graph.length());
+  ASSERT_TRUE(shuffled.ok()) << shuffled.status().ToString();
+  EXPECT_NE(shuffled.value().Digest(), graph.Digest());
+  const std::string canonical_blob =
+      EncodeCtGraphBlob(shuffled.value(), /*tag=*/7);
+  EXPECT_EQ(canonical_blob, blob);
+
+  std::istringstream text_in(text);
+  Result<CtGraph> paths[] = {
+      CtGraph::Assemble(records, graph.length()),
+      DecodeCtGraphBlob(blob),
+      ReadCtGraph(text_in),
+      DecodeCtGraphBlob(canonical_blob),
+  };
+  const char* names[] = {"Assemble", "DecodeCtGraphBlob", "ReadCtGraph",
+                         "Canonicalize"};
+  for (std::size_t k = 0; k < std::size(paths); ++k) {
+    SCOPED_TRACE(names[k]);
+    ASSERT_TRUE(paths[k].ok()) << paths[k].status().ToString();
+    const CtGraph& other = paths[k].value();
+    ExpectSameAccessors(graph, other);
+    EXPECT_EQ(other.Digest(), graph.Digest());
+    EXPECT_EQ(TextOf(other), text);
+    EXPECT_EQ(EncodeCtGraphBlob(other, /*tag=*/7), blob);
+    EXPECT_EQ(other.ApproximateBytes(), graph.ApproximateBytes());
+  }
+}
+
+/// A text graph whose ids are not in layer order keeps its ids, its layer
+/// lists (ascending id within each layer) and its digest; its blob is the
+/// canonicalized graph's, pinned as the node-struct layout wrote it.
+TEST(CtGraphFlatLayoutTest, TextGraphOutOfLayerOrderKeepsIdsAndDigest) {
+  const std::string text =
+      "ctgraph 3 5\n"
+      "node 0 2 1 -1 0\n"
+      "node 1 0 1 -1 0.40000000000000002\n"
+      "node 2 1 2 0 0 4,1\n"
+      "node 3 0 3 -1 0.59999999999999998\n"
+      "node 4 1 4 -1 0 3,2 4,5\n"
+      "edge 1 2 0.25\n"
+      "edge 1 4 0.75\n"
+      "edge 2 0 1\n"
+      "edge 3 4 1\n"
+      "edge 4 0 1\n";
+  std::istringstream in(text);
+  Result<CtGraph> graph = ReadCtGraph(in);
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  EXPECT_TRUE(std::ranges::equal(graph.value().NodesAt(0),
+                                 std::vector<NodeId>{1, 3}));
+  EXPECT_TRUE(std::ranges::equal(graph.value().NodesAt(1),
+                                 std::vector<NodeId>{2, 4}));
+  EXPECT_TRUE(std::ranges::equal(graph.value().NodesAt(2),
+                                 std::vector<NodeId>{0}));
+  EXPECT_EQ(graph.value().TimeOf(0), 2);
+  EXPECT_EQ(graph.value().DeltaOf(2), 0);
+  EXPECT_EQ(graph.value().DeparturesOf(4).size(), 2u);
+  EXPECT_EQ(TextOf(graph.value()), text);
+  EXPECT_EQ(graph.value().Digest(), 0x0282b329a38a7883ULL);
+  const std::string blob = EncodeCtGraphBlob(graph.value(), /*tag=*/7);
+  EXPECT_EQ(blob.size(), 416u);
+  EXPECT_EQ(BlobFnv(blob), 0x3cc5bccee5b668c4ULL);
 }
 
 }  // namespace

@@ -1,10 +1,14 @@
 #include "core/streaming.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "analysis/feasibility.h"
 #include "common/rng.h"
 #include "core/builder.h"
 #include "gen/dataset.h"
+#include "obs/explain.h"
 #include "query/stay_query.h"
 #include "runtime/batch_cleaner.h"
 #include "test_util.h"
@@ -194,6 +198,83 @@ TEST(StreamingCleanerTest, RejectsMalformedTicks) {
   EXPECT_FALSE(cleaner.Push({{kInvalidLocation, 1.0}}).ok());
   // Valid tick still accepted afterwards (validation failures don't poison).
   EXPECT_TRUE(cleaner.Push({{kL1, 1.0}}).ok());
+}
+
+/// A three-tick sequence whose middle tick holds a statically dead
+/// candidate: L2 is severed from every other location, so a preflight plan
+/// prunes it (the plan's FilterTick path runs on that tick).
+struct PrunedTickFixture {
+  PrunedTickFixture() : constraints(3) {
+    constraints.AddUnreachable(kL1, kL2);
+    constraints.AddUnreachable(kL2, kL1);
+    constraints.AddUnreachable(0, kL2);
+    constraints.AddUnreachable(kL2, 0);
+    sequence = MakeLSequence({{{kL1, 1.0}},
+                              {{kL2, 0.25}, {kL1, 0.5}, {0, 0.25}},
+                              {{kL1, 1.0}}});
+    plan = FeasibilityOracle(constraints).Analyze(sequence);
+  }
+
+  /// Pushes a tick one candidate wider than the plan's tick 1 and checks
+  /// that the cleaner rejects it and then finishes exactly like a build
+  /// without the bad tick.
+  void ExpectExtraCandidateRejected() {
+    ASSERT_TRUE(plan.PrunedAt(1));
+    StreamingCleaner cleaner(constraints);
+    cleaner.SetPreflightPlan(&plan);
+    ASSERT_TRUE(cleaner.Push(sequence.CandidatesAt(0)).ok());
+    const Status status =
+        cleaner.Push({{kL2, 0.25}, {kL1, 0.25}, {0, 0.25}, {kL1, 0.25}});
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("tick 1 has 4 candidates"),
+              std::string::npos)
+        << status.message();
+    EXPECT_NE(status.message().find("plan has 3"), std::string::npos);
+    EXPECT_EQ(cleaner.TicksSeen(), 1);
+    ASSERT_TRUE(cleaner.Push(sequence.CandidatesAt(1)).ok());
+    ASSERT_TRUE(cleaner.Push(sequence.CandidatesAt(2)).ok());
+    Result<CtGraph> graph = std::move(cleaner).Finish();
+    ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+    Result<CtGraph> reference = CtGraphBuilder(constraints).Build(sequence);
+    ASSERT_TRUE(reference.ok());
+    EXPECT_EQ(graph.value().Digest(), reference.value().Digest());
+  }
+
+  ConstraintSet constraints;
+  LSequence sequence;
+  PreflightPlan plan;
+};
+
+TEST(StreamingCleanerTest, PushPastThePreflightPlanIsInvalidArgument) {
+  PrunedTickFixture fixture;
+  StreamingCleaner cleaner(fixture.constraints);
+  cleaner.SetPreflightPlan(&fixture.plan);
+  ASSERT_TRUE(PushAll(cleaner, fixture.sequence).ok());
+  const Status status = cleaner.Push({{kL1, 1.0}});
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("tick 3 is past the preflight plan, "
+                                  "which covers 3 ticks"),
+            std::string::npos)
+      << status.message();
+  EXPECT_EQ(cleaner.TicksSeen(), 3);
+  Result<CtGraph> graph = std::move(cleaner).Finish();
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  EXPECT_EQ(graph.value().length(), 3);
+}
+
+TEST(StreamingCleanerTest, TickWiderThanThePreflightPlanIsInvalidArgument) {
+  PrunedTickFixture fixture;
+  fixture.ExpectExtraCandidateRejected();
+}
+
+TEST(StreamingCleanerTest,
+     TickWiderThanThePreflightPlanIsInvalidArgumentUnderExplain) {
+  PrunedTickFixture fixture;
+  obs::ExplainOptions options;
+  options.enabled = true;
+  obs::StartExplain(options);
+  fixture.ExpectExtraCandidateRejected();
+  obs::StopExplain();
 }
 
 class StreamingPropertyTest : public ::testing::TestWithParam<int> {};
