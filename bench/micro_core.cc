@@ -60,14 +60,18 @@ const CtGraph& SharedGraph() {
 
 void BM_SuccessorGeneration(benchmark::State& state) {
   SuccessorGenerator generator(SharedConstraints());
-  std::vector<NodeKey> sources =
-      generator.SourceKeys(SharedSequence().CandidatesAt(0));
+  std::vector<NodeKey> sources;
+  NodeKey scratch;
+  generator.ForEachSourceKey(
+      SharedSequence().CandidatesAt(0), &scratch,
+      [&sources](const NodeKey& key) { sources.push_back(key); });
   std::vector<NodeKey> out;
   for (auto _ : state) {
     out.clear();
     for (const NodeKey& key : sources) {
-      generator.AppendSuccessors(0, key, SharedSequence().CandidatesAt(1),
-                                 &out);
+      generator.ForEachSuccessor(
+          0, key, SharedSequence().CandidatesAt(1), &scratch,
+          [&out](const NodeKey& successor) { out.push_back(successor); });
     }
     benchmark::DoNotOptimize(out.size());
   }

@@ -86,9 +86,12 @@ struct BuildStats {
 /// Complexity is polynomial in the sequence length (data complexity §5):
 /// linear in the number of materialized nodes and edges.
 ///
-/// The constructor precomputes the successor generator's constraint tables
-/// (hop distances, TL relevance windows) once; Build() can then be called
-/// any number of times, for any sequences, without re-deriving them.
+/// Build() runs the one cleaning routine the batch runtime also runs per
+/// tag (internal_core::CleanSequence in core/streaming.h): preflight, one
+/// StreamingCleaner Push per tick, then Finish. The constructor
+/// precomputes the successor generator's constraint tables (hop distances,
+/// TL relevance windows) once; Build() can then be called any number of
+/// times, for any sequences, without re-deriving them.
 class CtGraphBuilder {
  public:
   /// The constraint set must outlive the builder. `options` tunes the
@@ -100,8 +103,10 @@ class CtGraphBuilder {
   CtGraphBuilder(const ConstraintSet& constraints,
                  const CleanOptions& options);
 
-  /// Builds the ct-graph of `sequence`. Fails with FailedPrecondition when
-  /// the constraints rule out every interpretation of the readings.
+  /// Builds the ct-graph of `sequence`. Fails with InvalidArgument when
+  /// the sequence is empty, and with FailedPrecondition when the
+  /// constraints rule out every interpretation of the readings — at the
+  /// first tick where none survives.
   Result<CtGraph> Build(const LSequence& sequence,
                         BuildStats* stats = nullptr) const;
 
@@ -114,13 +119,13 @@ class CtGraphBuilder {
   }
 
  private:
-  const ConstraintSet* constraints_;
   SuccessorGenerator successors_;
   std::optional<FeasibilityOracle> oracle_;
   /// Present iff CleanOptions::forward_threads > 1. Build() is const and
   /// reentrant per builder *instance*; the pool serializes one job at a
-  /// time, so a builder with a pool must not run concurrent Builds (batch
-  /// workers hold one builder each, or one with forward_threads == 1).
+  /// time, so a builder with a pool must not run concurrent Builds (the
+  /// batch runtime shares one builder with forward_threads == 1 and hands
+  /// each worker's own pool to CleanSequence).
   std::unique_ptr<ThreadPool> pool_;
 };
 

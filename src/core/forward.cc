@@ -92,10 +92,9 @@ void ForwardEngine::BeginSources(const SuccessorGenerator& successors,
 #endif
 }
 
-bool ForwardEngine::AdvanceLayer(const SuccessorGenerator& successors,
-                                 Timestamp t,
-                                 const std::vector<Candidate>& next_candidates,
-                                 bool record_empty_layer) {
+bool ForwardEngine::AdvanceLayer(
+    const SuccessorGenerator& successors, Timestamp t,
+    const std::vector<Candidate>& next_candidates) {
   RFID_TRACE_SPAN(span, "forward", "forward_layer");
   RFID_TRACE(span.AddArg("t", static_cast<std::uint64_t>(t)));
   RFID_CHECK_GE(work_.layer_begin.size(), 2u);
@@ -289,14 +288,12 @@ bool ForwardEngine::AdvanceLayer(const SuccessorGenerator& successors,
   const std::int32_t layer_end = static_cast<std::int32_t>(work_.nodes.size());
   const bool non_empty = layer_end != frontier_end;
 #if RFIDCLEAN_STATS_ENABLED
-  // Expansion work happened whether or not the layer gets recorded (an
-  // unrecorded empty layer leaves the frontier in place, so the same nodes
-  // are processed again on the next tick).
+  // Expansion work happened whether or not the layer gets recorded.
   const std::uint64_t stats_frontier =
       static_cast<std::uint64_t>(frontier_end - frontier_begin);
   obs::Add(obs::Counter::kForwardMemoHits, stats_memo_hits);
   obs::Add(obs::Counter::kForwardExpansions, stats_frontier - stats_memo_hits);
-  if (non_empty || record_empty_layer) {
+  if (non_empty) {
     const std::uint64_t stats_width =
         static_cast<std::uint64_t>(layer_end - frontier_end);
     obs::Add(obs::Counter::kForwardLayers);
@@ -313,20 +310,17 @@ bool ForwardEngine::AdvanceLayer(const SuccessorGenerator& successors,
   if (!non_empty) {
     // Structural dead end: no frontier node admits any successor at t + 1,
     // so every interpretation dies here. The unit mass marks the decision
-    // in the event stream; per-candidate attribution happens in the
-    // conditioning pass (which knows the forward masses).
+    // in the event stream. An empty expansion appended no node and no
+    // edge, and the frontier's refreshed (empty) CSR slices are
+    // indistinguishable from their previous state — the caller observes
+    // the graph exactly as before.
     RFID_EXPLAIN(obs::RecordExplainEvent(
         {obs::ExplainCurrentTag(), t + 1, -1, -1, obs::ExplainPhase::kForward,
          obs::ExplainConstraint::kInfeasible, 1.0}));
-  }
-  if (!non_empty && !record_empty_layer) {
-    // An empty expansion appended no node and no edge, and the frontier's
-    // refreshed (empty) CSR slices are indistinguishable from their
-    // previous state — the caller observes the graph exactly as before.
     return false;
   }
   work_.layer_begin.push_back(layer_end);
-  return non_empty;
+  return true;
 }
 
 }  // namespace rfidclean::internal_core

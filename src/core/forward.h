@@ -13,11 +13,12 @@
 
 namespace rfidclean::internal_core {
 
-/// The forward phase of Algorithm 1 (lines 1-14), shared by the batch
-/// builder and the streaming cleaner: materialize the source layer, then
-/// expand layer by layer, interning equal keys and labeling each edge with
-/// the a-priori probability of its target location. Produces the CSR
-/// WorkGraph consumed by ConditionAndCompact.
+/// The forward phase of Algorithm 1 (lines 1-14), driven tick by tick by
+/// StreamingCleaner (the one cleaning pipeline, docs/ALGORITHM.md §7):
+/// materialize the source layer, then expand layer by layer, interning
+/// equal keys and labeling each edge with the a-priori probability of its
+/// target location. Produces the CSR WorkGraph consumed by
+/// ConditionAndCompact.
 ///
 /// Locality-oriented internals (see docs/ALGORITHM.md §8):
 ///  - node keys live in a per-build NodeKeyArena; nodes and the per-layer
@@ -63,17 +64,13 @@ class ForwardEngine {
                     const std::vector<Candidate>& candidates);
 
   /// Expands the current frontier (time t) to time t + 1 under
-  /// `next_candidates`. Returns whether the new layer is non-empty.
-  ///
-  /// When the new layer is empty — no frontier node admits a successor, so
-  /// every interpretation is invalid — an empty expansion appends no node
-  /// and no edge; with `record_empty_layer` false the layer is not recorded
-  /// either, leaving the graph observably at its previous state (the
-  /// streaming cleaner's failed-Push contract). The batch builder passes
-  /// true so num_layers() always reaches the sequence length.
+  /// `next_candidates` and records the new layer. Returns false, recording
+  /// nothing, when the new layer would be empty — no frontier node admits
+  /// a successor, so every interpretation dies at t + 1. An empty expansion
+  /// appends no node and no edge either, so the graph stays observably at
+  /// its previous state (the streaming cleaner's failed-Push contract).
   bool AdvanceLayer(const SuccessorGenerator& successors, Timestamp t,
-                    const std::vector<Candidate>& next_candidates,
-                    bool record_empty_layer);
+                    const std::vector<Candidate>& next_candidates);
 
   /// Layers recorded so far (== ticks consumed).
   Timestamp num_layers() const { return work_.num_layers(); }

@@ -5,6 +5,7 @@
 #include "common/check.h"
 #include "common/float_eq.h"
 #include "common/simd.h"
+#include "common/stopwatch.h"
 #include "common/strings.h"
 #include "core/self_audit.h"
 #include "core/work_graph.h"
@@ -141,15 +142,13 @@ Status StreamingCleaner::Push(const std::vector<Candidate>& candidates) {
   const std::size_t layers = work.layer_begin.size();
   const std::int32_t frontier_begin = work.layer_begin[layers - 2];
   const std::int32_t frontier_end = work.layer_begin[layers - 1];
-  if (!engine_.AdvanceLayer(*successors_, t, *effective,
-                            /*record_empty_layer=*/false)) {
+  if (!engine_.AdvanceLayer(*successors_, t, *effective)) {
     // No node of the frontier admits a successor compatible with this
     // tick: every interpretation is now invalid. Nothing was appended
     // (successor generation produced no node or edge), so the previous
     // state remains intact for inspection.
     failed_ = true;
-    return FailedPreconditionError(
-        "the new tick leaves no consistent interpretation of the readings");
+    return internal_core::InfeasibleSequenceError();
   }
 
   // Forward-filter update: each fresh edge carries the a-priori mass of
@@ -172,28 +171,28 @@ Status StreamingCleaner::Push(const std::vector<Candidate>& candidates) {
   }
   const double total =
       simd::BlockedSum(next_alpha_.data(), next_alpha_.size());
-  if (!(total > 0.0)) {
-    // The tick was structurally consistent (the new layer is non-empty),
-    // but the filtered mass of every surviving interpretation underflowed
-    // to exact zero — reachable only with denormal-scale candidate
-    // probabilities. An infeasible clean, not a crash: the structurally
-    // valid layer stays appended, the frontier mass reads as all zeros,
-    // and further Pushes are rejected.
-    frontier_alpha_.swap(next_alpha_);
-    failed_ = true;
+  // Renormalization delta: the filtered mass the constraint checks shaved
+  // off this tick before the division restored a unit total.
+  double delta = 1.0 - total;
+  if (total > 0.0) {
+    simd::DivideInPlace(next_alpha_.data(), next_alpha_.size(), total);
+  } else if (!alpha_underflowed_) {
+    // The layer is structurally consistent, but the filtered mass of
+    // every surviving interpretation underflowed to exact zero — reachable
+    // only with denormal-scale candidate probabilities, because the
+    // renormalization flushes a path whose relative mass drops below the
+    // double range before the dominant paths die. The exact graph still
+    // exists (Finish rescales per layer), so the tick is kept; the whole
+    // unit of filtered mass is booked here, and every later frontier
+    // reads as zeros.
+    alpha_underflowed_ = true;
     RFID_STATS(obs::Add(obs::Counter::kStreamAlphaUnderflows));
-    if (obs::ExplainArmed()) explain_ctx_.alpha_deltas.push_back(1.0);
-    return FailedPreconditionError(
-        "the filtered probability mass of every remaining interpretation "
-        "underflowed to zero");
+  } else {
+    delta = 0.0;  // Nothing left to lose.
   }
   if (obs::ExplainArmed()) {
-    // Renormalization delta: the filtered mass the constraint checks shaved
-    // off this tick before the division restored a unit total.
-    const double delta = 1.0 - total;
     explain_ctx_.alpha_deltas.push_back(delta > 0.0 ? delta : 0.0);
   }
-  simd::DivideInPlace(next_alpha_.data(), next_alpha_.size(), total);
   frontier_alpha_.swap(next_alpha_);
   return Status::Ok();
 }
@@ -255,4 +254,59 @@ Result<CtGraph> StreamingCleaner::Finish(BuildStats* stats) && {
   return graph;
 }
 
+namespace internal_core {
+
+Result<CtGraph> CleanSequence(
+    const CtGraphBuilder& builder, const LSequence& sequence,
+    ThreadPool* pool, BuildStats* stats,
+    const std::function<void(StreamingCleaner&)>& prepare,
+    const std::function<void(Timestamp)>& after_tick) {
+  // A clean that dies before Finish (empty sequence, failed Push) still
+  // gets its one-line explain summary, so a report lists every clean once.
+  // Doomed sequences are summarized by the preflight itself, and Finish's
+  // conditioning summarizes everything that reaches it.
+  const auto unfinished = [](Status status) -> Result<CtGraph> {
+    if (obs::ExplainArmed()) {
+      obs::ExplainTagSummary summary;
+      summary.tag = obs::ExplainCurrentTag();
+      summary.status = status.message();
+      obs::RecordTagExplain(std::move(summary));
+    }
+    return status;
+  };
+  if (sequence.length() == 0) {
+    return unfinished(InvalidArgumentError("l-sequence must not be empty"));
+  }
+  BuildStats local_stats;
+  if (stats == nullptr) stats = &local_stats;
+
+  // Preflight (docs/ALGORITHM.md §11): a doomed sequence fails before a
+  // single layer is materialized, and statically dead candidates never
+  // reach the engine. Both leave the outcome byte-identical.
+  std::optional<PreflightPlan> plan;
+  if (const FeasibilityOracle* oracle = builder.oracle()) {
+    const Stopwatch preflight_watch;
+    plan = oracle->Analyze(sequence);
+    stats->preflight_millis = preflight_watch.ElapsedMillis();
+    stats->doomed_at = plan->doomed_at;
+    stats->preflight_candidates_pruned = plan->candidates_pruned;
+    if (plan->doomed()) return InfeasibleSequenceError();
+    if (!plan->any_pruned()) plan.reset();
+  }
+
+  StreamingCleaner cleaner(builder.successors());
+  cleaner.SetThreadPool(pool);
+  if (prepare) prepare(cleaner);
+  if (plan.has_value()) cleaner.SetPreflightPlan(&*plan);
+  const Stopwatch forward_watch;
+  for (Timestamp t = 0; t < sequence.length(); ++t) {
+    Status pushed = cleaner.Push(sequence.CandidatesAt(t));
+    if (!pushed.ok()) return unfinished(std::move(pushed));
+    if (after_tick) after_tick(t);
+  }
+  stats->forward_millis = forward_watch.ElapsedMillis();
+  return std::move(cleaner).Finish(stats);
+}
+
+}  // namespace internal_core
 }  // namespace rfidclean

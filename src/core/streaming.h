@@ -1,6 +1,7 @@
 #ifndef RFIDCLEAN_CORE_STREAMING_H_
 #define RFIDCLEAN_CORE_STREAMING_H_
 
+#include <functional>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -29,8 +30,12 @@ namespace rfidclean {
 /// readings and constraint checks up to now (future readings can still
 /// retroactively invalidate interpretations, which is what Finish()'s
 /// backward phase accounts for — the classical filtering vs smoothing
-/// distinction). Finish() produces exactly the graph the batch
-/// CtGraphBuilder would build for the same sequence.
+/// distinction).
+///
+/// This is the only driver of the forward engine and of the conditioning
+/// tail: CtGraphBuilder::Build and the batch runtime both clean through
+/// internal_core::CleanSequence below, so Finish() produces exactly the
+/// graph Build returns for the same sequence.
 class StreamingCleaner {
  public:
   /// The constraint set must outlive the cleaner. Builds a private
@@ -79,27 +84,31 @@ class StreamingCleaner {
   /// LSequence). Fails with InvalidArgument, leaving the cleaner as it was,
   /// when the tick is malformed or, under a preflight plan, lies past the
   /// plan's last tick or holds a different number of candidates than the
-  /// plan has for it. Fails with FailedPrecondition when the new tick
-  /// leaves no consistent interpretation, in either of two ways — further
-  /// Pushes are rejected after both:
-  ///  - structurally: no frontier node admits a successor; nothing is
-  ///    appended and the cleaner stays observably at its previous state;
-  ///  - numerically: successors exist, but the filtered mass of every one
-  ///    underflowed to exact zero (possible only with denormal-scale
-  ///    candidate probabilities). The structurally valid layer stays
-  ///    appended, so CurrentDistribution() then reports the new frontier
-  ///    with zero mass everywhere.
+  /// plan has for it. Fails with FailedPrecondition — the message Finish
+  /// and CtGraphBuilder::Build report for an infeasible sequence — when no
+  /// frontier node admits a successor: every interpretation dies at this
+  /// tick, nothing is appended, the cleaner stays observably at its
+  /// previous state, and further Pushes are rejected.
+  ///
+  /// A tick whose successors exist but whose filtered mass underflows to
+  /// exact zero (possible only with denormal-scale candidate
+  /// probabilities) is not a failure: the exact ct-graph still exists, and
+  /// Finish's per-layer rescaling recovers it. The layer is appended and
+  /// Push returns Ok; only the live estimate is lost (see
+  /// CurrentDistribution).
   Status Push(const std::vector<Candidate>& candidates);
 
   /// Number of ticks consumed so far.
   Timestamp TicksSeen() const { return engine_.num_layers(); }
 
   /// Filtered distribution over locations at the latest tick (sums to 1).
-  /// Requires at least one successful Push.
+  /// Once the filtered mass has underflowed (see Push), every later
+  /// frontier reports zero mass at each of its locations. Requires at
+  /// least one successful Push.
   std::vector<std::pair<LocationId, double>> CurrentDistribution() const;
 
   /// Runs the backward conditioning over everything seen and returns the
-  /// exact ct-graph (identical to the batch builder's). Consumes the
+  /// exact ct-graph (identical to CtGraphBuilder::Build's). Consumes the
   /// cleaner. Requires at least one successful Push.
   Result<CtGraph> Finish(BuildStats* stats = nullptr) &&;
 
@@ -108,9 +117,10 @@ class StreamingCleaner {
   const SuccessorGenerator* successors_;
   internal_core::ForwardEngine engine_;
   /// Filtered forward mass per frontier node (aligned with the engine's
-  /// last layer, renormalized every tick).
+  /// last layer, renormalized every tick; all zeros once it underflowed).
   std::vector<double> frontier_alpha_;
   std::vector<double> next_alpha_;
+  bool alpha_underflowed_ = false;
   /// Optional static-pruning plan; scratch holds the filtered tick.
   const PreflightPlan* preflight_plan_ = nullptr;
   std::vector<Candidate> plan_filtered_;
@@ -126,6 +136,29 @@ class StreamingCleaner {
   bool failed_ = false;
 };
 
+namespace internal_core {
+
+/// The one cleaning routine (Algorithm 1, docs/ALGORITHM.md §7) behind
+/// CtGraphBuilder::Build and the batch runtime's per-tag clean:
+///  1. an empty sequence fails with InvalidArgument;
+///  2. preflight, when `builder` has an oracle: a statically doomed
+///     sequence fails fast with Finish's infeasibility status, and a plan
+///     that prunes anything is attached to the cleaner;
+///  3. a StreamingCleaner over `builder`'s successor generator, on `pool`,
+///     is handed to `prepare` (capacity hints) and then Pushed every tick,
+///     with `after_tick(t)` run after each;
+///  4. Finish conditions and compacts.
+/// `stats` (optional) receives every phase timing and count. While an
+/// explain session is armed, a clean that dies before Finish records the
+/// one-line summary (tag, status) for the current explain tag; the
+/// preflight and Finish record their own.
+Result<CtGraph> CleanSequence(
+    const CtGraphBuilder& builder, const LSequence& sequence,
+    ThreadPool* pool, BuildStats* stats,
+    const std::function<void(StreamingCleaner&)>& prepare = nullptr,
+    const std::function<void(Timestamp)>& after_tick = nullptr);
+
+}  // namespace internal_core
 }  // namespace rfidclean
 
 #endif  // RFIDCLEAN_CORE_STREAMING_H_

@@ -102,26 +102,6 @@ bool SuccessorGenerator::DepartureStillRelevant(Timestamp departure_time,
   return arrival - departure_time < window;
 }
 
-std::vector<NodeKey> SuccessorGenerator::SourceKeys(
-    const std::vector<Candidate>& candidates) const {
-  std::vector<NodeKey> keys;
-  NodeKey scratch;
-  ForEachSourceKey(candidates, &scratch,
-                   [&keys](const NodeKey& key) { keys.push_back(key); });
-  return keys;
-}
-
-void SuccessorGenerator::AppendSuccessors(
-    Timestamp t, const NodeKey& key,
-    const std::vector<Candidate>& next_candidates,
-    std::vector<NodeKey>* out) const {
-  NodeKey scratch;
-  ForEachSuccessor(t, key, next_candidates, &scratch,
-                   [out](const NodeKey& successor) {
-                     out->push_back(successor);
-                   });
-}
-
 SuccessorReject SuccessorGenerator::ClassifyRejection(Timestamp t,
                                                       const NodeKey& from,
                                                       LocationId to) const {

@@ -161,19 +161,12 @@ class SuccessorGenerator {
   /// (t+1, to) and names the first one that fails, in the exact order
   /// ForEachSuccessor applies them — the two must stay in lockstep so that
   /// ClassifyRejection(...) == kAdmissible iff ForEachSuccessor would emit
-  /// the successor key. Used only by the explain attribution pass, never on
-  /// the build hot path.
+  /// the successor key. Only the lockstep test
+  /// (SuccessorGeneratorTest.ClassifyRejectionLockstepAndGroupClasses)
+  /// calls it: it is the per-move reference that the explain attribution
+  /// pass's per-group classification (core/work_graph.cc) must agree with.
   SuccessorReject ClassifyRejection(Timestamp t, const NodeKey& from,
                                     LocationId to) const;
-
-  /// Convenience wrapper over ForEachSourceKey returning a fresh vector.
-  std::vector<NodeKey> SourceKeys(
-      const std::vector<Candidate>& candidates) const;
-
-  /// Convenience wrapper over ForEachSuccessor appending copies to `out`.
-  void AppendSuccessors(Timestamp t, const NodeKey& key,
-                        const std::vector<Candidate>& next_candidates,
-                        std::vector<NodeKey>* out) const;
 
   const ConstraintSet& constraints() const { return *constraints_; }
 

@@ -630,6 +630,12 @@ std::unique_ptr<ExplainPassState> RunExplainAttribution(
 
 }  // namespace
 
+Status InfeasibleSequenceError() {
+  return FailedPreconditionError(
+      "the integrity constraints rule out every interpretation of the "
+      "readings");
+}
+
 Result<CtGraph> ConditionAndCompact(WorkGraph&& work, BuildStats* stats,
                                     const ExplainBuildContext* explain) {
   Stopwatch stopwatch;
@@ -789,9 +795,7 @@ Result<CtGraph> ConditionAndCompact(WorkGraph&& work, BuildStats* stats,
     RFID_STATS(
         obs::ObserveValue(obs::Dist::kMassLostBackwardPpb, 1000000000u));
     RFID_STATS(obs::ObserveValue(obs::Dist::kMassLostCompactionPpb, 0u));
-    Status failure = FailedPreconditionError(
-        "the integrity constraints rule out every interpretation of the "
-        "readings");
+    Status failure = InfeasibleSequenceError();
 #if RFIDCLEAN_EXPLAIN_ENABLED
     if (explain_state != nullptr) {
       explain_state->summary.status = failure.message();

@@ -15,8 +15,8 @@ class SuccessorGenerator;
 
 namespace internal_core {
 
-/// Mutable node record shared by the batch builder (CtGraphBuilder) and the
-/// incremental one (StreamingCleaner) during construction. A flat POD: the
+/// Mutable node record of a clean under construction (built by the
+/// ForwardEngine that StreamingCleaner drives). A flat POD: the
 /// node's identity lives in the build's NodeKeyArena (key_id) and its
 /// outgoing edges are the contiguous slice [edge_begin, edge_begin +
 /// edge_count) of WorkGraph::edges — the forward phase expands each node
@@ -80,16 +80,22 @@ struct ExplainTickCandidate {
 
 /// Side-channel inputs of the explain attribution pass (docs/ALGORITHM.md
 /// §14): the full per-tick candidate lists the build consumed (before
-/// preflight filtering), the streaming per-tick filtered-mass deltas
-/// (empty for batch builds), and the successor generator the build used, so
+/// preflight filtering), the per-tick renormalization deltas of the
+/// streaming filter, and the successor generator the build used, so
 /// rejected moves can be re-classified against the Definition-3 checks.
-/// Builders populate it only while an explain session is armed; passing it
-/// never changes the produced graph.
+/// StreamingCleaner populates it only while an explain session is armed;
+/// passing it never changes the produced graph.
 struct ExplainBuildContext {
   std::vector<std::vector<ExplainTickCandidate>> ticks;
   std::vector<double> alpha_deltas;
   const SuccessorGenerator* successors = nullptr;
 };
+
+/// The status of a sequence the integrity constraints rule out entirely,
+/// whichever step finds it (a Push dead end, Finish's total death, the
+/// preflight fast path). analysis/feasibility.cc and the test oracles
+/// match its message verbatim.
+Status InfeasibleSequenceError();
 
 /// Runs the backward conditioning phase (survival masses, per-layer
 /// rescaling, source weighting) and compacts the survivors into a CtGraph.

@@ -116,7 +116,7 @@ struct ExplainTickSummary {
   std::uint32_t candidates = 0;  ///< a-priori candidates at this tick
   std::uint32_t killed = 0;      ///< candidates absent from the cleaned graph
   double mass_lost = 0.0;        ///< root-cause mass attributed at this tick
-  double alpha_delta = 0.0;      ///< streaming filtered-mass delta (0 in batch)
+  double alpha_delta = 0.0;      ///< filtered-mass renormalization delta
 };
 
 /// One killed candidate (t, location): the answer to "why is location X

@@ -54,7 +54,7 @@ enum class Counter : std::uint8_t {
   kForwardKeysInterned,  ///< distinct node keys stored by the arenas
 
   // Streaming cleaner (core/streaming.cc).
-  kStreamAlphaUnderflows,  ///< Pushes rejected: filtered mass hit exact zero
+  kStreamAlphaUnderflows,  ///< ticks whose filtered mass first hit exact 0
 
   // Key-interning arena (core/key_arena.cc).
   kKeyInternCalls,  ///< NodeKeyArena::Intern invocations

@@ -36,78 +36,30 @@ obs::Counter OutcomeCounter(const Result<CtGraph>& graph) {
 }
 #endif
 
-/// Cleans one workload with the worker's recycled capacity hints. All
-/// error messages are deterministic functions of the workload, so outcomes
-/// compare bit-identical across job counts and runs.
-TagOutcome CleanOne(const SuccessorGenerator& successors,
-                    const FeasibilityOracle* oracle,
+/// Cleans one workload with the worker's pool and recycled capacity hints,
+/// through the same routine as CtGraphBuilder::Build. All error messages
+/// are deterministic functions of the workload, so outcomes compare
+/// bit-identical across job counts and runs.
+TagOutcome CleanOne(const CtGraphBuilder& builder,
                     const TagWorkload& workload, const BatchOptions& options,
                     std::size_t index, runtime::WorkerArena* arena,
                     ThreadPool* pool, std::uint64_t constraint_digest) {
   obs::PhaseTimer phase_timer(obs::Phase::kTagClean);
   RFID_STATS(const Stopwatch tag_watch);
   // Every kill decision and summary recorded while this workload cleans —
-  // by the preflight, the forward engine, or the conditioning pass —
-  // carries this tag; outcomes for other paths (doomed, push failure) are
-  // attributed below. No-op symbol in explain-off builds.
+  // by the preflight, the forward engine, the conditioning pass, or the
+  // routine itself for a clean that dies early — carries this tag. No-op
+  // symbol in explain-off builds.
   obs::SetExplainTag(static_cast<long long>(workload.tag));
   BuildStats stats;
-  // Which explain coverage the clean reached: doomed tags are summarized
-  // by the preflight itself and ConditionAndCompact summarizes everything
-  // that finishes, so only the paths that die before Finish (empty stream,
-  // mid-stream Push failure) need a summary from this layer.
-  bool explain_covered = false;
-  Result<CtGraph> graph = [&]() -> Result<CtGraph> {
-    if (workload.sequence.length() == 0) {
-      return InvalidArgumentError(
-          StrFormat("tag %lld has an empty stream",
-                    static_cast<long long>(workload.tag)));
-    }
-    std::optional<PreflightPlan> plan;
-    if (oracle != nullptr) {
-      const Stopwatch preflight_watch;
-      plan = oracle->Analyze(workload.sequence);
-      stats.preflight_millis = preflight_watch.ElapsedMillis();
-      stats.doomed_at = plan->doomed_at;
-      stats.preflight_candidates_pruned = plan->candidates_pruned;
-      if (plan->doomed()) {
-        // Fail fast with Push's verbatim failure: if every Push succeeded,
-        // Finish cannot fail, so a doomed sequence always dies in some
-        // Push — the fast path only moves *when* the status surfaces.
-        explain_covered = true;  // Analyze recorded the doomed summary.
-        return FailedPreconditionError(
-            "the new tick leaves no consistent interpretation of the "
-            "readings");
-      }
-      if (!plan->any_pruned()) plan.reset();
-    }
-    StreamingCleaner cleaner(successors);
-    cleaner.SetThreadPool(pool);
-    arena->Prepare(&cleaner, workload.sequence.length());
-    if (plan.has_value()) cleaner.SetPreflightPlan(&*plan);
-    const Stopwatch forward_watch;
-    for (Timestamp t = 0; t < workload.sequence.length(); ++t) {
-      Status pushed = cleaner.Push(workload.sequence.CandidatesAt(t));
-      if (!pushed.ok()) return pushed;
-      if (options.after_tick) options.after_tick(index, t);
-    }
-    stats.forward_millis = forward_watch.ElapsedMillis();
-    explain_covered = true;  // Finish's conditioning records the summary.
-    return std::move(cleaner).Finish(&stats);
-  }();
-#if RFIDCLEAN_EXPLAIN_ENABLED
-  if (obs::ExplainArmed() && !graph.ok() && !explain_covered) {
-    // The clean died before conditioning (empty stream or a Push left no
-    // consistent interpretation): record the outcome so the report lists
-    // every tag of the batch exactly once.
-    obs::ExplainTagSummary summary;
-    summary.tag = static_cast<long long>(workload.tag);
-    summary.status = graph.status().message();
-    obs::RecordTagExplain(std::move(summary));
-  }
-#else
-  (void)explain_covered;
-#endif
+  Result<CtGraph> graph = internal_core::CleanSequence(
+      builder, workload.sequence, pool, &stats,
+      [arena, &workload](StreamingCleaner& cleaner) {
+        arena->Prepare(&cleaner, workload.sequence.length());
+      },
+      [&options, index](Timestamp t) {
+        if (options.after_tick) options.after_tick(index, t);
+      });
   if (graph.ok()) arena->Observe(stats, workload.sequence.length());
 #if RFIDCLEAN_STATS_ENABLED
   obs::Add(OutcomeCounter(graph));
@@ -135,12 +87,12 @@ TagOutcome CleanOne(const SuccessorGenerator& successors,
 
 BatchCleaner::BatchCleaner(const ConstraintSet& constraints,
                            BatchOptions options)
-    : constraints_(&constraints),
-      options_(std::move(options)),
-      successors_(constraints, options_.successor),
+    : options_(std::move(options)),
+      builder_(constraints, CleanOptions{options_.successor,
+                                         options_.preflight,
+                                         /*forward_threads=*/1}),
       constraint_digest_(constraints.Digest()) {
   if (options_.jobs < 1) options_.jobs = 1;
-  if (options_.preflight) oracle_.emplace(constraints);
 }
 
 std::vector<TagOutcome> BatchCleaner::CleanAll(
@@ -197,8 +149,7 @@ std::vector<TagOutcome> BatchCleaner::CleanAll(
           try {
             if (options_.before_tag) options_.before_tag(shard);
             slots[shard].emplace(CleanOne(
-                successors_, oracle_.has_value() ? &*oracle_ : nullptr,
-                workloads[shard], options_, shard, &arena,
+                builder_, workloads[shard], options_, shard, &arena,
                 pool.has_value() ? &*pool : nullptr, constraint_digest_));
           } catch (const std::exception& e) {
             RFID_STATS(obs::Add(obs::Counter::kBatchTagsInternalError));

@@ -2,10 +2,8 @@
 #define RFIDCLEAN_RUNTIME_BATCH_CLEANER_H_
 
 #include <functional>
-#include <optional>
 #include <vector>
 
-#include "analysis/feasibility.h"
 #include "common/result.h"
 #include "constraints/constraint_set.h"
 #include "core/builder.h"
@@ -28,9 +26,9 @@ struct TagWorkload {
 };
 
 /// The per-tag result: either the conditioned trajectory graph or the error
-/// that tag's stream produced (an inconsistent stream yields
-/// FailedPrecondition exactly as StreamingCleaner::Push does; an empty
-/// stream yields InvalidArgument). One tag failing never affects another.
+/// that tag's stream produced — exactly what CtGraphBuilder::Build returns
+/// for the same sequence (an inconsistent stream yields FailedPrecondition,
+/// an empty one InvalidArgument). One tag failing never affects another.
 struct TagOutcome {
   TagId tag = 0;
   Result<CtGraph> graph;
@@ -89,15 +87,18 @@ struct BatchOptions {
 /// high-water marks across tags (runtime/arena.h), and every outcome lands
 /// in the slot of its workload, so the result order — and every byte of
 /// every result — is independent of scheduling. Per tag the engine is the
-/// StreamingCleaner itself, which makes "parallel ≡ sequential" exact:
-/// BatchCleaner output is bit-identical to looping StreamingCleaner over
-/// the same workloads (enforced by tests/batch_differential_test.cc).
+/// routine CtGraphBuilder::Build runs (internal_core::CleanSequence:
+/// preflight, StreamingCleaner, Finish), which makes "parallel ≡
+/// sequential" exact: BatchCleaner output is bit-identical to looping
+/// StreamingCleaner over the same workloads (enforced by
+/// tests/batch_differential_test.cc) and to Build.
 ///
-/// Thread-safety inputs: ConstraintSet and SuccessorGenerator are immutable
-/// after construction (the generator's constraint tables — hop distances,
-/// TL relevance windows — are derived once here instead of once per tag)
-/// and the self-audit hook (core/self_audit.h) is an atomic read, so
-/// workers share all of them without synchronization.
+/// Thread-safety inputs: the ConstraintSet and the shared CtGraphBuilder
+/// are immutable after construction (the generator's constraint tables —
+/// hop distances, TL relevance windows — and the preflight oracle are
+/// derived once here instead of once per tag) and the self-audit hook
+/// (core/self_audit.h) is an atomic read, so workers share all of them
+/// without synchronization.
 class BatchCleaner {
  public:
   /// The constraint set must outlive the cleaner.
@@ -113,12 +114,11 @@ class BatchCleaner {
   int jobs() const { return options_.jobs; }
 
  private:
-  const ConstraintSet* constraints_;
   BatchOptions options_;
-  SuccessorGenerator successors_;
-  /// Shared preflight analyzer (Analyze is const, so workers share it);
-  /// absent when BatchOptions::preflight is off.
-  std::optional<FeasibilityOracle> oracle_;
+  /// Shared by every worker (forward_threads 1: each worker brings its own
+  /// pool): its successor generator and preflight oracle are const after
+  /// construction, and each tag runs its one cleaning routine.
+  CtGraphBuilder builder_;
   /// Computed once at construction; stamped into every tag's trace
   /// provenance record (constraint sets are immutable and shared).
   std::uint64_t constraint_digest_ = 0;

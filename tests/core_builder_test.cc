@@ -155,6 +155,21 @@ TEST(CtGraphBuilderTest, AllTrajectoriesInvalidFails) {
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
 }
 
+TEST(CtGraphBuilderTest, EmptySequenceIsInvalidArgument) {
+  // A default-constructed LSequence has no ticks. Build rejects it with
+  // LSequence::Create's message instead of aborting on the first tick.
+  ConstraintSet constraints(6);
+  for (const bool preflight : {true, false}) {
+    CleanOptions options;
+    options.preflight = preflight;
+    Result<CtGraph> result =
+        CtGraphBuilder(constraints, options).Build(LSequence());
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(result.status().message(), "l-sequence must not be empty");
+  }
+}
+
 TEST(CtGraphBuilderTest, SingleTimestampSequence) {
   LSequence sequence = MakeLSequence({{{kL1, 0.7}, {kL2, 0.3}}});
   ConstraintSet constraints(6);

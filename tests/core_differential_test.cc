@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/graph_audit.h"
+#include "baseline/naive_cleaner.h"
 #include "common/rng.h"
 #include "common/simd.h"
 #include "core/builder.h"
@@ -13,6 +14,7 @@
 #include "oracle_core.h"
 #include "query/marginals.h"
 #include "query/most_likely.h"
+#include "runtime/batch_cleaner.h"
 #include "test_util.h"
 
 namespace rfidclean {
@@ -135,32 +137,81 @@ TEST_P(CoreDifferentialTest, RewrittenCoreEqualsFrozenOracleBitForBit) {
     }
 
     // Streaming path: a doomed workload must be rejected at the first tick
-    // that leaves no consistent interpretation (the streaming cleaner
-    // reports dead ends eagerly, with its own message); a viable one must
-    // finish with the oracle's exact graph.
+    // that leaves no consistent interpretation, with the oracle's exact
+    // status (message included); a viable one must finish with the
+    // oracle's exact graph.
     StreamingCleaner cleaner(constraints);
-    bool push_failed = false;
-    for (Timestamp t = 0; t < sequence.length(); ++t) {
-      Status pushed = cleaner.Push(sequence.CandidatesAt(t));
-      if (!pushed.ok()) {
-        EXPECT_EQ(pushed.code(), StatusCode::kFailedPrecondition);
-        push_failed = true;
-        break;
-      }
+    Status pushed = Status::Ok();
+    for (Timestamp t = 0; t < sequence.length() && pushed.ok(); ++t) {
+      pushed = cleaner.Push(sequence.CandidatesAt(t));
     }
-    EXPECT_EQ(push_failed, !expected.ok());
-    if (!push_failed) {
+    EXPECT_EQ(pushed.ok(), expected.ok());
+    if (!pushed.ok()) {
+      EXPECT_EQ(pushed, expected.status());
+    } else if (expected.ok()) {
       Result<CtGraph> streamed = std::move(cleaner).Finish();
-      ASSERT_EQ(streamed.ok(), expected.ok());
-      if (expected.ok()) {
-        ExpectBitIdentical(streamed.value(), expected.value());
-      }
+      ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+      ExpectBitIdentical(streamed.value(), expected.value());
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CoreDifferentialTest,
                          ::testing::Range(0, 25));
+
+/// One answer per input, from every path. The dead-end feed (the
+/// constraints forbid the only move) gets both oracles' status from Build,
+/// a hand-driven StreamingCleaner and BatchCleaner, preflight on and off.
+TEST(OnePipelineTest, DeadEndGivesOneStatusOnEveryPath) {
+  ConstraintSet constraints(3);
+  constraints.AddUnreachable(0, 1);
+  const LSequence sequence =
+      ::rfidclean::testing::MakeLSequence({{{0, 1.0}}, {{1, 1.0}}});
+  const Result<CtGraph> expected = oracle::BuildCtGraph(constraints, sequence);
+  ASSERT_FALSE(expected.ok());
+  EXPECT_EQ(expected.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(NaiveCleaner(constraints).Clean(sequence).status(),
+            expected.status());
+
+  StreamingCleaner cleaner(constraints);
+  ASSERT_TRUE(cleaner.Push(sequence.CandidatesAt(0)).ok());
+  EXPECT_EQ(cleaner.Push(sequence.CandidatesAt(1)), expected.status());
+
+  for (const bool preflight : {true, false}) {
+    SCOPED_TRACE(preflight ? "preflight on" : "preflight off");
+    CleanOptions clean;
+    clean.preflight = preflight;
+    EXPECT_EQ(CtGraphBuilder(constraints, clean).Build(sequence).status(),
+              expected.status());
+    BatchOptions batch;
+    batch.preflight = preflight;
+    const std::vector<TagOutcome> outcomes =
+        BatchCleaner(constraints, batch).CleanAll({TagWorkload{0, sequence}});
+    ASSERT_EQ(outcomes.size(), 1u);
+    EXPECT_EQ(outcomes[0].graph.status(), expected.status());
+  }
+}
+
+/// The empty sequence: LSequence::Create's InvalidArgument from Build and
+/// BatchCleaner alike, preflight on and off.
+TEST(OnePipelineTest, EmptySequenceGivesOneStatusOnEveryPath) {
+  ConstraintSet constraints(3);
+  const Status expected = InvalidArgumentError("l-sequence must not be empty");
+  EXPECT_EQ(LSequence::Create({}).status(), expected);
+  for (const bool preflight : {true, false}) {
+    SCOPED_TRACE(preflight ? "preflight on" : "preflight off");
+    CleanOptions clean;
+    clean.preflight = preflight;
+    EXPECT_EQ(CtGraphBuilder(constraints, clean).Build(LSequence()).status(),
+              expected);
+    BatchOptions batch;
+    batch.preflight = preflight;
+    const std::vector<TagOutcome> outcomes =
+        BatchCleaner(constraints, batch).CleanAll({TagWorkload{0, {}}});
+    ASSERT_EQ(outcomes.size(), 1u);
+    EXPECT_EQ(outcomes[0].graph.status(), expected);
+  }
+}
 
 /// The SIMD digest-identity gate over the same battery: building with the
 /// vector kernels dispatched and with every kernel forced scalar must

@@ -65,7 +65,20 @@ std::vector<NodeKey> Successors(const SuccessorGenerator& generator,
                                 const LSequence& sequence, Timestamp t,
                                 const NodeKey& key) {
   std::vector<NodeKey> out;
-  generator.AppendSuccessors(t, key, sequence.CandidatesAt(t + 1), &out);
+  NodeKey scratch;
+  generator.ForEachSuccessor(
+      t, key, sequence.CandidatesAt(t + 1), &scratch,
+      [&out](const NodeKey& successor) { out.push_back(successor); });
+  return out;
+}
+
+std::vector<NodeKey> SourceKeys(const SuccessorGenerator& generator,
+                                const LSequence& sequence) {
+  std::vector<NodeKey> out;
+  NodeKey scratch;
+  generator.ForEachSourceKey(
+      sequence.CandidatesAt(0), &scratch,
+      [&out](const NodeKey& source) { out.push_back(source); });
   return out;
 }
 
@@ -74,7 +87,7 @@ TEST(SuccessorGeneratorTest, SourceKeysTrackLatencyOnlyWhereConstrained) {
   ConstraintSet constraints(6);
   constraints.AddLatency(kL1, 3);
   SuccessorGenerator generator(constraints);
-  std::vector<NodeKey> sources = generator.SourceKeys(sequence.CandidatesAt(0));
+  std::vector<NodeKey> sources = SourceKeys(generator, sequence);
   ASSERT_EQ(sources.size(), 2u);
   EXPECT_EQ(sources[0].location, kL1);
   EXPECT_EQ(sources[0].delta, 0);
@@ -319,8 +332,7 @@ TEST(SuccessorGeneratorTest, ClassifyRejectionLockstepAndGroupClasses) {
   }
   LSequence sequence = MakeLSequence(ticks);
 
-  std::vector<NodeKey> frontier =
-      generator.SourceKeys(sequence.CandidatesAt(0));
+  std::vector<NodeKey> frontier = SourceKeys(generator, sequence);
   std::size_t pairs_checked = 0;
   for (Timestamp t = 0; t + 1 < 4; ++t) {
     std::set<std::string> next_seen;

@@ -352,6 +352,66 @@ void ExpectSummariesEqual(const obs::ExplainTagSummary& got,
   }
 }
 
+/// Cleans `sequence` once through CtGraphBuilder::Build and once through a
+/// one-tag BatchCleaner, each under a fresh explain session and as tag 0,
+/// and returns each session's summaries.
+std::pair<std::vector<obs::ExplainTagSummary>,
+          std::vector<obs::ExplainTagSummary>>
+ExplainBuildAndBatch(const ConstraintSet& constraints,
+                     const LSequence& sequence, bool preflight) {
+  obs::ExplainOptions options;
+  options.enabled = true;
+  obs::StartExplain(options);
+  obs::SetExplainTag(0);  // Build records under the thread's current tag.
+  CleanOptions clean;
+  clean.preflight = preflight;
+  (void)CtGraphBuilder(constraints, clean).Build(sequence);
+  std::vector<obs::ExplainTagSummary> built = obs::CollectExplain().tags;
+  obs::StopExplain();
+
+  BatchOptions batch;
+  batch.preflight = preflight;
+  batch.explain = options;
+  (void)BatchCleaner(constraints, batch).CleanAll({TagWorkload{0, sequence}});
+  std::vector<obs::ExplainTagSummary> batched = obs::CollectExplain().tags;
+  obs::StopExplain();
+  return {std::move(built), std::move(batched)};
+}
+
+TEST(ExplainTest, BuildAndBatchRecordEqualSummaries) {
+  if (!obs::ExplainCompiledIn()) GTEST_SKIP() << "explain compiled out";
+  // Build and a batch tag run one cleaning routine, so an armed session
+  // records the same summary from both — the streaming filter's
+  // renormalization deltas included.
+  const auto [built, batched] = ExplainBuildAndBatch(
+      PaperExampleConstraints(), PaperExampleSequence(), /*preflight=*/true);
+  ASSERT_EQ(built.size(), 1u);
+  ASSERT_EQ(batched.size(), 1u);
+  ExpectSummariesEqual(built[0], batched[0]);
+  bool any_delta = false;
+  for (const obs::ExplainTickSummary& tick : built[0].ticks) {
+    any_delta = any_delta || tick.alpha_delta != 0.0;
+  }
+  EXPECT_TRUE(any_delta);
+}
+
+TEST(ExplainTest, BuildAndBatchRecordOneSummaryForADeadEnd) {
+  if (!obs::ExplainCompiledIn()) GTEST_SKIP() << "explain compiled out";
+  // With preflight off the dead end surfaces in a Push: both paths record
+  // exactly one summary, with the status the clean returned.
+  ConstraintSet constraints(3);
+  constraints.AddUnreachable(0, 1);
+  const auto [built, batched] = ExplainBuildAndBatch(
+      constraints, MakeLSequence({{{0, 1.0}}, {{1, 1.0}}}),
+      /*preflight=*/false);
+  ASSERT_EQ(built.size(), 1u);
+  ASSERT_EQ(batched.size(), 1u);
+  EXPECT_EQ(built[0].status,
+            "the integrity constraints rule out every interpretation of the "
+            "readings");
+  ExpectSummariesEqual(built[0], batched[0]);
+}
+
 TEST(ExplainCodecTest, BlobRoundTripsBitForBit) {
   const obs::ExplainTagSummary original = PopulatedSummary();
   const std::string blob = store::EncodeExplainBlob(original);

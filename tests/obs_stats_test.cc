@@ -134,8 +134,7 @@ TEST(CleaningStatsTest, CountersMatchWorkGraphAuditor) {
   obs::CleaningStats::Reset();
   engine.BeginSources(successors, sequence.CandidatesAt(0));
   for (Timestamp t = 0; t + 1 < sequence.length(); ++t) {
-    engine.AdvanceLayer(successors, t, sequence.CandidatesAt(t + 1),
-                        /*record_empty_layer=*/true);
+    engine.AdvanceLayer(successors, t, sequence.CandidatesAt(t + 1));
   }
   const obs::CleaningStats stats = obs::CleaningStats::Capture();
 

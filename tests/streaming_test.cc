@@ -8,6 +8,7 @@
 #include "common/rng.h"
 #include "core/builder.h"
 #include "gen/dataset.h"
+#include "obs/cleaning_stats.h"
 #include "obs/explain.h"
 #include "query/stay_query.h"
 #include "runtime/batch_cleaner.h"
@@ -113,52 +114,133 @@ ConstraintSet UnderflowConstraints() {
   return constraints;
 }
 
+LSequence UnderflowSequence() {
+  return MakeLSequence(
+      {{{kL1, 1.0}, {kL2, 1e-200}}, {{kL3, 1.0}, {kL4, 1e-200}}});
+}
+
+/// The underflow feed's exact ct-graph: the single trajectory kL2 → kL4.
+constexpr std::uint64_t kUnderflowDigest = 0x21bde9be47226a92ULL;
+
+/// Cleans `sequence` through CtGraphBuilder::Build, a hand-driven
+/// StreamingCleaner and a one-tag BatchCleaner, and expects each to return
+/// the graph with `digest` and `nodes` nodes.
+void ExpectOneGraphOnEveryPath(const ConstraintSet& constraints,
+                               const LSequence& sequence,
+                               std::uint64_t digest, std::size_t nodes) {
+  Result<CtGraph> built = CtGraphBuilder(constraints).Build(sequence);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  EXPECT_EQ(built.value().NumNodes(), nodes);
+  EXPECT_EQ(built.value().Digest(), digest);
+
+  StreamingCleaner cleaner(constraints);
+  ASSERT_TRUE(PushAll(cleaner, sequence).ok());
+  Result<CtGraph> streamed = std::move(cleaner).Finish();
+  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+  EXPECT_EQ(streamed.value().Digest(), digest);
+
+  std::vector<TagOutcome> outcomes =
+      BatchCleaner(constraints).CleanAll({TagWorkload{0, sequence}});
+  ASSERT_EQ(outcomes.size(), 1u);
+  ASSERT_TRUE(outcomes[0].graph.ok())
+      << outcomes[0].graph.status().ToString();
+  EXPECT_EQ(outcomes[0].graph.value().Digest(), digest);
+}
+
 TEST(StreamingCleanerTest, AlphaUnderflowFailsCleanlyInsteadOfAborting) {
-  // Regression: this feed used to abort the process on an
-  // RFID_CHECK_GT(total, 0.0) inside Push — a data-dependent crash, since
-  // denormal-scale candidate probabilities pass validation (each is > 0
-  // and the sums are ~1). It must surface as an infeasible-clean status.
+  // Denormal-scale candidate probabilities pass validation (each is > 0
+  // and the sums are ~1), and on this feed the filtered estimate
+  // underflows to zero. That is no reason to abort or fail: the exact
+  // ct-graph exists, so Push keeps the layer and Finish returns the graph
+  // Build returns.
   ConstraintSet constraints = UnderflowConstraints();
   StreamingCleaner cleaner(constraints);
   ASSERT_TRUE(cleaner.Push({{kL1, 1.0}, {kL2, 1e-200}}).ok());
   Status underflowed = cleaner.Push({{kL3, 1.0}, {kL4, 1e-200}});
-  ASSERT_FALSE(underflowed.ok());
-  EXPECT_EQ(underflowed.code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(underflowed.ToString().find("underflowed"), std::string::npos)
-      << underflowed.ToString();
-  // Unlike the structural dead end, the new layer stayed appended (it is
-  // structurally valid); its frontier mass reads as exact zeros.
+  ASSERT_TRUE(underflowed.ok()) << underflowed.ToString();
   EXPECT_EQ(cleaner.TicksSeen(), 2);
+  // The frontier mass reads as exact zeros from the underflow on.
   auto distribution = cleaner.CurrentDistribution();
   ASSERT_EQ(distribution.size(), 1u);
   EXPECT_EQ(distribution[0].first, kL4);
   EXPECT_EQ(distribution[0].second, 0.0);
-  // Failed state is sticky, exactly as for the structural failure.
-  EXPECT_FALSE(cleaner.Push({{kL4, 1.0}}).ok());
+  Result<CtGraph> graph = std::move(cleaner).Finish();
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  EXPECT_EQ(graph.value().NumNodes(), 2u);
+  EXPECT_EQ(graph.value().Digest(), kUnderflowDigest);
+  Result<CtGraph> built =
+      CtGraphBuilder(constraints).Build(UnderflowSequence());
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  EXPECT_EQ(built.value().Digest(), kUnderflowDigest);
 }
 
 TEST(StreamingCleanerTest, AlphaUnderflowSurfacesThroughBatchCleaner) {
-  // The batch runtime maps the underflow status into the ordinary
-  // FailedPrecondition outcome bucket — one tag failing cleanly, with no
-  // process-level effect on its batch.
-  std::vector<std::vector<Candidate>> spec = {
-      {{kL1, 1.0}, {kL2, 1e-200}}, {{kL3, 1.0}, {kL4, 1e-200}}};
-  Result<LSequence> sequence = LSequence::Create(std::move(spec));
-  ASSERT_TRUE(sequence.ok());
+  // The batch runtime cleans the underflow feed to Build's graph, and the
+  // neighboring tag is unaffected.
   ConstraintSet constraints = UnderflowConstraints();
   BatchCleaner batch(constraints);
   std::vector<TagWorkload> workloads;
-  workloads.push_back(TagWorkload{7, sequence.value()});
+  workloads.push_back(TagWorkload{7, UnderflowSequence()});
   workloads.push_back(
       TagWorkload{8, MakeLSequence({{{kL1, 1.0}}, {{kL2, 1.0}}})});
   std::vector<TagOutcome> outcomes = batch.CleanAll(workloads);
   ASSERT_EQ(outcomes.size(), 2u);
-  EXPECT_FALSE(outcomes[0].graph.ok());
-  EXPECT_EQ(outcomes[0].graph.status().code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_NE(outcomes[0].graph.status().ToString().find("underflowed"),
-            std::string::npos);
+  ASSERT_TRUE(outcomes[0].graph.ok())
+      << outcomes[0].graph.status().ToString();
+  EXPECT_EQ(outcomes[0].graph.value().Digest(), kUnderflowDigest);
   EXPECT_TRUE(outcomes[1].graph.ok());  // Neighbors are unaffected.
+  Result<CtGraph> neighbor =
+      CtGraphBuilder(constraints).Build(workloads[1].sequence);
+  ASSERT_TRUE(neighbor.ok());
+  EXPECT_EQ(outcomes[1].graph.value().Digest(), neighbor.value().Digest());
+}
+
+TEST(StreamingCleanerTest, LateAlphaUnderflowKeepsTheExactGraph) {
+  // "Late death": the filtered mass of the 0 → 2 → ... branch dies at the
+  // last tick (2 cannot reach 4), and the 1 → 3 → 4 branch that survives
+  // carries 1e-200 · 1e-200 of filtered mass, which flushed to zero one
+  // tick earlier. The exact graph is that one surviving branch.
+  ConstraintSet constraints(5);
+  constraints.AddUnreachable(0, 3);
+  constraints.AddUnreachable(1, 2);
+  constraints.AddUnreachable(2, 4);
+  const LSequence sequence =
+      MakeLSequence({{{0, 1.0}, {1, 1e-200}}, {{2, 1.0}, {3, 1e-200}},
+                     {{4, 1.0}}});
+  ExpectOneGraphOnEveryPath(constraints, sequence, 0x7cd88d673e482806ULL, 3);
+}
+
+TEST(StreamingCleanerTest, AlphaUnderflowIsBookedOnce) {
+  // The whole unit of filtered mass is booked at the underflow tick: the
+  // explain delta is 1 there and 0 at every later tick, and the counter
+  // counts the tick once.
+  ConstraintSet constraints = UnderflowConstraints();
+  obs::ExplainOptions options;
+  options.enabled = true;
+  obs::StartExplain(options);
+  obs::CleaningStats::Reset();
+  StreamingCleaner cleaner(constraints);
+  ASSERT_TRUE(cleaner.Push({{kL1, 1.0}, {kL2, 1e-200}}).ok());
+  ASSERT_TRUE(cleaner.Push({{kL3, 1.0}, {kL4, 1e-200}}).ok());
+  ASSERT_TRUE(cleaner.Push({{kL4, 1.0}}).ok());
+  EXPECT_EQ(cleaner.CurrentDistribution(),
+            (std::vector<std::pair<LocationId, double>>{{kL4, 0.0}}));
+  ASSERT_TRUE(std::move(cleaner).Finish().ok());
+  const obs::CleaningStats stats = obs::CleaningStats::Capture();
+  const obs::ExplainCollection collection = obs::CollectExplain();
+  obs::StopExplain();
+  if (obs::Enabled()) {
+    EXPECT_EQ(stats.Get(obs::Counter::kStreamAlphaUnderflows), 1u);
+  }
+  if (obs::ExplainCompiledIn()) {
+    ASSERT_EQ(collection.tags.size(), 1u);
+    const std::vector<obs::ExplainTickSummary>& ticks =
+        collection.tags[0].ticks;
+    ASSERT_EQ(ticks.size(), 3u);
+    EXPECT_EQ(ticks[0].alpha_delta, 0.0);
+    EXPECT_EQ(ticks[1].alpha_delta, 1.0);
+    EXPECT_EQ(ticks[2].alpha_delta, 0.0);
+  }
 }
 
 TEST(StreamingTest, CurrentDistributionKeepsFirstEncounterOrder) {

@@ -25,8 +25,7 @@ ForwardEngine BuildPaperForward(const ConstraintSet& constraints,
   ForwardEngine engine(constraints.num_locations());
   engine.BeginSources(successors, sequence.CandidatesAt(0));
   for (Timestamp t = 0; t + 1 < ticks; ++t) {
-    engine.AdvanceLayer(successors, t, sequence.CandidatesAt(t + 1),
-                        /*record_empty_layer=*/true);
+    engine.AdvanceLayer(successors, t, sequence.CandidatesAt(t + 1));
   }
   return engine;
 }
