@@ -314,13 +314,9 @@ int Main(int argc, char** argv) {
                    "binary was configured with -DRFIDCLEAN_TRACE=OFF)\n");
       return 1;
     }
-    obs::TraceOptions trace_options;
-    trace_options.enabled = true;
-    obs::StartTracing(trace_options);
+    obs::StartTracing(obs::TraceOptions());
   }
 
-  obs::ExplainOptions explain_options;
-  explain_options.enabled = true;
   // Accumulated across points: re-arming per rep (below) keeps exactly one
   // summary per point alive, which this collection preserves for export.
   obs::ExplainCollection explain_report;
@@ -370,7 +366,7 @@ int Main(int argc, char** argv) {
         // Re-arm per rep (outside the stopwatch): every timed build runs
         // fully armed, and each re-arm clears the previous rep's summary so
         // the session ends holding exactly one summary for this point.
-        obs::StartExplain(explain_options);
+        obs::StartExplain(obs::ExplainOptions());
         obs::SetExplainTag(static_cast<long long>(ticks));
       }
       BuildStats run_stats;
@@ -391,7 +387,6 @@ int Main(int argc, char** argv) {
       const obs::ExplainCollection point = obs::CollectExplain();
       explain_report.tags.insert(explain_report.tags.end(),
                                  point.tags.begin(), point.tags.end());
-      explain_report.dropped_events += point.dropped_events;
     }
     // Snapshot of the final rep's observability counters (obs/metrics.h);
     // all zero when built with -DRFIDCLEAN_STATS=OFF. These double as a

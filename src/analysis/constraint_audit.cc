@@ -8,36 +8,6 @@
 namespace rfidclean {
 namespace {
 
-/// Minimal JSON string escaping (quotes, backslashes, control bytes) —
-/// messages are generated ASCII but location names come from user files.
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 class FindingSink {
  public:
   FindingSink(const ConstraintAuditOptions& options,

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "obs/explain.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -27,46 +26,6 @@ inline bool MoveAllowed(const ConstraintSet& constraints, LocationId a,
   return !constraints.IsUnreachable(a, b) &&
          constraints.MinTravelTicks(a, b) <= 1;
 }
-
-#if RFIDCLEAN_EXPLAIN_ENABLED
-/// A doomed tag never reaches conditioning, so the preflight fast-fail is
-/// the only place its kill decision can be explained: one preflight event
-/// for the doomed tick plus a failure summary whose killed-candidate list
-/// names every candidate of that tick (mass = its a-priori probability;
-/// together they carry the whole unit of interpretation mass). The ppb
-/// splits stay 0 — they measure conditioning loss, which never ran.
-void RecordDoomedExplain(const PreflightPlan& plan,
-                         const LSequence& sequence) {
-  if (!obs::ExplainArmed()) return;
-  const long long tag = obs::ExplainCurrentTag();
-  const std::int32_t doomed_at = static_cast<std::int32_t>(plan.doomed_at);
-  obs::RecordExplainEvent({tag, doomed_at, -1, -1,
-                           obs::ExplainPhase::kPreflight,
-                           obs::ExplainConstraint::kInfeasible, 1.0});
-  obs::ExplainTagSummary summary;
-  summary.tag = tag;
-  // Must match the builder's/conditioning's failure message verbatim: the
-  // explain report reports one canonical status per outcome.
-  summary.status =
-      "the integrity constraints rule out every interpretation of the "
-      "readings";
-  summary.phase_kills[static_cast<int>(obs::ExplainPhase::kPreflight)] = 1;
-  obs::ExplainConstraintTotal& total =
-      summary.constraints[static_cast<int>(obs::ExplainConstraint::kInfeasible)];
-  total.kills = 1;
-  total.mass = 1.0;
-  summary.attributed_mass = 1.0;
-  const std::vector<Candidate>& candidates =
-      sequence.CandidatesAt(plan.doomed_at);
-  summary.killed_candidates.reserve(candidates.size());
-  for (const Candidate& candidate : candidates) {
-    summary.killed_candidates.push_back(
-        {doomed_at, candidate.location, obs::ExplainPhase::kPreflight,
-         obs::ExplainConstraint::kInfeasible, candidate.probability});
-  }
-  obs::RecordTagExplain(std::move(summary));
-}
-#endif  // RFIDCLEAN_EXPLAIN_ENABLED
 
 }  // namespace
 
@@ -243,6 +202,17 @@ PreflightPlan FeasibilityOracle::Analyze(const LSequence& sequence) const {
       plan.doomed_at = static_cast<Timestamp>(t);
     }
   }
+  if (plan.doomed()) {
+    // Every state the forward relaxation reaches at the last tick is
+    // viable, so a doomed plan's forward relaxation runs dry at some tick.
+    for (std::size_t t = 0; t < length; ++t) {
+      if (std::all_of(forward[t].begin(), forward[t].end(),
+                      [](unsigned char state) { return state == 0; })) {
+        plan.dead_end_at = static_cast<Timestamp>(t);
+        break;
+      }
+    }
+  }
 
   // Count the relaxed transitions the pruned build can no longer touch.
   if (plan.candidates_pruned > 0) {
@@ -269,7 +239,6 @@ PreflightPlan FeasibilityOracle::Analyze(const LSequence& sequence) const {
   RFID_STATS(obs::Add(obs::Counter::kPreflightEdgesPruned, plan.edges_pruned));
   if (plan.doomed()) {
     RFID_STATS(obs::Add(obs::Counter::kPreflightTagsDoomed));
-    RFID_EXPLAIN(RecordDoomedExplain(plan, sequence));
   }
   RFID_TRACE(span.AddArg("ticks", static_cast<std::uint64_t>(length)));
   RFID_TRACE(span.AddArg("pruned_nodes", plan.candidates_pruned));

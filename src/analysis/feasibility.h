@@ -91,6 +91,13 @@ struct PreflightPlan {
   /// succeed. When >= 0 the build is statically doomed.
   Timestamp doomed_at = -1;
 
+  /// When doomed: the first tick none of whose candidates the forward
+  /// relaxation reaches from tick 0 (doomed_at names tick 0 for every
+  /// doomed plan, since no tick keeps an admissible candidate). Wherever
+  /// the relaxation is exact over the prefix, this is the tick at which a
+  /// clean without the preflight finds its dead end. -1 otherwise.
+  Timestamp dead_end_at = -1;
+
   /// Per tick, aligned with the candidate list Analyze saw: true when the
   /// candidate can lie on a valid trajectory under the relaxation.
   std::vector<std::vector<bool>> admissible;

@@ -54,6 +54,27 @@ std::string StrFormat(const char* fmt, ...) {
   return out;
 }
 
+std::string JsonEscape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  for (const char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += StrFormat("\\u%04x", static_cast<unsigned>(c));
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  return out;
+}
+
 std::string HumanBytes(std::size_t bytes) {
   const char* units[] = {"B", "KiB", "MiB", "GiB"};
   double value = static_cast<double>(bytes);

@@ -21,6 +21,11 @@ std::string_view StripWhitespace(std::string_view text);
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
+/// Escapes `text` for the inside of a JSON string literal: quotes,
+/// backslashes, \n, \r and \t by name, other control bytes as \u00XX.
+/// Every other byte, UTF-8 sequences included, passes through unchanged.
+std::string JsonEscape(std::string_view text);
+
 /// Formats a byte count as "640.0 KiB", "25.1 MiB", ...
 std::string HumanBytes(std::size_t bytes);
 

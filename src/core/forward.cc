@@ -1,7 +1,6 @@
 #include "core/forward.h"
 
 #include "common/check.h"
-#include "obs/explain.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -309,14 +308,11 @@ bool ForwardEngine::AdvanceLayer(
   RFID_TRACE(span.AddArg("edges", work_.edges.size() - edges_before));
   if (!non_empty) {
     // Structural dead end: no frontier node admits any successor at t + 1,
-    // so every interpretation dies here. The unit mass marks the decision
-    // in the event stream. An empty expansion appended no node and no
-    // edge, and the frontier's refreshed (empty) CSR slices are
+    // so every interpretation dies here (CleanSequence books the unit of
+    // mass in the explain summary). An empty expansion appended no node
+    // and no edge, and the frontier's refreshed (empty) CSR slices are
     // indistinguishable from their previous state — the caller observes
     // the graph exactly as before.
-    RFID_EXPLAIN(obs::RecordExplainEvent(
-        {obs::ExplainCurrentTag(), t + 1, -1, -1, obs::ExplainPhase::kForward,
-         obs::ExplainConstraint::kInfeasible, 1.0}));
     return false;
   }
   work_.layer_begin.push_back(layer_end);

@@ -42,6 +42,36 @@ Status ValidateCandidates(const std::vector<Candidate>& candidates) {
   return Status::Ok();
 }
 
+/// Records the explain summary of a clean that stops before Finish with
+/// `status`, so a report lists every clean once. A dead end at `dead_tick`
+/// leaves no interpretation alive, so conditioning never runs and this is
+/// the only place the decision can be explained: one infeasible kill under
+/// `phase` (preflight when the static pass proved the tick dead, forward
+/// when a Push found it) carries the whole unit of interpretation mass, and
+/// the killed-candidate list names every candidate of the tick at its
+/// a-priori probability. The ppb splits stay 0: they measure conditioning
+/// loss, which never ran. Any other failure (`dead_tick` -1) records the
+/// status alone.
+void RecordUnfinishedExplain(const LSequence& sequence, const Status& status,
+                             Timestamp dead_tick, obs::ExplainPhase phase) {
+  obs::ExplainTagSummary summary;
+  summary.tag = obs::ExplainCurrentTag();
+  summary.status = status.message();
+  if (dead_tick >= 0) {
+    summary.phase_kills[static_cast<int>(phase)] = 1;
+    const int infeasible =
+        static_cast<int>(obs::ExplainConstraint::kInfeasible);
+    summary.constraints[infeasible] = {1, 1.0};
+    summary.attributed_mass = 1.0;
+    for (const Candidate& candidate : sequence.CandidatesAt(dead_tick)) {
+      summary.killed_candidates.push_back(
+          {static_cast<std::int32_t>(dead_tick), candidate.location, phase,
+           obs::ExplainConstraint::kInfeasible, candidate.probability});
+    }
+  }
+  obs::RecordTagExplain(std::move(summary));
+}
+
 }  // namespace
 
 StreamingCleaner::StreamingCleaner(const ConstraintSet& constraints,
@@ -261,16 +291,14 @@ Result<CtGraph> CleanSequence(
     ThreadPool* pool, BuildStats* stats,
     const std::function<void(StreamingCleaner&)>& prepare,
     const std::function<void(Timestamp)>& after_tick) {
-  // A clean that dies before Finish (empty sequence, failed Push) still
-  // gets its one-line explain summary, so a report lists every clean once.
-  // Doomed sequences are summarized by the preflight itself, and Finish's
-  // conditioning summarizes everything that reaches it.
-  const auto unfinished = [](Status status) -> Result<CtGraph> {
+  // Finish's conditioning summarizes every clean that reaches it; this
+  // records the ones that stop earlier.
+  const auto unfinished =
+      [&sequence](Status status, Timestamp dead_tick = -1,
+                  obs::ExplainPhase phase = obs::ExplainPhase::kForward)
+      -> Result<CtGraph> {
     if (obs::ExplainArmed()) {
-      obs::ExplainTagSummary summary;
-      summary.tag = obs::ExplainCurrentTag();
-      summary.status = status.message();
-      obs::RecordTagExplain(std::move(summary));
+      RecordUnfinishedExplain(sequence, status, dead_tick, phase);
     }
     return status;
   };
@@ -290,7 +318,10 @@ Result<CtGraph> CleanSequence(
     stats->preflight_millis = preflight_watch.ElapsedMillis();
     stats->doomed_at = plan->doomed_at;
     stats->preflight_candidates_pruned = plan->candidates_pruned;
-    if (plan->doomed()) return InfeasibleSequenceError();
+    if (plan->doomed()) {
+      return unfinished(InfeasibleSequenceError(), plan->dead_end_at,
+                        obs::ExplainPhase::kPreflight);
+    }
     if (!plan->any_pruned()) plan.reset();
   }
 
@@ -301,7 +332,11 @@ Result<CtGraph> CleanSequence(
   const Stopwatch forward_watch;
   for (Timestamp t = 0; t < sequence.length(); ++t) {
     Status pushed = cleaner.Push(sequence.CandidatesAt(t));
-    if (!pushed.ok()) return unfinished(std::move(pushed));
+    if (!pushed.ok()) {
+      // Push fails with FailedPrecondition only at a dead end.
+      const bool dead_end = pushed.code() == StatusCode::kFailedPrecondition;
+      return unfinished(std::move(pushed), dead_end ? t : -1);
+    }
     if (after_tick) after_tick(t);
   }
   stats->forward_millis = forward_watch.ElapsedMillis();

@@ -149,9 +149,11 @@ namespace internal_core {
 ///     with `after_tick(t)` run after each;
 ///  4. Finish conditions and compacts.
 /// `stats` (optional) receives every phase timing and count. While an
-/// explain session is armed, a clean that dies before Finish records the
-/// one-line summary (tag, status) for the current explain tag; the
-/// preflight and Finish record their own.
+/// explain session is armed, a clean that dies before Finish records its
+/// summary for the current explain tag: a dead end (a doomed preflight or
+/// a Push that finds no successor) books one infeasible kill of the whole
+/// unit of mass at its tick, under the phase that found it, and any other
+/// failure records the status alone. Finish records its own.
 Result<CtGraph> CleanSequence(
     const CtGraphBuilder& builder, const LSequence& sequence,
     ThreadPool* pool, BuildStats* stats,

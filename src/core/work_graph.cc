@@ -65,15 +65,6 @@ void FlushKeyArenaStats(const NodeKeyArena& keys) {
 /// bound on adversarial inputs.
 constexpr std::size_t kMaxKilledCandidatesPerTag = 4096;
 
-/// Carry-over of the attribution pass between the pre-sweep analysis and
-/// the post-compaction finalization: the summary under assembly plus the
-/// per-node a-priori forward mass A(n), which the compaction probe needs
-/// after the sweep has overwritten the in-place labels.
-struct ExplainPassState {
-  obs::ExplainTagSummary summary;
-  std::vector<double> prior;
-};
-
 /// The attribution pass (docs/ALGORITHM.md §14). Runs over the pristine
 /// forward-phase graph — a-priori edge labels, untouched survival masses —
 /// before the backward sweep mutates them in place, and only computes; the
@@ -96,12 +87,11 @@ struct ExplainPassState {
 /// and compaction strands carry informational masses but no root-cause
 /// attribution: the mass they remove was already attributed to the later
 /// forward/preflight decisions that emptied the suffix.
-std::unique_ptr<ExplainPassState> RunExplainAttribution(
+std::unique_ptr<obs::ExplainTagSummary> RunExplainAttribution(
     const WorkGraph& work, const ExplainBuildContext& ctx) {
-  auto state = std::make_unique<ExplainPassState>();
-  obs::ExplainTagSummary& summary = state->summary;
+  auto result = std::make_unique<obs::ExplainTagSummary>();
+  obs::ExplainTagSummary& summary = *result;
   summary.tag = obs::ExplainCurrentTag();
-  const long long tag = summary.tag;
   const std::vector<WorkNode>& nodes = work.nodes;
   const std::vector<WorkEdge>& edges = work.edges;
   const Timestamp length = work.num_layers();
@@ -135,8 +125,7 @@ std::unique_ptr<ExplainPassState> RunExplainAttribution(
   auto location_of = [&node_location](std::int32_t id) {
     return node_location[static_cast<std::size_t>(id)];
   };
-  std::vector<double>& prior = state->prior;
-  prior.assign(num_nodes, 0.0);
+  std::vector<double> prior(num_nodes, 0.0);
   {
     const auto [begin, end] = layer(0);
     for (std::int32_t id = begin; id < end; ++id) {
@@ -423,9 +412,6 @@ std::unique_ptr<ExplainPassState> RunExplainAttribution(
             static_cast<LocationId>(slot % num_locations),
             obs::ExplainPhase::kBackward, obs::ExplainConstraint::kPropagated,
             dead_mass[slot]};
-        obs::RecordExplainEvent({tag, dead.time, dead.from_location,
-                                 dead.to_location, dead.phase, dead.constraint,
-                                 dead.mass});
         ++summary.phase_kills[static_cast<int>(obs::ExplainPhase::kBackward)];
         ++summary
               .constraints[static_cast<int>(
@@ -442,15 +428,7 @@ std::unique_ptr<ExplainPassState> RunExplainAttribution(
     tick.time = static_cast<std::int32_t>(t);
     tick.candidates = static_cast<std::uint32_t>(tick_candidates.size());
     if (t < ctx.alpha_deltas.size()) tick.alpha_delta = ctx.alpha_deltas[t];
-    if (tick.alpha_delta != 0.0) {
-      // Informational: the streaming filter renormalized this much mass
-      // away at this tick. Not a kill — excluded from every kill count.
-      obs::RecordExplainEvent({tag, tick.time, -1, -1,
-                               obs::ExplainPhase::kForward,
-                               obs::ExplainConstraint::kRenormalized,
-                               tick.alpha_delta});
-    }
-    // Backward kills, one event per (location pair, tick) with the summed
+    // Backward kills, one per (location pair, tick) with the summed
     // forward mass reaching the dead edges — informational, not
     // root-cause (see the header comment), so they feed the top-K ranking
     // but not the attributed totals.
@@ -460,9 +438,6 @@ std::unique_ptr<ExplainPassState> RunExplainAttribution(
           static_cast<LocationId>(slot % num_locations),
           obs::ExplainPhase::kBackward, obs::ExplainConstraint::kPropagated,
           dead_mass[slot]};
-      obs::RecordExplainEvent({tag, dead.time, dead.from_location,
-                               dead.to_location, dead.phase, dead.constraint,
-                               dead.mass});
       ++summary.phase_kills[static_cast<int>(obs::ExplainPhase::kBackward)];
       ++summary
             .constraints[static_cast<int>(obs::ExplainConstraint::kPropagated)]
@@ -483,9 +458,6 @@ std::unique_ptr<ExplainPassState> RunExplainAttribution(
       const ExplainTickCandidate& candidate = tick_candidates[i];
       if (!candidate.pruned) continue;
       const double mass = candidate.probability * inflow;
-      obs::RecordExplainEvent({tag, tick.time, -1, candidate.location,
-                               obs::ExplainPhase::kPreflight,
-                               obs::ExplainConstraint::kInfeasible, mass});
       ++summary.phase_kills[static_cast<int>(obs::ExplainPhase::kPreflight)];
       obs::ExplainConstraintTotal& total =
           summary
@@ -503,7 +475,7 @@ std::unique_ptr<ExplainPassState> RunExplainAttribution(
     // exactly the δ ≠ ⊥ parents, and the TL scan (condition 5) — the only
     // per-node check — can only reject a δ = ⊥ parent, always as a
     // traveling-time violation. Every parent in a group therefore rejects
-    // (or emits) a candidate identically, and one event per rejecting
+    // (or emits) a candidate identically, and one kill per rejecting
     // (group, candidate) pair carries the group's total mass — the same
     // sum a per-parent ClassifyRejection walk would attribute, without
     // the quadratic pair scan. TL-dependent rejections fall out of a
@@ -511,7 +483,7 @@ std::unique_ptr<ExplainPassState> RunExplainAttribution(
     // location emits the candidate unless condition 5 refused it, so the
     // group's δ = ⊥ mass minus its emitted δ = ⊥ mass is exactly the
     // TL-rejected mass. Integer emit counts decide whether any parent
-    // rejected, so float rounding can never invent or drop an event, and
+    // rejected, so float rounding can never invent or drop a kill, and
     // both sums add the same priors in the same node order (the parent
     // walk above), so a fully emitting group subtracts to exactly zero.
     if (t >= 1 && ctx.successors != nullptr &&
@@ -523,8 +495,6 @@ std::unique_ptr<ExplainPassState> RunExplainAttribution(
                                            double group_mass) {
         const ExplainTickCandidate& candidate = tick_candidates[i];
         const double mass = group_mass * candidate.probability;
-        obs::RecordExplainEvent({tag, tick.time, from, candidate.location,
-                                 obs::ExplainPhase::kForward, cause, mass});
         ++summary.phase_kills[static_cast<int>(obs::ExplainPhase::kForward)];
         obs::ExplainConstraintTotal& total =
             summary.constraints[static_cast<int>(cause)];
@@ -623,7 +593,7 @@ std::unique_ptr<ExplainPassState> RunExplainAttribution(
   // tie-break) and bounded at K throughout, so the ranking is already
   // final — and deterministic for any worker count.
   summary.top_edges = std::move(top_edges);
-  return state;
+  return result;
 }
 
 #endif  // RFIDCLEAN_EXPLAIN_ENABLED
@@ -648,9 +618,9 @@ Result<CtGraph> ConditionAndCompact(WorkGraph&& work, BuildStats* stats,
 #if RFIDCLEAN_EXPLAIN_ENABLED
   // Attribution must read the pristine forward-phase labels: the sweep
   // below overwrites edge probabilities and survival masses in place.
-  std::unique_ptr<ExplainPassState> explain_state;
+  std::unique_ptr<obs::ExplainTagSummary> explain_summary;
   if (explain != nullptr && obs::ExplainArmed()) {
-    explain_state = RunExplainAttribution(work, *explain);
+    explain_summary = RunExplainAttribution(work, *explain);
   }
 #else
   (void)explain;
@@ -797,10 +767,10 @@ Result<CtGraph> ConditionAndCompact(WorkGraph&& work, BuildStats* stats,
     RFID_STATS(obs::ObserveValue(obs::Dist::kMassLostCompactionPpb, 0u));
     Status failure = InfeasibleSequenceError();
 #if RFIDCLEAN_EXPLAIN_ENABLED
-    if (explain_state != nullptr) {
-      explain_state->summary.status = failure.message();
-      explain_state->summary.mass_lost_backward_ppb = 1000000000u;
-      obs::RecordTagExplain(std::move(explain_state->summary));
+    if (explain_summary != nullptr) {
+      explain_summary->status = failure.message();
+      explain_summary->mass_lost_backward_ppb = 1000000000u;
+      obs::RecordTagExplain(std::move(*explain_summary));
     }
 #endif
     return failure;
@@ -856,23 +826,17 @@ Result<CtGraph> ConditionAndCompact(WorkGraph&& work, BuildStats* stats,
   }
 
 #if RFIDCLEAN_EXPLAIN_ENABLED
-  if (explain_state != nullptr) {
+  if (explain_summary != nullptr) {
     for (std::size_t i = 0; i < nodes.size(); ++i) {
       if (!nodes[i].alive || remap[i] != kInvalidNode) continue;
       // Stranded: the node survived the backward sweep but no surviving
-      // source reaches it. Recorded at the real compaction decision point;
-      // the mass is the node's forward a-priori inflow (informational —
-      // the root cause was attributed to the decisions that killed its
-      // ancestors).
-      obs::RecordExplainEvent(
-          {explain_state->summary.tag, nodes[i].time, -1,
-           work.keys.key(nodes[i].key_id).location,
-           obs::ExplainPhase::kCompaction, obs::ExplainConstraint::kStranded,
-           explain_state->prior[i]});
-      ++explain_state->summary
-            .phase_kills[static_cast<int>(obs::ExplainPhase::kCompaction)];
-      ++explain_state->summary
-            .constraints[static_cast<int>(obs::ExplainConstraint::kStranded)]
+      // source reaches it. Counted at the real compaction decision point;
+      // it carries no root-cause mass (that was attributed to the
+      // decisions that killed its ancestors).
+      ++explain_summary
+            ->phase_kills[static_cast<int>(obs::ExplainPhase::kCompaction)];
+      ++explain_summary
+            ->constraints[static_cast<int>(obs::ExplainConstraint::kStranded)]
             .kills;
     }
   }
@@ -930,11 +894,11 @@ Result<CtGraph> ConditionAndCompact(WorkGraph&& work, BuildStats* stats,
     stats->final_edges = graph.value().NumEdges();
   }
 #if RFIDCLEAN_EXPLAIN_ENABLED
-  if (explain_state != nullptr) {
-    explain_state->summary.status = "ok";
-    explain_state->summary.mass_lost_backward_ppb = backward_ppb;
-    explain_state->summary.mass_lost_compaction_ppb = compaction_ppb;
-    obs::RecordTagExplain(std::move(explain_state->summary));
+  if (explain_summary != nullptr) {
+    explain_summary->status = "ok";
+    explain_summary->mass_lost_backward_ppb = backward_ppb;
+    explain_summary->mass_lost_compaction_ppb = compaction_ppb;
+    obs::RecordTagExplain(std::move(*explain_summary));
   }
 #endif
   return graph;

@@ -103,8 +103,8 @@ Status InfeasibleSequenceError();
 /// when given. Fails with FailedPrecondition when no interpretation
 /// survives. When `explain` is non-null and an explain session is armed,
 /// runs the attribution pass over the pristine forward-phase labels first
-/// and records one ExplainTagSummary (plus the per-decision events); the
-/// returned graph is byte-identical with or without it.
+/// and records one ExplainTagSummary; the returned graph is byte-identical
+/// with or without it.
 Result<CtGraph> ConditionAndCompact(WorkGraph&& graph, BuildStats* stats,
                                     const ExplainBuildContext* explain =
                                         nullptr);

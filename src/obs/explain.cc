@@ -45,102 +45,19 @@ const char* ExplainConstraintName(ExplainConstraint constraint) {
 namespace rfidclean::obs {
 namespace {
 
-/// Per-thread event ring. Only its owning thread writes events; arming,
-/// collection and teardown touch it under the registry mutex while the
-/// owning thread is quiesced (same contract as the trace sinks).
-struct ExplainSink {
-  std::vector<ExplainEvent> ring;
-  std::size_t next = 0;       ///< write cursor
-  std::uint64_t written = 0;  ///< total events ever recorded
-
-  void Arm(std::size_t capacity) {
-    ring.assign(capacity, ExplainEvent{});
-    next = 0;
-    written = 0;
-  }
-
-  void Disarm() {
-    ring.clear();
-    ring.shrink_to_fit();
-    next = 0;
-    written = 0;
-  }
-
-  void Append(const ExplainEvent& event) {
-    if (ring.empty()) return;  // armed flag raced a stop; drop quietly
-    ring[next] = event;
-    ++next;
-    if (next == ring.size()) next = 0;
-    ++written;
-  }
-
-  std::uint64_t DroppedEvents() const {
-    return written > ring.size() ? written - ring.size() : 0;
-  }
-
-  /// Appends the ring's surviving events, oldest first, to `out`.
-  void LinearizeInto(std::vector<ExplainEvent>* out) const {
-    const std::size_t kept =
-        written < ring.size() ? static_cast<std::size_t>(written) : ring.size();
-    const std::size_t start = written > ring.size() ? next : 0;
-    for (std::size_t i = 0; i < kept; ++i) {
-      out->push_back(ring[(start + i) % ring.size()]);
-    }
-  }
-};
-
-/// Process-wide registry of live sinks plus the folded events of threads
-/// that exited mid-session, and the per-tag summaries.
-struct Registry {
+/// Process-wide session state: the options and the per-tag summaries.
+struct Session {
   std::mutex mutex;
-  std::vector<ExplainSink*> live;
-  std::vector<ExplainEvent> retired_events;
-  std::uint64_t retired_dropped = 0;
   std::vector<ExplainTagSummary> tags;
   ExplainOptions options;
 };
 
-Registry& GetRegistry() {
-  static Registry* registry = new Registry();  // leaked: outlives TLS dtors
-  return *registry;
+Session& GetSession() {
+  static Session* session = new Session();  // leaked: outlives TLS dtors
+  return *session;
 }
 
-/// Owns one thread's sink; constructor registers (arming the ring if a
-/// session is active), destructor folds surviving events into the retired
-/// stream and deregisters.
-struct ExplainSinkOwner {
-  ExplainSink sink;
-
-  ExplainSinkOwner() {
-    Registry& registry = GetRegistry();
-    std::lock_guard<std::mutex> lock(registry.mutex);
-    if (internal::ExplainArmedRelaxed()) {
-      sink.Arm(registry.options.buffer_events);
-    }
-    registry.live.push_back(&sink);
-  }
-
-  ~ExplainSinkOwner() {
-    Registry& registry = GetRegistry();
-    std::lock_guard<std::mutex> lock(registry.mutex);
-    if (internal::ExplainArmedRelaxed() && sink.written > 0) {
-      sink.LinearizeInto(&registry.retired_events);
-      registry.retired_dropped += sink.DroppedEvents();
-    }
-    for (std::size_t i = 0; i < registry.live.size(); ++i) {
-      if (registry.live[i] == &sink) {
-        registry.live[i] = registry.live.back();
-        registry.live.pop_back();
-        break;
-      }
-    }
-  }
-};
-
-ExplainSink& LocalSink() {
-  thread_local ExplainSinkOwner owner;
-  return owner.sink;
-}
+thread_local long long t_explain_tag = 0;
 
 }  // namespace
 
@@ -149,80 +66,50 @@ std::atomic<bool> g_explain_armed{false};
 }  // namespace internal
 
 void StartExplain(const ExplainOptions& options) {
-  Registry& registry = GetRegistry();
-  std::lock_guard<std::mutex> lock(registry.mutex);
-  registry.options = options;
-  if (registry.options.buffer_events < 8) registry.options.buffer_events = 8;
-  if (registry.options.top_edges < 1) registry.options.top_edges = 1;
-  registry.retired_events.clear();
-  registry.retired_dropped = 0;
-  registry.tags.clear();
-  for (ExplainSink* sink : registry.live) {
-    sink->Arm(registry.options.buffer_events);
-  }
+  Session& session = GetSession();
+  std::lock_guard<std::mutex> lock(session.mutex);
+  session.options = options;
+  if (session.options.top_edges < 1) session.options.top_edges = 1;
+  session.tags.clear();
   internal::g_explain_armed.store(true, std::memory_order_release);
 }
 
 void StopExplain() {
-  Registry& registry = GetRegistry();
-  std::lock_guard<std::mutex> lock(registry.mutex);
+  Session& session = GetSession();
+  std::lock_guard<std::mutex> lock(session.mutex);
   internal::g_explain_armed.store(false, std::memory_order_release);
-  registry.retired_events.clear();
-  registry.retired_dropped = 0;
-  registry.tags.clear();
-  for (ExplainSink* sink : registry.live) sink->Disarm();
+  session.tags.clear();
 }
 
 ExplainOptions ExplainSessionOptions() {
-  Registry& registry = GetRegistry();
-  std::lock_guard<std::mutex> lock(registry.mutex);
-  return registry.options;
-}
-
-void RecordExplainEvent(const ExplainEvent& event) {
-  if (!internal::ExplainArmedRelaxed()) return;
-  LocalSink().Append(event);
+  Session& session = GetSession();
+  std::lock_guard<std::mutex> lock(session.mutex);
+  return session.options;
 }
 
 void RecordTagExplain(ExplainTagSummary summary) {
   if (!internal::ExplainArmedRelaxed()) return;
-  Registry& registry = GetRegistry();
-  std::lock_guard<std::mutex> lock(registry.mutex);
-  registry.tags.push_back(std::move(summary));
+  Session& session = GetSession();
+  std::lock_guard<std::mutex> lock(session.mutex);
+  session.tags.push_back(std::move(summary));
 }
-
-namespace {
-thread_local long long t_explain_tag = 0;
-}  // namespace
 
 void SetExplainTag(long long tag) { t_explain_tag = tag; }
 
 long long ExplainCurrentTag() { return t_explain_tag; }
 
 ExplainCollection CollectExplain() {
-  Registry& registry = GetRegistry();
-  std::lock_guard<std::mutex> lock(registry.mutex);
+  Session& session = GetSession();
+  std::lock_guard<std::mutex> lock(session.mutex);
   ExplainCollection collection;
-  collection.tags = registry.tags;
+  collection.tags = session.tags;
+  // Each tag is cleaned by exactly one worker, so sorting by tag makes the
+  // collection independent of the worker count and of the tag->worker
+  // assignment.
   std::sort(collection.tags.begin(), collection.tags.end(),
             [](const ExplainTagSummary& a, const ExplainTagSummary& b) {
               return a.tag < b.tag;
             });
-  collection.events = registry.retired_events;
-  collection.dropped_events = registry.retired_dropped;
-  for (const ExplainSink* sink : registry.live) {
-    if (sink->written > 0) {
-      sink->LinearizeInto(&collection.events);
-      collection.dropped_events += sink->DroppedEvents();
-    }
-  }
-  // Each tag is cleaned by exactly one worker, so grouping by tag while
-  // preserving within-stream order makes the collection independent of the
-  // worker count and of the tag->worker assignment.
-  std::stable_sort(collection.events.begin(), collection.events.end(),
-                   [](const ExplainEvent& a, const ExplainEvent& b) {
-                     return a.tag < b.tag;
-                   });
   return collection;
 }
 

@@ -23,12 +23,12 @@
 /// space, computed so the per-constraint masses plus the surviving source
 /// mass sum to 1 for every cleaned tag (docs/ALGORITHM.md §14).
 ///
-/// The recorder reuses the trace-sink architecture: per-thread event rings
-/// that only their owner writes, folded into a retired list on thread exit,
-/// armed/disarmed by a session-wide relaxed atomic. Per-tag summaries
-/// (assembled by the attribution pass in core/work_graph.cc and finalized
-/// by runtime/batch_cleaner) are appended under the registry mutex — one
-/// append per cleaned tag, never per edge.
+/// The recorder keeps per-tag summaries only, no per-decision event
+/// stream: the attribution pass (core/work_graph.cc) assembles each tag's
+/// summary in one walk, the cleaning routine (core/streaming.cc) finalizes
+/// it, and RecordTagExplain appends it under the session mutex — one
+/// append per cleaned tag, never per edge. A session is armed and disarmed
+/// by a process-wide relaxed atomic.
 ///
 /// Configure with -DRFIDCLEAN_EXPLAIN=OFF to compile every probe to a
 /// no-op (the build defines RFIDCLEAN_EXPLAIN_OFF): no recorder symbols
@@ -37,9 +37,7 @@
 /// disarmed, every probe costs one relaxed load and a branch.
 ///
 /// Statements that exist purely to feed the recorder are wrapped in
-/// RFID_EXPLAIN(...) so disabled builds drop them entirely:
-///
-///   RFID_EXPLAIN(obs::RecordExplainEvent(event));
+/// RFID_EXPLAIN(...) so disabled builds drop them entirely.
 
 #if defined(RFIDCLEAN_EXPLAIN_OFF)
 #define RFIDCLEAN_EXPLAIN_ENABLED 0
@@ -51,14 +49,9 @@
 
 namespace rfidclean::obs {
 
-/// Explain-session configuration. Defined in all build modes so embedding
-/// hooks (BatchOptions::explain) keep a stable ABI.
+/// Explain-session configuration, passed to StartExplain. Defined in all
+/// build modes so callers compile unchanged when explain is compiled out.
 struct ExplainOptions {
-  /// When set on an embedding hook, the runtime starts an explain session
-  /// with these options if none is active yet.
-  bool enabled = false;
-  /// Ring capacity, in events, of each per-thread buffer (drop-oldest).
-  std::size_t buffer_events = std::size_t{1} << 16;
   /// How many killed edges each per-tag summary retains, ranked by
   /// attributed mass (the "top-K killed edges" of the JSON report).
   std::size_t top_edges = 16;
@@ -88,21 +81,6 @@ enum class ExplainConstraint : std::uint8_t {
 };
 inline constexpr int kNumExplainConstraints =
     static_cast<int>(ExplainConstraint::kCount);
-
-/// One recorded kill decision (or renormalization delta). `from_location`
-/// is -1 for candidate/node-level decisions that have no source endpoint.
-struct ExplainEvent {
-  long long tag = 0;
-  std::int32_t time = 0;
-  std::int32_t from_location = -1;
-  std::int32_t to_location = -1;
-  ExplainPhase phase = ExplainPhase::kForward;
-  ExplainConstraint constraint = ExplainConstraint::kInfeasible;
-  /// Root-cause a-priori mass removed (see the header comment); for
-  /// kPropagated events the forward mass reaching the dead edge (not
-  /// additive with root causes); for kRenormalized the per-tick delta.
-  double mass = 0.0;
-};
 
 /// Per-constraint rollup inside a tag summary.
 struct ExplainConstraintTotal {
@@ -164,12 +142,9 @@ struct ExplainTagSummary {
   std::vector<ExplainKilledEdge> top_edges;  ///< mass-descending, capped at K
 };
 
-/// Snapshot of one explain session: per-tag summaries (sorted by tag) plus
-/// the merged raw event stream (grouped by tag, per-tag order preserved).
+/// Snapshot of one explain session: the per-tag summaries, sorted by tag.
 struct ExplainCollection {
   std::vector<ExplainTagSummary> tags;
-  std::vector<ExplainEvent> events;
-  std::uint64_t dropped_events = 0;
 
   const ExplainTagSummary* FindTag(long long tag) const {
     for (const ExplainTagSummary& summary : tags) {
@@ -192,12 +167,12 @@ inline bool ExplainArmedRelaxed() {
 }
 }  // namespace internal
 
-/// Begins a fresh explain session: clears previous events and summaries and
-/// re-arms every registered thread buffer. Quiesce instrumented threads
-/// first (BatchCleaner joins its pool before returning).
+/// Begins a fresh explain session: clears previous summaries and arms the
+/// recorder. Quiesce instrumented threads first (BatchCleaner joins its
+/// pool before returning).
 void StartExplain(const ExplainOptions& options);
 
-/// Disarms the recorder and releases all buffered state.
+/// Disarms the recorder and releases the session's summaries.
 void StopExplain();
 
 /// Whether an explain session is active.
@@ -206,16 +181,12 @@ inline bool ExplainArmed() { return internal::ExplainArmedRelaxed(); }
 /// The active session's options (defaults when no session is active).
 ExplainOptions ExplainSessionOptions();
 
-/// Records one kill decision in the calling thread's ring. No-op unless a
-/// session is active.
-void RecordExplainEvent(const ExplainEvent& event);
-
 /// Appends one tag's finished summary to the session. No-op unless a
 /// session is active.
 void RecordTagExplain(ExplainTagSummary summary);
 
 /// Sets the tag id the calling thread is currently cleaning. The core
-/// layers stamp this id into the events and summaries they record (they do
+/// layers stamp this id into the summaries they record (they do
 /// not know tag ids themselves); the batch runtime sets it before each
 /// per-tag clean, single-tag paths leave the default 0.
 void SetExplainTag(long long tag);
@@ -223,10 +194,9 @@ void SetExplainTag(long long tag);
 /// The calling thread's current tag id (0 outside a per-tag clean).
 long long ExplainCurrentTag();
 
-/// Snapshots every live and retired thread buffer plus the per-tag
-/// summaries, without disturbing the session. Summaries are sorted by tag;
-/// events are grouped by tag (per-tag recording order preserved), so the
-/// collection is deterministic for any worker count.
+/// Snapshots the per-tag summaries without disturbing the session. They
+/// are sorted by tag, so the collection is deterministic for any worker
+/// count.
 ExplainCollection CollectExplain();
 
 #else  // !RFIDCLEAN_EXPLAIN_ENABLED
@@ -235,7 +205,6 @@ inline void StartExplain(const ExplainOptions&) {}
 inline void StopExplain() {}
 inline bool ExplainArmed() { return false; }
 inline ExplainOptions ExplainSessionOptions() { return {}; }
-inline void RecordExplainEvent(const ExplainEvent&) {}
 inline void RecordTagExplain(ExplainTagSummary) {}
 inline void SetExplainTag(long long) {}
 inline long long ExplainCurrentTag() { return 0; }

@@ -19,27 +19,6 @@ std::ostream& operator<<(std::ostream& os, Indent indent) {
   return os;
 }
 
-std::string EscapeJson(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (const char c : raw) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// Masses are printed with %.17g so the report round-trips doubles exactly:
 /// byte-identical reports across worker counts are a tested contract.
 std::string Mass(double value) { return StrFormat("%.17g", value); }
@@ -89,7 +68,7 @@ void WriteTag(std::ostream& os, const ExplainTagSummary& tag, Indent pad) {
   for (int i = 0; i < kNumExplainPhases; ++i) kills += tag.phase_kills[i];
   os << pad << "{\n";
   os << inner << "\"tag\": " << tag.tag << ",\n";
-  os << inner << "\"status\": \"" << EscapeJson(tag.status) << "\",\n";
+  os << inner << "\"status\": \"" << JsonEscape(tag.status) << "\",\n";
   os << inner << "\"kills\": " << kills << ",\n";
   os << inner << "\"surviving_mass\": " << Mass(tag.surviving_mass) << ",\n";
   os << inner << "\"attributed_mass\": " << Mass(tag.attributed_mass)
@@ -186,7 +165,6 @@ void WriteExplainReport(const ExplainCollection& collection, std::ostream& os,
   os << inner << "\"status\": \"ok\",\n";
   os << inner << "\"explain_enabled\": true,\n";
   os << inner << "\"num_tags\": " << collection.tags.size() << ",\n";
-  os << inner << "\"dropped_events\": " << collection.dropped_events << ",\n";
   os << inner << "\"totals\": {\n";
   const Indent tot{indent + 4};
   os << tot << "\"kills\": " << kills << ",\n";

@@ -16,14 +16,16 @@
 
 namespace rfidclean::obs {
 
-/// Report schema version (the "explain_format_version" field).
-inline constexpr int kExplainFormatVersion = 1;
+/// Report schema version (the "explain_format_version" field). Version 2
+/// removed version 1's event-ring overflow count along with the rings; the
+/// store blob keeps its own store::kExplainFormatVersion.
+inline constexpr int kExplainFormatVersion = 2;
 
 #if RFIDCLEAN_EXPLAIN_ENABLED
 
 /// Writes `collection` as one JSON object, indented by `indent` spaces.
 /// Entries of the killed-candidate and top-edge arrays are one line each so
-/// the report stays greppable (`rfidclean explain --report` relies on it).
+/// the report stays greppable.
 void WriteExplainReport(const ExplainCollection& collection, std::ostream& os,
                         int indent = 0);
 

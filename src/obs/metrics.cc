@@ -4,7 +4,8 @@
 
 #include <bit>
 #include <mutex>
-#include <vector>
+
+#include "obs/sink_registry.h"
 
 namespace rfidclean::obs {
 namespace {
@@ -33,50 +34,19 @@ struct ThreadSink {
   }
 };
 
-/// Process-wide registry of live sinks plus the folded totals of sinks
-/// whose threads have exited (BatchCleaner workers are short-lived; their
-/// counts must outlive them).
-struct Registry {
-  std::mutex mutex;
-  std::vector<ThreadSink*> live;
+/// The folded totals of sinks whose threads have exited (BatchCleaner
+/// workers are short-lived; their counts must outlive them).
+struct MetricsState {
+  using Sink = ThreadSink;
   ThreadSink retired;
-};
 
-Registry& GetRegistry() {
-  static Registry* registry = new Registry();  // leaked: outlives TLS dtors
-  return *registry;
-}
-
-/// Owns one thread's sink; constructor registers, destructor folds the
-/// final counts into `retired` and deregisters.
-struct ThreadSinkOwner {
-  ThreadSink sink;
-
-  ThreadSinkOwner() {
-    Registry& registry = GetRegistry();
-    std::lock_guard<std::mutex> lock(registry.mutex);
-    registry.live.push_back(&sink);
-  }
-
-  ~ThreadSinkOwner() {
-    Registry& registry = GetRegistry();
-    std::lock_guard<std::mutex> lock(registry.mutex);
-    sink.FoldInto(registry.retired.counters, registry.retired.phase_millis,
-                  registry.retired.dists);
-    for (std::size_t i = 0; i < registry.live.size(); ++i) {
-      if (registry.live[i] == &sink) {
-        registry.live[i] = registry.live.back();
-        registry.live.pop_back();
-        break;
-      }
-    }
+  void Register(ThreadSink&) {}
+  void Retire(const ThreadSink& sink) {
+    sink.FoldInto(retired.counters, retired.phase_millis, retired.dists);
   }
 };
 
-ThreadSink& LocalSink() {
-  thread_local ThreadSinkOwner owner;
-  return owner.sink;
-}
+using Registry = internal::SinkRegistry<MetricsState>;
 
 int BucketOf(std::uint64_t value) {
   const int bucket = std::bit_width(value);  // 0 -> 0, v>0 -> floor(log2)+1
@@ -86,15 +56,15 @@ int BucketOf(std::uint64_t value) {
 }  // namespace
 
 void Add(Counter counter, std::uint64_t n) {
-  LocalSink().counters[static_cast<int>(counter)] += n;
+  Registry::Local().counters[static_cast<int>(counter)] += n;
 }
 
 void AddMillis(Phase phase, double millis) {
-  LocalSink().phase_millis[static_cast<int>(phase)] += millis;
+  Registry::Local().phase_millis[static_cast<int>(phase)] += millis;
 }
 
 void ObserveValue(Dist dist, std::uint64_t value) {
-  HistogramData& h = LocalSink().dists[static_cast<int>(dist)];
+  HistogramData& h = Registry::Local().dists[static_cast<int>(dist)];
   h.count += 1;
   h.sum += value;
   if (value > h.max) h.max = value;
@@ -105,7 +75,7 @@ namespace internal {
 
 void SnapshotInto(std::uint64_t* counters, double* phases,
                   HistogramData* dists) {
-  Registry& registry = GetRegistry();
+  Registry& registry = Registry::Get();
   std::lock_guard<std::mutex> lock(registry.mutex);
   registry.retired.FoldInto(counters, phases, dists);
   for (const ThreadSink* sink : registry.live) {
@@ -114,7 +84,7 @@ void SnapshotInto(std::uint64_t* counters, double* phases,
 }
 
 void ResetAll() {
-  Registry& registry = GetRegistry();
+  Registry& registry = Registry::Get();
   std::lock_guard<std::mutex> lock(registry.mutex);
   registry.retired.Clear();
   for (ThreadSink* sink : registry.live) sink->Clear();

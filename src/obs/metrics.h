@@ -11,11 +11,12 @@
 ///
 /// Every instrumentation point increments a plain (non-atomic) counter in a
 /// thread-local sink; sinks register themselves in a process-wide registry
-/// and `Snapshot()` sums live sinks plus the folded totals of exited
-/// threads under one mutex, so the hot path never synchronizes. Hot loops
-/// (per-edge, per-intern) accumulate in locals or in object members and
-/// flush once per layer or per build — a probe costs one or two register
-/// adds, never a TLS lookup per edge.
+/// (obs/sink_registry.h, shared with the tracer) and `Snapshot()` sums live
+/// sinks plus the folded totals of exited threads under one mutex, so the
+/// hot path never synchronizes. Hot loops (per-edge, per-intern)
+/// accumulate in locals or in object members and flush once per layer or
+/// per build — a probe costs one or two register adds, never a TLS lookup
+/// per edge.
 ///
 /// Configure with -DRFIDCLEAN_STATS=OFF to compile every probe to a no-op
 /// (the build defines RFIDCLEAN_STATS_OFF); results are bit-identical

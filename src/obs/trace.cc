@@ -7,6 +7,8 @@
 #include <mutex>
 #include <utility>
 
+#include "obs/sink_registry.h"
+
 namespace rfidclean::obs {
 namespace {
 
@@ -73,57 +75,28 @@ struct TraceSink {
   }
 };
 
-/// Process-wide registry of live sinks plus linearized buffers of threads
-/// that exited mid-session (BatchCleaner workers are short-lived; their
-/// tracks must outlive them).
-struct Registry {
-  std::mutex mutex;
-  std::vector<TraceSink*> live;
+/// Session state: the linearized buffers of threads that exited mid-session
+/// (short-lived BatchCleaner workers keep their tracks), the provenance
+/// records, the options and the next thread id.
+struct TraceState {
+  using Sink = TraceSink;
   std::vector<TraceThread> retired;
   std::vector<TagProvenance> provenance;
   TraceOptions options;
   int next_tid = 0;
-};
 
-Registry& GetRegistry() {
-  static Registry* registry = new Registry();  // leaked: outlives TLS dtors
-  return *registry;
-}
-
-/// Owns one thread's sink; constructor registers (arming the ring if a
-/// session is active), destructor folds surviving events into `retired`
-/// and deregisters.
-struct TraceSinkOwner {
-  TraceSink sink;
-
-  TraceSinkOwner() {
-    Registry& registry = GetRegistry();
-    std::lock_guard<std::mutex> lock(registry.mutex);
-    sink.tid = registry.next_tid++;
-    if (internal::TraceArmed()) sink.Arm(registry.options.buffer_events);
-    registry.live.push_back(&sink);
+  void Register(TraceSink& sink) {
+    sink.tid = next_tid++;
+    if (internal::TraceArmed()) sink.Arm(options.buffer_events);
   }
-
-  ~TraceSinkOwner() {
-    Registry& registry = GetRegistry();
-    std::lock_guard<std::mutex> lock(registry.mutex);
+  void Retire(const TraceSink& sink) {
     if (internal::TraceArmed() && sink.written > 0) {
-      registry.retired.push_back(sink.Linearize());
-    }
-    for (std::size_t i = 0; i < registry.live.size(); ++i) {
-      if (registry.live[i] == &sink) {
-        registry.live[i] = registry.live.back();
-        registry.live.pop_back();
-        break;
-      }
+      retired.push_back(sink.Linearize());
     }
   }
 };
 
-TraceSink& LocalSink() {
-  thread_local TraceSinkOwner owner;
-  return owner.sink;
-}
+using Registry = internal::SinkRegistry<TraceState>;
 
 std::uint64_t SessionNanos() {
   const std::uint64_t epoch = g_epoch_nanos.load(std::memory_order_relaxed);
@@ -148,7 +121,7 @@ namespace internal {
 std::atomic<bool> g_trace_armed{false};
 
 void EmitBegin(const char* category, const char* name) {
-  LocalSink().Append(MakeEvent(TraceEventType::kBegin, category, name));
+  Registry::Local().Append(MakeEvent(TraceEventType::kBegin, category, name));
 }
 
 void EmitEnd(const char* category, const char* name,
@@ -161,13 +134,13 @@ void EmitEnd(const char* category, const char* name,
     event.arg_names[i] = arg_names[i];
     event.arg_values[i] = arg_values[i];
   }
-  LocalSink().Append(event);
+  Registry::Local().Append(event);
 }
 
 }  // namespace internal
 
 void StartTracing(const TraceOptions& options) {
-  Registry& registry = GetRegistry();
+  Registry& registry = Registry::Get();
   std::lock_guard<std::mutex> lock(registry.mutex);
   registry.options = options;
   if (registry.options.buffer_events < 8) registry.options.buffer_events = 8;
@@ -181,7 +154,7 @@ void StartTracing(const TraceOptions& options) {
 }
 
 void StopTracing() {
-  Registry& registry = GetRegistry();
+  Registry& registry = Registry::Get();
   std::lock_guard<std::mutex> lock(registry.mutex);
   internal::g_trace_armed.store(false, std::memory_order_release);
   registry.retired.clear();
@@ -192,7 +165,7 @@ void StopTracing() {
 bool TraceActive() { return internal::TraceArmed(); }
 
 TraceCollection CollectTrace() {
-  Registry& registry = GetRegistry();
+  Registry& registry = Registry::Get();
   std::lock_guard<std::mutex> lock(registry.mutex);
   TraceCollection collection;
   collection.threads = registry.retired;
@@ -211,15 +184,15 @@ TraceCollection CollectTrace() {
 
 void SetTraceThreadName(const std::string& name) {
   if (!internal::TraceArmed()) return;
-  TraceSink& sink = LocalSink();
-  Registry& registry = GetRegistry();
+  TraceSink& sink = Registry::Local();
+  Registry& registry = Registry::Get();
   std::lock_guard<std::mutex> lock(registry.mutex);
   sink.name = name;
 }
 
 void TraceInstant(const char* category, const char* name) {
   if (!internal::TraceArmed()) return;
-  LocalSink().Append(MakeEvent(TraceEventType::kInstant, category, name));
+  Registry::Local().Append(MakeEvent(TraceEventType::kInstant, category, name));
 }
 
 void TraceInstant(const char* category, const char* name,
@@ -229,7 +202,7 @@ void TraceInstant(const char* category, const char* name,
   event.num_args = 1;
   event.arg_names[0] = arg_name;
   event.arg_values[0] = arg_value;
-  LocalSink().Append(event);
+  Registry::Local().Append(event);
 }
 
 void TraceCounter(const char* name, std::uint64_t value) {
@@ -238,12 +211,12 @@ void TraceCounter(const char* name, std::uint64_t value) {
   event.num_args = 1;
   event.arg_names[0] = "value";
   event.arg_values[0] = value;
-  LocalSink().Append(event);
+  Registry::Local().Append(event);
 }
 
 void RecordTagProvenance(TagProvenance provenance) {
   if (!internal::TraceArmed()) return;
-  Registry& registry = GetRegistry();
+  Registry& registry = Registry::Get();
   std::lock_guard<std::mutex> lock(registry.mutex);
   registry.provenance.push_back(std::move(provenance));
 }

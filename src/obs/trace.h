@@ -15,10 +15,9 @@
 /// recording an event is a relaxed atomic load (armed?), one clock read and
 /// a few stores — no locks, no allocation. When the ring fills, the oldest
 /// events are overwritten and a dropped-events counter keeps the loss
-/// visible. Sinks register in the same fold-on-thread-exit registry pattern
-/// as the metric sinks (obs/metrics.h): a worker that exits folds its
-/// buffer into a retired list so short-lived BatchCleaner workers keep
-/// their tracks.
+/// visible. Sinks live in the per-thread sink registry the metric sinks
+/// use (obs/sink_registry.h): a worker that exits folds its buffer into a
+/// retired list so short-lived BatchCleaner workers keep their tracks.
 ///
 /// `CollectTrace()` snapshots all buffers; obs/trace_export.h turns the
 /// snapshot into Chrome trace-event JSON loadable in Perfetto and
@@ -58,12 +57,9 @@ namespace rfidclean::obs {
 /// Maximum key/value arguments attached to one trace event.
 inline constexpr int kMaxTraceArgs = 4;
 
-/// Tracing configuration. Defined in all build modes so embedding hooks
-/// (BatchOptions::trace) keep a stable ABI.
+/// Tracing configuration, passed to StartTracing. Defined in all build
+/// modes so callers compile unchanged when tracing is compiled out.
 struct TraceOptions {
-  /// When set on an embedding hook (e.g. BatchOptions::trace), the runtime
-  /// starts tracing with these options if no session is active yet.
-  bool enabled = false;
   /// Ring capacity, in events, of each per-thread buffer. When a thread
   /// records more, the oldest events are overwritten (drop-oldest) and the
   /// thread's dropped-events counter grows.

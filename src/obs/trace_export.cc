@@ -7,29 +7,6 @@
 namespace rfidclean::obs {
 namespace {
 
-/// Minimal JSON string escaping: quotes, backslashes and control bytes
-/// (status strings can carry arbitrary parser messages).
-std::string EscapeJson(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (const char c : raw) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", static_cast<unsigned>(c));
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 std::string HexDigest(std::uint64_t digest) {
   return StrFormat("%016llx", static_cast<unsigned long long>(digest));
 }
@@ -58,7 +35,7 @@ void WriteProvenanceJson(const std::vector<TagProvenance>& provenance,
        << StrFormat("%.3f", record.forward_millis) << ",\n";
     os << pad << "    \"backward_millis\": "
        << StrFormat("%.3f", record.backward_millis) << ",\n";
-    os << pad << "    \"status\": \"" << EscapeJson(record.status) << "\"\n";
+    os << pad << "    \"status\": \"" << JsonEscape(record.status) << "\"\n";
     os << pad << "  }" << (i + 1 < provenance.size() ? ",\n" : "\n");
   }
   os << pad << "]";
@@ -82,14 +59,14 @@ void WriteEvent(std::ostream& os, const TraceEvent& event, int tid) {
   os << "{\"ph\": \"" << PhOf(event.type) << "\", \"pid\": 1, \"tid\": " << tid
      << ", \"ts\": "
      << StrFormat("%.3f", static_cast<double>(event.ts_nanos) / 1000.0)
-     << ", \"cat\": \"" << EscapeJson(event.category ? event.category : "")
-     << "\", \"name\": \"" << EscapeJson(event.name ? event.name : "") << '"';
+     << ", \"cat\": \"" << JsonEscape(event.category ? event.category : "")
+     << "\", \"name\": \"" << JsonEscape(event.name ? event.name : "") << '"';
   if (event.type == TraceEventType::kInstant) os << ", \"s\": \"t\"";
   if (event.num_args > 0) {
     os << ", \"args\": {";
     for (int i = 0; i < event.num_args; ++i) {
       if (i > 0) os << ", ";
-      os << '"' << EscapeJson(event.arg_names[i] ? event.arg_names[i] : "")
+      os << '"' << JsonEscape(event.arg_names[i] ? event.arg_names[i] : "")
          << "\": " << event.arg_values[i];
     }
     os << '}';
@@ -115,7 +92,7 @@ void WriteChromeTrace(const TraceCollection& collection, std::ostream& os) {
     separate();
     os << "{\"ph\": \"M\", \"pid\": 1, \"tid\": " << thread.tid
        << ", \"name\": \"thread_name\", \"args\": {\"name\": \""
-       << EscapeJson(thread.name) << "\"}}";
+       << JsonEscape(thread.name) << "\"}}";
   }
   for (const TraceThread& thread : collection.threads) {
     for (const TraceEvent& event : thread.events) {

@@ -46,10 +46,9 @@ TagOutcome CleanOne(const CtGraphBuilder& builder,
                     ThreadPool* pool, std::uint64_t constraint_digest) {
   obs::PhaseTimer phase_timer(obs::Phase::kTagClean);
   RFID_STATS(const Stopwatch tag_watch);
-  // Every kill decision and summary recorded while this workload cleans —
-  // by the preflight, the forward engine, the conditioning pass, or the
-  // routine itself for a clean that dies early — carries this tag. No-op
-  // symbol in explain-off builds.
+  // Every explain summary recorded while this workload cleans — by the
+  // conditioning pass, or by the routine itself for a clean that dies
+  // early — carries this tag. No-op symbol in explain-off builds.
   obs::SetExplainTag(static_cast<long long>(workload.tag));
   BuildStats stats;
   Result<CtGraph> graph = internal_core::CleanSequence(
@@ -97,14 +96,6 @@ BatchCleaner::BatchCleaner(const ConstraintSet& constraints,
 
 std::vector<TagOutcome> BatchCleaner::CleanAll(
     const std::vector<TagWorkload>& workloads) const {
-  if (options_.trace.enabled && !obs::TraceActive()) {
-    obs::StartTracing(options_.trace);
-  }
-#if RFIDCLEAN_EXPLAIN_ENABLED
-  if (options_.explain.enabled && !obs::ExplainArmed()) {
-    obs::StartExplain(options_.explain);
-  }
-#endif
   RFID_TRACE_SPAN(batch_span, "batch", "batch_clean_all");
   RFID_TRACE(batch_span.AddArg("tags", workloads.size()));
   std::vector<std::optional<TagOutcome>> slots(workloads.size());

@@ -11,8 +11,6 @@
 #include "core/streaming.h"
 #include "model/lsequence.h"
 #include "model/reading.h"
-#include "obs/explain.h"
-#include "obs/trace.h"
 
 namespace rfidclean {
 
@@ -65,20 +63,6 @@ struct BatchOptions {
   /// outcome for that tag only — with the worker's arena still recyclable
   /// for the next tag (enforced by tests/batch_stress_test.cc).
   std::function<void(std::size_t index, Timestamp t)> after_tick;
-  /// When `trace.enabled` is set and no trace session is active yet,
-  /// CleanAll starts one with these options (obs/trace.h) before spawning
-  /// workers; an already-active session is left untouched, so a CLI that
-  /// traced the io phase keeps one continuous timeline. The session is
-  /// never stopped here — collection/export stay with the embedder.
-  obs::TraceOptions trace;
-  /// Same embedding contract for explain sessions (obs/explain.h): when
-  /// `explain.enabled` is set and no session is armed yet, CleanAll arms
-  /// one with these options before spawning workers and leaves collection
-  /// and export to the embedder. Workers stamp the thread-local explain
-  /// tag with each workload's TagId, so every recorded kill decision and
-  /// per-tag summary carries the tag it belongs to regardless of which
-  /// worker cleaned it.
-  obs::ExplainOptions explain;
 };
 
 /// Cleans N independent tag streams concurrently on a fixed-size pool of
@@ -92,6 +76,11 @@ struct BatchOptions {
 /// sequential" exact: BatchCleaner output is bit-identical to looping
 /// StreamingCleaner over the same workloads (enforced by
 /// tests/batch_differential_test.cc) and to Build.
+///
+/// CleanAll never starts, collects or stops an observability session. The
+/// caller arms one with obs::StartTracing / obs::StartExplain before the
+/// call; workers then record into it, each tag's records stamped with its
+/// TagId whichever worker cleaned it.
 ///
 /// Thread-safety inputs: the ConstraintSet and the shared CtGraphBuilder
 /// are immutable after construction (the generator's constraint tables —

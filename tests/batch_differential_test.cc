@@ -201,11 +201,9 @@ TEST_P(BatchDifferentialTest, ExplainReportIsWorkerCountInvariant) {
     }
 
     const auto report_with_jobs = [&](int jobs) {
-      obs::ExplainOptions explain;
-      explain.enabled = true;
+      obs::StartExplain(obs::ExplainOptions());
       BatchOptions options;
       options.jobs = jobs;
-      options.explain = explain;
       BatchCleaner cleaner(constraints, options);
       cleaner.CleanAll(workloads);
       const obs::ExplainCollection collection = obs::CollectExplain();

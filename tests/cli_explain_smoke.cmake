@@ -4,7 +4,7 @@
 # the report must be byte-identical across worker counts, and an armed
 # session must not perturb the cleaned graph. Invoked by ctest as
 #   cmake -DCLI=<binary> -DWORK_DIR=<scratch> -DEXPLAIN_ENABLED=<ON|OFF>
-#         [-DPYTHON=<python3> -DCHECKER=<check_explain_report.py>]
+#         [-DPYTHON=<python3> -DCHECKER=<report_validator.py>]
 #         -P cli_explain_smoke.cmake
 
 function(run_step)
@@ -90,27 +90,22 @@ expect_output("explain summaries verified ok"
 # Deep arithmetic validation (rollup agreement, mass conservation, totals
 # as per-tag sums) when a Python interpreter is available.
 if(PYTHON AND CHECKER)
-  run_step(${PYTHON} ${CHECKER} ${WORK_DIR}/single.json --min-tags 1)
-  run_step(${PYTHON} ${CHECKER} ${WORK_DIR}/multi/explain.json
+  run_step(${PYTHON} ${CHECKER} explain ${WORK_DIR}/single.json --min-tags 1)
+  run_step(${PYTHON} ${CHECKER} explain ${WORK_DIR}/multi/explain.json
            --min-tags 5 --require-status 0=ok --require-status 4=ok)
 endif()
 
 # --- Report determinism: jobs 1 and jobs 8 must export identical
-# attribution. Only the dropped_events gauge may differ (each worker thread
-# brings its own event ring, so capacity scales with --jobs); every per-tag
-# summary, rollup and record is built from per-tag state and must match
-# byte for byte. ---
+# attribution, byte for byte as written: every per-tag summary, rollup and
+# record is built from per-tag state. ---
 run_step(${CLI} clean --dir ${WORK_DIR}/multi --seed 7 --jobs 1
          --explain=${WORK_DIR}/serial.json)
 run_step(${CLI} clean --dir ${WORK_DIR}/multi --seed 7 --jobs 8
          --explain=${WORK_DIR}/parallel.json)
-file(READ ${WORK_DIR}/serial.json serial_report)
-file(READ ${WORK_DIR}/parallel.json parallel_report)
-string(REGEX REPLACE "\"dropped_events\": [0-9]+" "\"dropped_events\": X"
-       serial_report "${serial_report}")
-string(REGEX REPLACE "\"dropped_events\": [0-9]+" "\"dropped_events\": X"
-       parallel_report "${parallel_report}")
-if(NOT serial_report STREQUAL parallel_report)
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                ${WORK_DIR}/serial.json ${WORK_DIR}/parallel.json
+                RESULT_VARIABLE same)
+if(NOT same EQUAL 0)
   message(FATAL_ERROR "explain report differs between jobs 1 and jobs 8")
 endif()
 
@@ -131,7 +126,7 @@ endif()
 run_step(${CLI} explain --dir ${WORK_DIR}/multi --seed 7 --tag 2
          --json ${WORK_DIR}/reclean.json)
 if(PYTHON AND CHECKER)
-  run_step(${PYTHON} ${CHECKER} ${WORK_DIR}/reclean.json --min-tags 5)
+  run_step(${PYTHON} ${CHECKER} explain ${WORK_DIR}/reclean.json --min-tags 5)
 endif()
 expect_fail("has no explain summary in the store"
             ${CLI} explain --store ${WORK_DIR}/multi/s.cts --tag 77)

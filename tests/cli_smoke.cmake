@@ -28,6 +28,22 @@ function(expect_fail substr)
   endif()
 endfunction()
 
+# A report file a failed clean leaves behind must hold the explicit error
+# object, never the probe's zero-byte file: a consumer polling the path has
+# to be able to tell "run failed" from "interrupted mid-write".
+function(expect_error_stub file)
+  if(NOT EXISTS ${file})
+    message(FATAL_ERROR "failed clean removed ${file} entirely")
+  endif()
+  file(READ ${file} stub_payload)
+  string(FIND "${stub_payload}" "\"status\": \"error\"" found)
+  if(found EQUAL -1)
+    message(FATAL_ERROR
+            "failed clean left ${file} without the error stub: "
+            "'${stub_payload}'")
+  endif()
+endfunction()
+
 file(REMOVE_RECURSE ${WORK_DIR})
 file(MAKE_DIRECTORY ${WORK_DIR})
 
@@ -94,27 +110,30 @@ expect_fail("--tags must be a non-negative integer"
 expect_fail("cannot write stats file"
             ${CLI} clean --dir ${WORK_DIR}
             --stats=${WORK_DIR}/no-such-subdir/stats.json)
+# Every integer flag parses strictly: a malformed or out-of-range value is a
+# diagnostic, never an abort deep in the library or atoi's silent 0.
+expect_fail("--floors must be a positive integer"
+            ${CLI} generate --out ${WORK_DIR} --floors 0)
+expect_fail("--floors must be a positive integer"
+            ${CLI} generate --out ${WORK_DIR} --floors abc)
+expect_fail("--duration must be a positive integer"
+            ${CLI} generate --out ${WORK_DIR} --duration 0)
+expect_fail("--seed must be a non-negative integer"
+            ${CLI} clean --dir ${WORK_DIR} --seed abc)
+expect_fail("--time must be a non-negative integer"
+            ${CLI} stay --dir ${WORK_DIR} --time abc)
+expect_fail("--count must be a non-negative integer"
+            ${CLI} sample --dir ${WORK_DIR} --count abc)
 
-# A clean that fails after the --stats writability probe must leave an
-# explicit error object behind, not the probe's zero-byte file: a consumer
-# polling the path has to be able to tell "run failed" from "interrupted
-# mid-write".
+# A clean that fails after the --stats writability probe must leave the
+# error stub behind.
 execute_process(COMMAND ${CLI} clean --dir ${WORK_DIR}/does-not-exist
                 --stats=${WORK_DIR}/failed_stats.json
                 RESULT_VARIABLE code OUTPUT_QUIET ERROR_QUIET)
 if(code EQUAL 0)
   message(FATAL_ERROR "clean on a missing directory should fail")
 endif()
-if(NOT EXISTS ${WORK_DIR}/failed_stats.json)
-  message(FATAL_ERROR "failed clean removed the stats file entirely")
-endif()
-file(READ ${WORK_DIR}/failed_stats.json stub_payload)
-string(FIND "${stub_payload}" "\"status\": \"error\"" found)
-if(found EQUAL -1)
-  message(FATAL_ERROR
-          "failed clean left a stats file without the error stub: "
-          "'${stub_payload}'")
-endif()
+expect_error_stub(${WORK_DIR}/failed_stats.json)
 
 # The three report flags behave symmetrically: each probes its output path
 # for writability before any cleaning work, and each leaves a well-formed
@@ -124,6 +143,12 @@ if(TRACE_ENABLED)
   expect_fail("cannot write trace file"
               ${CLI} clean --dir ${WORK_DIR}
               --trace=${WORK_DIR}/no-such-subdir/trace.json)
+  # A failed probe stubs every report probed before it.
+  expect_fail("cannot write trace file"
+              ${CLI} clean --dir ${WORK_DIR}
+              --stats=${WORK_DIR}/probed_stats.json
+              --trace=${WORK_DIR}/no-such-subdir/trace.json)
+  expect_error_stub(${WORK_DIR}/probed_stats.json)
 endif()
 if(EXPLAIN_ENABLED)
   expect_fail("cannot write explain file"
@@ -135,15 +160,15 @@ if(EXPLAIN_ENABLED)
   if(code EQUAL 0)
     message(FATAL_ERROR "clean on a missing directory should fail")
   endif()
-  if(NOT EXISTS ${WORK_DIR}/failed_explain.json)
-    message(FATAL_ERROR "failed clean removed the explain file entirely")
-  endif()
-  file(READ ${WORK_DIR}/failed_explain.json stub_payload)
-  string(FIND "${stub_payload}" "\"status\": \"error\"" found)
-  if(found EQUAL -1)
-    message(FATAL_ERROR
-            "failed clean left an explain file without the error stub: "
-            "'${stub_payload}'")
+  expect_error_stub(${WORK_DIR}/failed_explain.json)
+  # Every flag value is checked before any report is probed, so a bad one
+  # creates no file at all.
+  expect_fail("--explain-top-edges must be a positive integer"
+              ${CLI} clean --dir ${WORK_DIR}
+              --stats=${WORK_DIR}/unprobed_stats.json
+              --explain --explain-top-edges 0)
+  if(EXISTS ${WORK_DIR}/unprobed_stats.json)
+    message(FATAL_ERROR "a rejected flag value left a stats file behind")
   endif()
 else()
   # Explain-off builds must reject the flag with a clear diagnostic rather

@@ -3,7 +3,7 @@
 # must reach both the trace and --stats JSON, and malformed flag values must
 # be diagnosed up front. Invoked by ctest as
 #   cmake -DCLI=<binary> -DWORK_DIR=<scratch> -DTRACE_ENABLED=<ON|OFF>
-#         [-DPYTHON=<python3> -DCHECKER=<check_trace_events.py>]
+#         [-DPYTHON=<python3> -DCHECKER=<report_validator.py>]
 #         -P cli_trace_smoke.cmake
 
 function(run_step)
@@ -82,9 +82,9 @@ expect_contains(${WORK_DIR}/multi/trace.json
 # Deep structural validation (phase fields, B/E balance per track) when a
 # Python interpreter is available.
 if(PYTHON AND CHECKER)
-  run_step(${PYTHON} ${CHECKER} ${WORK_DIR}/single.json
+  run_step(${PYTHON} ${CHECKER} trace ${WORK_DIR}/single.json
            --require build --require forward_layer --require backward_sweep)
-  run_step(${PYTHON} ${CHECKER} ${WORK_DIR}/multi/trace.json
+  run_step(${PYTHON} ${CHECKER} trace ${WORK_DIR}/multi/trace.json
            --require tag_clean --require batch_clean_all)
 endif()
 

@@ -357,6 +357,28 @@ TEST(StringsTest, HumanBytesScales) {
   EXPECT_EQ(HumanBytes(25 * 1024 * 1024), "25.0 MiB");
 }
 
+TEST(StringsTest, JsonEscapeTable) {
+  const struct {
+    std::string raw;
+    std::string escaped;
+  } cases[] = {
+      {"plain", "plain"},
+      {"say \"hi\"", "say \\\"hi\\\""},
+      {"C:\\dir", "C:\\\\dir"},
+      {"a\nb", "a\\nb"},
+      {"a\rb", "a\\rb"},
+      {"a\tb", "a\\tb"},
+      {std::string("a\x01" "b"), "a\\u0001b"},
+      // UTF-8 passes through byte for byte.
+      {"Caf\xc3\xa9 \xe2\x86\x92 \xf0\x9f\x93\xa1",
+       "Caf\xc3\xa9 \xe2\x86\x92 \xf0\x9f\x93\xa1"},
+      {"", ""},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(JsonEscape(c.raw), c.escaped) << c.raw;
+  }
+}
+
 // --- Table ------------------------------------------------------------------
 
 TEST(TableTest, PrintsAlignedColumns) {

@@ -62,9 +62,7 @@ std::string Serialize(const CtGraph& graph) {
 obs::ExplainTagSummary ExplainOneClean(const ConstraintSet& constraints,
                                        const LSequence& sequence,
                                        bool preflight = true) {
-  obs::ExplainOptions options;
-  options.enabled = true;
-  obs::StartExplain(options);
+  obs::StartExplain(obs::ExplainOptions());
   CleanOptions clean;
   clean.preflight = preflight;
   CtGraphBuilder builder(constraints, clean);
@@ -78,16 +76,13 @@ obs::ExplainTagSummary ExplainOneClean(const ConstraintSet& constraints,
 
 TEST(ExplainTest, DisabledBuildCollectsNothing) {
   if (obs::ExplainCompiledIn()) GTEST_SKIP() << "explain compiled in";
-  obs::ExplainOptions options;
-  options.enabled = true;
-  obs::StartExplain(options);
+  obs::StartExplain(obs::ExplainOptions());
   EXPECT_FALSE(obs::ExplainArmed());
   ConstraintSet constraints = PaperExampleConstraints();
   CtGraphBuilder builder(constraints);
   ASSERT_TRUE(builder.Build(PaperExampleSequence()).ok());
   const obs::ExplainCollection collection = obs::CollectExplain();
   EXPECT_TRUE(collection.tags.empty());
-  EXPECT_TRUE(collection.events.empty());
   obs::StopExplain();
 }
 
@@ -171,9 +166,7 @@ TEST(ExplainTest, ArmedSessionDoesNotPerturbTheGraph) {
   Result<CtGraph> plain = builder.Build(PaperExampleSequence());
   ASSERT_TRUE(plain.ok());
 
-  obs::ExplainOptions options;
-  options.enabled = true;
-  obs::StartExplain(options);
+  obs::StartExplain(obs::ExplainOptions());
   Result<CtGraph> observed = builder.Build(PaperExampleSequence());
   obs::StopExplain();
   ASSERT_TRUE(observed.ok());
@@ -224,11 +217,9 @@ TEST(ExplainTest, DoomedTagRecordsAFailureSummary) {
   // the report explains failed cleans too.
   ConstraintSet constraints(2);
   constraints.AddUnreachable(0, 1);
-  obs::ExplainOptions options;
-  options.enabled = true;
+  obs::StartExplain(obs::ExplainOptions());
   BatchOptions batch;
   batch.jobs = 2;
-  batch.explain = options;
   BatchCleaner cleaner(constraints, batch);
   std::vector<TagWorkload> workloads;
   workloads.push_back(
@@ -263,11 +254,9 @@ TEST(ExplainTest, ReportIsByteIdenticalAcrossWorkerCounts) {
   }
 
   const auto report_with_jobs = [&](int jobs) {
-    obs::ExplainOptions options;
-    options.enabled = true;
+    obs::StartExplain(obs::ExplainOptions());
     BatchOptions batch;
     batch.jobs = jobs;
-    batch.explain = options;
     BatchCleaner cleaner(constraints, batch);
     cleaner.CleanAll(workloads);
     const obs::ExplainCollection collection = obs::CollectExplain();
@@ -359,9 +348,7 @@ std::pair<std::vector<obs::ExplainTagSummary>,
           std::vector<obs::ExplainTagSummary>>
 ExplainBuildAndBatch(const ConstraintSet& constraints,
                      const LSequence& sequence, bool preflight) {
-  obs::ExplainOptions options;
-  options.enabled = true;
-  obs::StartExplain(options);
+  obs::StartExplain(obs::ExplainOptions());
   obs::SetExplainTag(0);  // Build records under the thread's current tag.
   CleanOptions clean;
   clean.preflight = preflight;
@@ -369,9 +356,9 @@ ExplainBuildAndBatch(const ConstraintSet& constraints,
   std::vector<obs::ExplainTagSummary> built = obs::CollectExplain().tags;
   obs::StopExplain();
 
+  obs::StartExplain(obs::ExplainOptions());
   BatchOptions batch;
   batch.preflight = preflight;
-  batch.explain = options;
   (void)BatchCleaner(constraints, batch).CleanAll({TagWorkload{0, sequence}});
   std::vector<obs::ExplainTagSummary> batched = obs::CollectExplain().tags;
   obs::StopExplain();
@@ -410,6 +397,65 @@ TEST(ExplainTest, BuildAndBatchRecordOneSummaryForADeadEnd) {
             "the integrity constraints rule out every interpretation of the "
             "readings");
   ExpectSummariesEqual(built[0], batched[0]);
+}
+
+/// `summary` with every phase label folded onto kForward, so two summaries
+/// that differ only in which phase found a kill compare equal.
+obs::ExplainTagSummary WithoutPhases(obs::ExplainTagSummary summary) {
+  std::uint64_t kills = 0;
+  for (std::uint64_t& phase_kills : summary.phase_kills) {
+    kills += phase_kills;
+    phase_kills = 0;
+  }
+  summary.phase_kills[static_cast<int>(obs::ExplainPhase::kForward)] = kills;
+  for (obs::ExplainKilledCandidate& candidate : summary.killed_candidates) {
+    candidate.phase = obs::ExplainPhase::kForward;
+  }
+  for (obs::ExplainKilledEdge& edge : summary.top_edges) {
+    edge.phase = obs::ExplainPhase::kForward;
+  }
+  return summary;
+}
+
+TEST(ExplainTest, DeadEndBooksItsMassWithPreflightOnAndOff) {
+  if (!obs::ExplainCompiledIn()) GTEST_SKIP() << "explain compiled out";
+  // The preflight proves tick 1 dead before the build; without it the Push
+  // of tick 1 finds no successor. Either way the whole unit of mass dies
+  // at tick 1 as one infeasible kill naming the tick's only candidate —
+  // only the phase column may tell the two apart (docs/ALGORITHM.md §14).
+  ConstraintSet constraints(3);
+  constraints.AddUnreachable(0, 1);
+  const LSequence sequence = MakeLSequence({{{0, 1.0}}, {{1, 1.0}}});
+  const auto [built_on, batched_on] =
+      ExplainBuildAndBatch(constraints, sequence, /*preflight=*/true);
+  const auto [built_off, batched_off] =
+      ExplainBuildAndBatch(constraints, sequence, /*preflight=*/false);
+  ASSERT_EQ(built_on.size(), 1u);
+  ASSERT_EQ(batched_on.size(), 1u);
+  ASSERT_EQ(built_off.size(), 1u);
+  ASSERT_EQ(batched_off.size(), 1u);
+  ExpectSummariesEqual(built_on[0], batched_on[0]);
+  ExpectSummariesEqual(built_off[0], batched_off[0]);
+
+  const obs::ExplainTagSummary& on = built_on[0];
+  const obs::ExplainTagSummary& off = built_off[0];
+  EXPECT_EQ(on.phase_kills[static_cast<int>(obs::ExplainPhase::kPreflight)],
+            1u);
+  EXPECT_EQ(off.phase_kills[static_cast<int>(obs::ExplainPhase::kForward)],
+            1u);
+  const obs::ExplainConstraintTotal& infeasible =
+      off.constraints[static_cast<int>(obs::ExplainConstraint::kInfeasible)];
+  EXPECT_EQ(infeasible.kills, 1u);
+  EXPECT_EQ(infeasible.mass, 1.0);
+  EXPECT_EQ(off.attributed_mass, 1.0);
+  ASSERT_EQ(off.killed_candidates.size(), 1u);
+  EXPECT_EQ(off.killed_candidates[0].time, 1);
+  EXPECT_EQ(off.killed_candidates[0].location, 1);
+  EXPECT_EQ(off.killed_candidates[0].phase, obs::ExplainPhase::kForward);
+  EXPECT_EQ(off.killed_candidates[0].constraint,
+            obs::ExplainConstraint::kInfeasible);
+  EXPECT_EQ(off.killed_candidates[0].mass, 1.0);
+  ExpectSummariesEqual(WithoutPhases(on), WithoutPhases(off));
 }
 
 TEST(ExplainCodecTest, BlobRoundTripsBitForBit) {

@@ -350,9 +350,7 @@ TEST(CleaningStatsTest, PerPhaseMassLossCountersReconcileWithExplain) {
   ConstraintSet constraints = PaperExampleConstraints();
   CtGraphBuilder builder(constraints);
   obs::CleaningStats::Reset();
-  obs::ExplainOptions options;
-  options.enabled = true;
-  obs::StartExplain(options);
+  obs::StartExplain(obs::ExplainOptions());
   obs::SetExplainTag(0);
   ASSERT_TRUE(builder.Build(PaperExampleSequence()).ok());
   const obs::CleaningStats stats = obs::CleaningStats::Capture();

@@ -169,9 +169,7 @@ class ObsTraceTest : public ::testing::Test {
   static obs::TraceCollection TraceBatch(
       const ConstraintSet& constraints,
       const std::vector<TagWorkload>& workloads, int jobs) {
-    obs::TraceOptions options;
-    options.enabled = true;
-    obs::StartTracing(options);
+    obs::StartTracing(obs::TraceOptions());
     BatchOptions batch;
     batch.jobs = jobs;
     BatchCleaner cleaner(constraints, batch);
@@ -217,7 +215,6 @@ TEST_F(ObsTraceTest, TagSpanTreesIdenticalAcrossJobCounts) {
 
 TEST_F(ObsTraceTest, RingDropsOldestAndCountsDrops) {
   obs::TraceOptions options;
-  options.enabled = true;
   options.buffer_events = 16;
   obs::StartTracing(options);
   for (std::uint64_t i = 0; i < 40; ++i) {
@@ -237,7 +234,6 @@ TEST_F(ObsTraceTest, RingDropsOldestAndCountsDrops) {
 
 TEST_F(ObsTraceTest, BufferCapacityIsClampedToMinimum) {
   obs::TraceOptions options;
-  options.enabled = true;
   options.buffer_events = 1;  // below the floor of 8
   obs::StartTracing(options);
   for (std::uint64_t i = 0; i < 10; ++i) {
@@ -264,17 +260,13 @@ TEST_F(ObsTraceTest, SpanLatchesArmedStateAtConstruction) {
   // into the new session.
   {
     RFID_TRACE_SPAN(span, "test", "pre_session");
-    obs::TraceOptions options;
-    options.enabled = true;
-    obs::StartTracing(options);
+    obs::StartTracing(obs::TraceOptions());
   }
   EXPECT_EQ(obs::CollectTrace().NumEvents(), 0u);
 }
 
 TEST_F(ObsTraceTest, StealPopsEmitStealInstants) {
-  obs::TraceOptions options;
-  options.enabled = true;
-  obs::StartTracing(options);
+  obs::StartTracing(obs::TraceOptions());
   // 4 shards round-robined onto 2 lanes: worker 0 owns {0, 2}, worker 1
   // owns {1, 3}. Worker 0 draining the whole queue must pop 0 and 2
   // locally, then steal 3 and 1 from lane 1 (back first).

@@ -215,9 +215,7 @@ TEST(StreamingCleanerTest, AlphaUnderflowIsBookedOnce) {
   // explain delta is 1 there and 0 at every later tick, and the counter
   // counts the tick once.
   ConstraintSet constraints = UnderflowConstraints();
-  obs::ExplainOptions options;
-  options.enabled = true;
-  obs::StartExplain(options);
+  obs::StartExplain(obs::ExplainOptions());
   obs::CleaningStats::Reset();
   StreamingCleaner cleaner(constraints);
   ASSERT_TRUE(cleaner.Push({{kL1, 1.0}, {kL2, 1e-200}}).ok());
@@ -352,9 +350,7 @@ TEST(StreamingCleanerTest, TickWiderThanThePreflightPlanIsInvalidArgument) {
 TEST(StreamingCleanerTest,
      TickWiderThanThePreflightPlanIsInvalidArgumentUnderExplain) {
   PrunedTickFixture fixture;
-  obs::ExplainOptions options;
-  options.enabled = true;
-  obs::StartExplain(options);
+  obs::StartExplain(obs::ExplainOptions());
   fixture.ExpectExtraCandidateRejected();
   obs::StopExplain();
 }

@@ -55,6 +55,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <optional>
@@ -129,10 +130,6 @@ class Args {
     auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second;
   }
-  int GetInt(const std::string& key, int fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atoi(it->second.c_str());
-  }
   /// Strictly parsed integer: `fallback` when the key is absent, nullopt
   /// when present but not a plain base-10 integer (where atoi would
   /// silently yield 0 — "--jobs abc" must be an error, not 1 job).
@@ -162,46 +159,106 @@ int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;
 }
-int Fail(const char* message) {
-  std::fprintf(stderr, "error: %s\n", message);
+int Fail(const std::string& message) {
+  std::fprintf(stderr, "error: %s\n", message.c_str());
   return 1;
 }
 
-/// Resolved `--stats[=FILE]` request: nullopt when the flag is absent; an
-/// empty path means "print to stdout" (the bare `--stats` form).
-std::optional<std::string> StatsPath(const Args& args) {
-  if (!args.Has("stats")) return std::nullopt;
-  const std::string value = args.Get("stats", "");
-  if (value == "1") return std::string();
-  return value;
+/// Reads integer flag `key`, at least `min` (0 or 1), into `*value`, which
+/// keeps its default when the flag is absent. A malformed or smaller value
+/// prints "--KEY must be a non-negative|positive integer" and returns
+/// false. Every integer flag goes through here.
+bool ReadIntFlag(const Args& args, const std::string& key, int min,
+                 int* value) {
+  const std::optional<int> parsed = args.GetStrictInt(key, *value);
+  if (parsed.has_value() && *parsed >= min) {
+    *value = *parsed;
+    return true;
+  }
+  Fail("--" + key + " must be a " + (min > 0 ? "positive" : "non-negative") +
+       " integer");
+  return false;
 }
 
-/// Resolved `--trace[=FILE]` request: nullopt when the flag is absent; the
-/// bare `--trace` form writes DIR/trace.json. Unlike --stats there is no
-/// stdout mode — the clean's own report goes there.
-std::optional<std::string> TracePath(const Args& args, const std::string& dir) {
-  if (!args.Has("trace")) return std::nullopt;
-  const std::string value = args.Get("trace", "");
-  if (value == "1") return dir + "/trace.json";
-  return value;
+/// Writes one JSON document plus a newline to `path`. Every JSON file the
+/// CLI writes goes through here, so all of them fail one way: "cannot
+/// write <what> file <path>".
+int WriteJsonFile(const std::string& path, const std::string& what,
+                  const std::function<void(std::ostream&)>& write) {
+  std::ofstream os(path);
+  if (os) {
+    write(os);
+    os << '\n';
+  }
+  if (os.good()) return 0;
+  return Fail("cannot write " + what + " file " + path);
 }
 
-/// Resolved `--explain[=FILE]` request; the bare form writes
-/// DIR/explain.json. Same contract as --trace: no stdout mode.
-std::optional<std::string> ExplainPath(const Args& args,
-                                       const std::string& dir) {
-  if (!args.Has("explain")) return std::nullopt;
-  const std::string value = args.Get("explain", "");
-  if (value == "1") return dir + "/explain.json";
-  return value;
-}
+/// One report flag of `clean` (--stats, --trace, --explain): its resolved
+/// path, the writability probe, the write, and the error stub.
+struct ReportFile {
+  /// Resolves `--<what>[=FILE]`. The bare flag writes `bare_path`; an
+  /// empty one means stdout (the bare --stats form).
+  ReportFile(const Args& args, std::string what_arg, std::string bare_path)
+      : what(std::move(what_arg)) {
+    if (!args.Has(what)) return;
+    const std::string value = args.Get(what, "");
+    path = value == "1" ? std::move(bare_path) : value;
+  }
 
-/// Writes the process-wide pipeline metrics as JSON to `path` (stdout when
-/// empty). Invariant violations are diagnostics, not failures: the stats
-/// must never turn a successful clean into an error. When a trace session
-/// is active, the per-tag provenance records collected so far are embedded
-/// as a "provenance" array.
-int EmitStats(const std::string& path) {
+  bool requested() const { return path.has_value(); }
+
+  /// Creates the file before any cleaning work: an unwritable path found
+  /// after minutes of batch cleaning would discard the run.
+  int Probe() {
+    if (!requested() || path->empty()) return 0;
+    if (!std::ofstream(*path)) {
+      return Fail("cannot write " + what + " file " + *path);
+    }
+    probed = true;
+    return 0;
+  }
+
+  int Write(const std::function<void(std::ostream&)>& write) {
+    if (path->empty()) {
+      write(std::cout);
+      std::cout << '\n';
+      written = true;
+      return 0;
+    }
+    const int code = WriteJsonFile(*path, what, write);
+    written = code == 0;
+    return code;
+  }
+
+  /// Replaces a probed file the run never wrote with an explicit error
+  /// object, so a consumer polling it sees `{"status": "error"}` rather
+  /// than a zero-byte file it might mistake for an interrupted write.
+  void StubIfUnwritten() const {
+    if (!probed || written) return;
+    std::ofstream os(*path);
+    if (os) os << "{\"status\": \"error\"}\n";
+  }
+
+  std::string what;
+  std::optional<std::string> path;
+  bool probed = false;
+  bool written = false;
+};
+
+/// The three report flags of one `clean` run.
+struct CleanReports {
+  ReportFile stats;
+  ReportFile trace;
+  ReportFile explain;
+};
+
+/// Writes the process-wide pipeline metrics as the --stats JSON. Invariant
+/// violations are diagnostics, not failures: the stats must never turn a
+/// successful clean into an error. When a trace session is active, the
+/// per-tag provenance records collected so far are embedded as a
+/// "provenance" array.
+int EmitStats(ReportFile* report) {
   const obs::CleaningStats stats = obs::CleaningStats::Capture();
   for (const std::string& violation : stats.CheckInvariants()) {
     std::fprintf(stderr, "stats invariant violated: %s\n", violation.c_str());
@@ -209,63 +266,50 @@ int EmitStats(const std::string& path) {
   std::vector<obs::TagProvenance> provenance;
   const bool tracing = obs::TraceActive();
   if (tracing) provenance = obs::CollectTrace().provenance;
-  const std::vector<obs::TagProvenance>* embedded =
-      tracing ? &provenance : nullptr;
-  if (path.empty()) {
-    stats.WriteJson(std::cout, 0, embedded);
-    std::cout << '\n';
-    return 0;
-  }
-  std::ofstream os(path);
-  if (!os) return Fail(("cannot write stats file " + path).c_str());
-  stats.WriteJson(os, 0, embedded);
-  os << '\n';
-  return os.good() ? 0 : Fail(("cannot write stats file " + path).c_str());
-}
-
-/// Replaces the zero-byte file left by a report flag's writability probe
-/// (--stats=FILE, --explain=FILE) with an explicit error object when the
-/// clean fails before the report is emitted, so a consumer polling the file
-/// sees `{"status": "error"}` rather than truncated output it might mistake
-/// for an interrupted write.
-void WriteReportErrorStub(const std::string& path) {
-  std::ofstream os(path);
-  if (os) os << "{\"status\": \"error\"}\n";
+  return report->Write([&](std::ostream& os) {
+    stats.WriteJson(os, 0, tracing ? &provenance : nullptr);
+  });
 }
 
 /// Exports the active explain session as the versioned JSON report
-/// (obs/explain_export.h). Called only after a clean that got far enough to
-/// record attribution; earlier failures leave the error stub instead.
-int ExportExplain(const std::string& path) {
+/// (obs/explain_export.h).
+int ExportExplain(ReportFile* report) {
   const obs::ExplainCollection collection = obs::CollectExplain();
-  std::ofstream os(path);
-  if (!os) return Fail(("cannot write explain file " + path).c_str());
-  WriteExplainReport(collection, os);
-  os << '\n';
-  if (!os.good()) return Fail(("cannot write explain file " + path).c_str());
-  std::fprintf(stderr,
-               "explain: %zu tags, %zu events (%llu dropped) -> %s\n",
-               collection.tags.size(), collection.events.size(),
-               static_cast<unsigned long long>(collection.dropped_events),
-               path.c_str());
+  if (report->Write([&](std::ostream& os) {
+        WriteExplainReport(collection, os);
+      }) != 0) {
+    return 1;
+  }
+  std::fprintf(stderr, "explain: %zu tags -> %s\n", collection.tags.size(),
+               report->path->c_str());
   return 0;
 }
 
-/// Exports the active trace session as Chrome trace-event JSON. Called on
-/// both success and failure exits: a trace of a failed clean is exactly
-/// what the flag was passed for.
-int ExportTrace(const std::string& path) {
+/// Exports the active trace session as Chrome trace-event JSON.
+int ExportTrace(ReportFile* report) {
   const obs::TraceCollection collection = obs::CollectTrace();
-  std::ofstream os(path);
-  if (!os) return Fail(("cannot write trace file " + path).c_str());
-  WriteChromeTrace(collection, os);
-  os << '\n';
-  if (!os.good()) return Fail(("cannot write trace file " + path).c_str());
+  if (report->Write([&](std::ostream& os) {
+        WriteChromeTrace(collection, os);
+      }) != 0) {
+    return 1;
+  }
   std::fprintf(stderr,
                "trace: %zu events on %zu tracks (%llu dropped) -> %s\n",
                collection.NumEvents(), collection.threads.size(),
                static_cast<unsigned long long>(collection.DroppedEvents()),
-               path.c_str());
+               report->path->c_str());
+  return 0;
+}
+
+/// Writes --stats and --explain once a clean got far enough to have them.
+/// Earlier failures leave the error stub instead (see Clean).
+int WriteCleanReports(CleanReports* reports) {
+  if (reports->stats.requested() && EmitStats(&reports->stats) != 0) {
+    return 1;
+  }
+  if (reports->explain.requested() && ExportExplain(&reports->explain) != 0) {
+    return 1;
+  }
   return 0;
 }
 
@@ -310,19 +354,17 @@ Deployment MakeDeployment(const Building& building, std::uint64_t seed) {
 }
 
 int Generate(const Args& args) {
-  const int floors = args.GetInt("floors", 4);
-  const Timestamp duration =
-      static_cast<Timestamp>(args.GetInt("duration", 600));
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(args.GetInt("seed", 1));
-  const std::string dir = args.Get("out", ".");
-  // 0 = single-tag format. Negative or non-numeric counts are rejected:
-  // atoi's silent 0 would quietly produce the wrong file format.
-  const std::optional<int> tags_arg = args.GetStrictInt("tags", 0);
-  if (!tags_arg.has_value() || *tags_arg < 0) {
-    return Fail("--tags must be a non-negative integer");
+  int floors = 4;
+  Timestamp duration = 600;
+  int seed = 1;
+  int num_tags = 0;  // 0 = single-tag format
+  if (!ReadIntFlag(args, "floors", 1, &floors) ||
+      !ReadIntFlag(args, "duration", 1, &duration) ||
+      !ReadIntFlag(args, "seed", 0, &seed) ||
+      !ReadIntFlag(args, "tags", 0, &num_tags)) {
+    return 1;
   }
-  const int num_tags = *tags_arg;
+  const std::string dir = args.Get("out", ".");
 
   Building building = MakeOfficeBuilding(floors);
   Deployment deployment = MakeDeployment(building, seed);
@@ -418,18 +460,13 @@ Result<ConstraintSet> MakeCliConstraints(const Args& args,
   return InferConstraints(building, walking, inference);
 }
 
-/// Observability requests threaded through the clean paths. The *_written
-/// flags record whether each report was emitted, so the failure path can
-/// distinguish "never got there" (write the error stub) from "already
-/// emitted".
-struct CleanObs {
-  std::optional<std::string> stats_path;
-  std::optional<std::string> trace_path;
-  std::optional<std::string> explain_path;
-  obs::TraceOptions trace;
-  obs::ExplainOptions explain;
-  bool stats_written = false;
-  bool explain_written = false;
+/// Validated `clean` flag values (see Clean).
+struct CleanFlags {
+  int seed = 1;
+  int jobs = 1;
+  /// Intra-tag lanes (CleanOptions::forward_threads); output is
+  /// byte-identical for every value, so this is purely a wall-clock knob.
+  int forward_threads = 1;
 };
 
 /// Persists every per-tag explain summary of the active session into the
@@ -452,8 +489,8 @@ Status PersistExplainSummaries(store::CtStoreWriter* writer) {
 int CleanBatch(const std::string& dir, const Building& building,
                const Deployment& deployment, const ConstraintSet& constraints,
                ConstraintFamilies families, bool audit, bool preflight,
-               int jobs, int forward_threads, const std::string& store_path,
-               CleanObs* observability) {
+               const CleanFlags& flags, const std::string& store_path,
+               CleanReports* reports) {
   std::ifstream is(dir + "/readings.csv");
   if (!is) return Fail("cannot open readings.csv");
   Result<std::vector<TagReadings>> tags = ReadMultiTagReadingsCsv(is);
@@ -471,13 +508,9 @@ int CleanBatch(const std::string& dir, const Building& building,
   }
 
   BatchOptions options;
-  options.jobs = jobs;
-  options.forward_threads = forward_threads;
+  options.jobs = flags.jobs;
+  options.forward_threads = flags.forward_threads;
   options.preflight = preflight;
-  // The CLI already started the session (so the io spans above are on the
-  // timeline); passing the options through exercises the embedding hook,
-  // which leaves an active session untouched.
-  options.trace = observability->trace;
   BatchCleaner cleaner(constraints, options);
   Stopwatch watch;
   std::vector<TagOutcome> outcomes = cleaner.CleanAll(workloads);
@@ -543,40 +576,20 @@ int CleanBatch(const std::string& dir, const Building& building,
       nodes,
       store_path.empty() ? (dir + "/graph_<tag>.ctg").c_str()
                          : store_path.c_str());
-  if (observability->stats_path.has_value()) {
-    if (EmitStats(*observability->stats_path) != 0) return 1;
-    observability->stats_written = true;
-  }
-  if (observability->explain_path.has_value()) {
-    // Exported even with per-tag failures: the report carries the failed
-    // tags' outcome summaries, which is what the flag is for.
-    if (ExportExplain(*observability->explain_path) != 0) return 1;
-    observability->explain_written = true;
-  }
+  // Written even with per-tag failures: the explain report carries the
+  // failed tags' outcome summaries, which is what the flag is for.
+  if (WriteCleanReports(reports) != 0) return 1;
   return failures == 0 ? 0 : 1;
 }
 
-/// The body of `clean`, wrapped by Clean() which owns the observability
-/// lifecycle (trace session start/export, stats error stub on failure).
+/// The body of `clean`, wrapped by Clean() which owns the report flags and
+/// the observability sessions.
 int CleanImpl(const Args& args, const std::string& dir,
-              CleanObs* observability) {
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(args.GetInt("seed", 1));
-  const std::optional<int> jobs = args.GetStrictInt("jobs", 1);
-  if (!jobs.has_value() || *jobs < 1) {
-    return Fail("--jobs must be a positive integer");
-  }
-  // Intra-tag lanes (CleanOptions::forward_threads); output is
-  // byte-identical for every value, so this is purely a wall-clock knob.
-  const std::optional<int> forward_threads =
-      args.GetStrictInt("forward-threads", 1);
-  if (!forward_threads.has_value() || *forward_threads < 1) {
-    return Fail("--forward-threads must be a positive integer");
-  }
+              const CleanFlags& flags, CleanReports* reports) {
   Result<Building> building = LoadBuilding(dir);
   if (!building.ok()) return Fail(building.status());
 
-  Deployment deployment = MakeDeployment(building.value(), seed);
+  Deployment deployment = MakeDeployment(building.value(), flags.seed);
   ConstraintFamilies families = ConstraintFamilies::DuLtTt();
   Result<ConstraintSet> constraints =
       MakeCliConstraints(args, building.value(), deployment, &families);
@@ -595,8 +608,7 @@ int CleanImpl(const Args& args, const std::string& dir,
   const std::string store_path = args.Get("store", "");
   if (HasMultiTagReadings(dir)) {
     return CleanBatch(dir, building.value(), deployment, constraints.value(),
-                      families, audit, preflight, *jobs, *forward_threads,
-                      store_path, observability);
+                      families, audit, preflight, flags, store_path, reports);
   }
 
   Result<RSequence> readings = LoadReadings(dir);
@@ -607,7 +619,7 @@ int CleanImpl(const Args& args, const std::string& dir,
 
   CleanOptions build_options;
   build_options.preflight = preflight;
-  build_options.forward_threads = *forward_threads;
+  build_options.forward_threads = flags.forward_threads;
   CtGraphBuilder builder(constraints.value(), build_options);
   BuildStats stats;
   Result<CtGraph> graph = builder.Build(sequence, &stats);
@@ -665,101 +677,77 @@ int CleanImpl(const Args& args, const std::string& dir,
       graph.value().NumEdges(),
       store_path.empty() ? (dir + "/graph.ctg").c_str()
                          : store_path.c_str());
-  if (observability->stats_path.has_value()) {
-    if (EmitStats(*observability->stats_path) != 0) return 1;
-    observability->stats_written = true;
-  }
-  if (observability->explain_path.has_value()) {
-    if (ExportExplain(*observability->explain_path) != 0) return 1;
-    observability->explain_written = true;
-  }
-  return 0;
+  return WriteCleanReports(reports);
 }
 
+/// `clean` in five steps: (1) validate every flag value and compiled-in
+/// check, so a bad value creates no file; (2) probe every report path;
+/// (3) start the trace and explain sessions; (4) clean; (5) the epilogue:
+/// export the trace on success and on failure, leave the error stub in
+/// every probed report that was not written, and stop the sessions.
 int Clean(const Args& args) {
   const std::string dir = args.Get("dir", ".");
-  CleanObs observability;
-  observability.stats_path = StatsPath(args);
-  observability.trace_path = TracePath(args, dir);
-  observability.explain_path = ExplainPath(args, dir);
-  if (observability.stats_path.has_value() &&
-      !observability.stats_path->empty()) {
-    // Fail before any cleaning work: discovering an unwritable stats path
-    // after minutes of batch cleaning would discard the run.
-    std::ofstream probe(*observability.stats_path);
-    if (!probe) {
-      return Fail(
-          ("cannot write stats file " + *observability.stats_path).c_str());
-    }
+  CleanReports reports{ReportFile(args, "stats", ""),
+                       ReportFile(args, "trace", dir + "/trace.json"),
+                       ReportFile(args, "explain", dir + "/explain.json")};
+
+  CleanFlags flags;
+  if (!ReadIntFlag(args, "seed", 0, &flags.seed) ||
+      !ReadIntFlag(args, "jobs", 1, &flags.jobs) ||
+      !ReadIntFlag(args, "forward-threads", 1, &flags.forward_threads)) {
+    return 1;
   }
-  if (observability.trace_path.has_value()) {
+  obs::TraceOptions trace;
+  if (reports.trace.requested()) {
     if (!obs::TraceCompiledIn()) {
       return Fail(
           "--trace requires a tracing-enabled build (this binary was "
           "configured with -DRFIDCLEAN_TRACE=OFF)");
     }
-    const std::optional<int> buffer_events =
-        args.GetStrictInt("trace-buffer-events",
-                          static_cast<int>(obs::TraceOptions().buffer_events));
-    if (!buffer_events.has_value() || *buffer_events < 1) {
-      return Fail("--trace-buffer-events must be a positive integer");
-    }
-    std::ofstream probe(*observability.trace_path);
-    if (!probe) {
-      return Fail(
-          ("cannot write trace file " + *observability.trace_path).c_str());
-    }
-    observability.trace.enabled = true;
-    observability.trace.buffer_events =
-        static_cast<std::size_t>(*buffer_events);
-    // Started here rather than in BatchCleaner so the io parsing spans land
-    // on the same timeline as the cleaning itself.
-    obs::StartTracing(observability.trace);
+    int buffer_events = static_cast<int>(trace.buffer_events);
+    if (!ReadIntFlag(args, "trace-buffer-events", 1, &buffer_events)) return 1;
+    trace.buffer_events = static_cast<std::size_t>(buffer_events);
   }
-  if (observability.explain_path.has_value()) {
+  obs::ExplainOptions explain;
+  if (reports.explain.requested()) {
     if (!obs::ExplainCompiledIn()) {
       return Fail(
           "--explain requires an explain-enabled build (this binary was "
           "configured with -DRFIDCLEAN_EXPLAIN=OFF)");
     }
-    const std::optional<int> top_edges = args.GetStrictInt(
-        "explain-top-edges",
-        static_cast<int>(obs::ExplainOptions().top_edges));
-    if (!top_edges.has_value() || *top_edges < 1) {
-      return Fail("--explain-top-edges must be a positive integer");
-    }
-    // Same up-front probe as --stats/--trace: discovering an unwritable
-    // report path after a long batch clean would discard the attribution.
-    std::ofstream probe(*observability.explain_path);
-    if (!probe) {
-      return Fail(("cannot write explain file " +
-                   *observability.explain_path).c_str());
-    }
-    observability.explain.enabled = true;
-    observability.explain.top_edges =
-        static_cast<std::size_t>(*top_edges);
-    obs::StartExplain(observability.explain);
+    int top_edges = static_cast<int>(explain.top_edges);
+    if (!ReadIntFlag(args, "explain-top-edges", 1, &top_edges)) return 1;
+    explain.top_edges = static_cast<std::size_t>(top_edges);
   }
 
-  int code = CleanImpl(args, dir, &observability);
-
-  if (observability.trace_path.has_value()) {
-    // Exported on failure too — a timeline of a failed clean is precisely
-    // what --trace is for. An export failure degrades a successful exit.
-    const int exported = ExportTrace(*observability.trace_path);
-    if (code == 0) code = exported;
-    obs::StopTracing();
+  int code = 0;
+  for (ReportFile* report :
+       {&reports.stats, &reports.trace, &reports.explain}) {
+    code = report->Probe();
+    if (code != 0) break;
   }
-  if (code != 0 && observability.stats_path.has_value() &&
-      !observability.stats_path->empty() && !observability.stats_written) {
-    WriteReportErrorStub(*observability.stats_path);
-  }
-  if (observability.explain_path.has_value()) {
-    if (code != 0 && !observability.explain_written) {
-      WriteReportErrorStub(*observability.explain_path);
+  if (code == 0) {
+    // Started before any input is read, so the io parsing spans land on
+    // the same timeline as the cleaning itself.
+    if (reports.trace.requested()) obs::StartTracing(trace);
+    if (reports.explain.requested()) obs::StartExplain(explain);
+    code = CleanImpl(args, dir, flags, &reports);
+    if (reports.trace.requested()) {
+      // Exported on failure too — a timeline of a failed clean is
+      // precisely what --trace is for. An export failure degrades a
+      // successful exit.
+      const int exported = ExportTrace(&reports.trace);
+      if (code == 0) code = exported;
     }
-    obs::StopExplain();
   }
+  if (code != 0) {
+    for (const ReportFile* report :
+         {&reports.stats, &reports.trace, &reports.explain}) {
+      report->StubIfUnwritten();
+    }
+  }
+  if (reports.trace.requested()) obs::StopTracing();
+  if (reports.explain.requested()) obs::StopExplain();
   return code;
 }
 
@@ -770,8 +758,8 @@ int Clean(const Args& args) {
 /// warnings) do not fail the command — only contradictions do.
 int CheckConstraints(const Args& args) {
   const std::string dir = args.Get("dir", ".");
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(args.GetInt("seed", 1));
+  int seed = 1;
+  if (!ReadIntFlag(args, "seed", 0, &seed)) return 1;
   Result<Building> building = LoadBuilding(dir);
   if (!building.ok()) return Fail(building.status());
 
@@ -805,21 +793,20 @@ int CheckConstraints(const Args& args) {
               report.ToString().c_str());
 
   const std::string json = args.Get("json", "");
-  if (!json.empty()) {
-    std::ofstream os(json);
-    if (!os) return Fail(("cannot write json file " + json).c_str());
-    report.WriteJson(os);
-    os << '\n';
-    if (!os.good()) return Fail(("cannot write json file " + json).c_str());
+  if (!json.empty() &&
+      WriteJsonFile(json, "json",
+                    [&](std::ostream& os) { report.WriteJson(os); }) != 0) {
+    return 1;
   }
   return report.CountOf(ConstraintSeverity::kError) > 0 ? 1 : 0;
 }
 
 int Stay(const Args& args) {
+  Timestamp time = 0;
+  if (!ReadIntFlag(args, "time", 0, &time)) return 1;
   const std::string dir = args.Get("dir", ".");
   Result<Building> building = LoadBuilding(dir);
   if (!building.ok()) return Fail(building.status());
-  const Timestamp time = static_cast<Timestamp>(args.GetInt("time", 0));
 
   auto print_distribution = [&](const auto& evaluator, Timestamp t) {
     std::printf("P(location at t=%d):\n", t);
@@ -1109,10 +1096,8 @@ int Explain(const Args& args) {
   if (has_query && (!args.Has("time") || !args.Has("location"))) {
     return Fail("--time and --location must be given together");
   }
-  const std::optional<int> time_arg = args.GetStrictInt("time", 0);
-  if (!time_arg.has_value() || *time_arg < 0) {
-    return Fail("--time must be a non-negative integer");
-  }
+  Timestamp time = 0;
+  if (!ReadIntFlag(args, "time", 0, &time)) return 1;
 
   // A building is optional context in store mode (names instead of ids)
   // and required in re-clean mode.
@@ -1146,8 +1131,7 @@ int Explain(const Args& args) {
         reader.value().LoadExplain(*tag);
     if (!summary.ok()) return Fail(summary.status());
     if (has_query) {
-      return AnswerExplainQuery(summary.value(), names, *time_arg,
-                                *location);
+      return AnswerExplainQuery(summary.value(), names, time, *location);
     }
     PrintExplainSummary(summary.value(), names);
     return 0;
@@ -1163,11 +1147,11 @@ int Explain(const Args& args) {
         "works)");
   }
   const std::string dir = args.Get("dir", ".");
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(args.GetInt("seed", 1));
-  const std::optional<int> jobs = args.GetStrictInt("jobs", 1);
-  if (!jobs.has_value() || *jobs < 1) {
-    return Fail("--jobs must be a positive integer");
+  int seed = 1;
+  int jobs = 1;
+  if (!ReadIntFlag(args, "seed", 0, &seed) ||
+      !ReadIntFlag(args, "jobs", 1, &jobs)) {
+    return 1;
   }
   Deployment deployment = MakeDeployment(*building, seed);
   ConstraintFamilies families = ConstraintFamilies::DuLtTt();
@@ -1177,13 +1161,9 @@ int Explain(const Args& args) {
   const bool preflight = !args.GetBool("no-preflight", false);
 
   obs::ExplainOptions options;
-  options.enabled = true;
-  const std::optional<int> top_edges = args.GetStrictInt(
-      "explain-top-edges", static_cast<int>(options.top_edges));
-  if (!top_edges.has_value() || *top_edges < 1) {
-    return Fail("--explain-top-edges must be a positive integer");
-  }
-  options.top_edges = static_cast<std::size_t>(*top_edges);
+  int top_edges = static_cast<int>(options.top_edges);
+  if (!ReadIntFlag(args, "explain-top-edges", 1, &top_edges)) return 1;
+  options.top_edges = static_cast<std::size_t>(top_edges);
   obs::StartExplain(options);
 
   AprioriModel apriori(*building, deployment.grid, deployment.calibrated);
@@ -1199,7 +1179,7 @@ int Explain(const Args& args) {
           tag.tag, LSequence::FromReadings(tag.readings, apriori)});
     }
     BatchOptions batch;
-    batch.jobs = *jobs;
+    batch.jobs = jobs;
     batch.preflight = preflight;
     BatchCleaner cleaner(constraints.value(), batch);
     (void)cleaner.CleanAll(workloads);
@@ -1217,14 +1197,11 @@ int Explain(const Args& args) {
   const obs::ExplainCollection collection = obs::CollectExplain();
   obs::StopExplain();
   const std::string json = args.Get("json", "");
-  if (!json.empty()) {
-    std::ofstream os(json);
-    if (!os) return Fail(("cannot write json file " + json).c_str());
-    WriteExplainReport(collection, os);
-    os << '\n';
-    if (!os.good()) {
-      return Fail(("cannot write json file " + json).c_str());
-    }
+  if (!json.empty() &&
+      WriteJsonFile(json, "json", [&](std::ostream& os) {
+        WriteExplainReport(collection, os);
+      }) != 0) {
+    return 1;
   }
   if (has_query) {
     const std::optional<int> tag = args.GetStrictInt("tag", 0);
@@ -1235,7 +1212,7 @@ int Explain(const Args& args) {
                             *tag)
                       .c_str());
     }
-    return AnswerExplainQuery(*summary, names, *time_arg, *location);
+    return AnswerExplainQuery(*summary, names, time, *location);
   }
   for (const obs::ExplainTagSummary& summary : collection.tags) {
     PrintExplainSummary(summary, names);
@@ -1259,14 +1236,19 @@ int PatternQuery(const Args& args) {
 }
 
 int Sample(const Args& args) {
+  int seed = 7;
+  int count = 3;
+  if (!ReadIntFlag(args, "seed", 0, &seed) ||
+      !ReadIntFlag(args, "count", 0, &count)) {
+    return 1;
+  }
   const std::string dir = args.Get("dir", ".");
   Result<Building> building = LoadBuilding(dir);
   if (!building.ok()) return Fail(building.status());
   Result<CtGraph> graph = LoadGraph(dir);
   if (!graph.ok()) return Fail(graph.status());
   TrajectorySampler sampler(graph.value());
-  Rng rng(static_cast<std::uint64_t>(args.GetInt("seed", 7)));
-  int count = args.GetInt("count", 3);
+  Rng rng(static_cast<std::uint64_t>(seed));
   for (int i = 0; i < count; ++i) {
     Trajectory sample = sampler.Sample(rng);
     std::printf("#%d:", i + 1);
