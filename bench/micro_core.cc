@@ -1,12 +1,13 @@
 // Micro-benchmarks of the library's hot paths (google-benchmark):
 // successor generation, node-key hashing, ct-graph construction at several
 // sequence lengths, the graph digest, stay-query evaluation, pattern-query
-// evaluation, trajectory sampling, and the dispatched kernels — SIMD and
-// CRC-32 (scalar vs vector, selected by the benchmark arg: 0 = forced
-// scalar, 1 = runtime dispatch).
+// evaluation, trajectory sampling, and the dispatched kernels — SIMD,
+// CRC-32 and the bulk varint decoder (scalar vs vector, selected by the
+// benchmark arg: 0 = forced scalar, 1 = runtime dispatch).
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -14,6 +15,7 @@
 #include "common/crc32.h"
 #include "common/rng.h"
 #include "common/simd.h"
+#include "common/varint.h"
 #include "core/builder.h"
 #include "core/location_node.h"
 #include "core/successor.h"
@@ -23,6 +25,8 @@
 #include "query/sampler.h"
 #include "query/stay_query.h"
 #include "query/trajectory_query.h"
+#include "store/blob_layout.h"
+#include "store/graph_codec.h"
 
 namespace rfidclean {
 namespace {
@@ -295,6 +299,48 @@ void BM_Crc32(benchmark::State& state) {
                           static_cast<std::int64_t>(bytes.size()));
 }
 BENCHMARK(BM_Crc32)->Arg(0)->Arg(1);
+
+/// Bulk varint decode of the KEYS section of a SYN1 T = 1 000 blob (about
+/// 5 MB), 2 048 values per call as the store's load path decodes it: the
+/// GetVarint loop vs the AVX2 kernel.
+void BM_DecodeVarints(benchmark::State& state) {
+  ScopedKernelPath path(state.range(0) == 1);
+  DatasetOptions options = DatasetOptions::Syn1();
+  options.durations_ticks = {1000};
+  options.trajectories_per_duration = 1;
+  std::unique_ptr<Dataset> dataset = Dataset::Build(options);
+  const ConstraintSet constraints =
+      dataset->MakeConstraints(ConstraintFamilies::DuLtTt());
+  Result<CtGraph> graph =
+      CtGraphBuilder(constraints).Build(dataset->items()[0].lsequence);
+  RFID_CHECK(graph.ok());
+  const std::string blob = store::EncodeCtGraphBlob(graph.value(), 0);
+  Result<store::ParsedBlob> parsed = store::ParseAndVerifyBlob(
+      reinterpret_cast<const unsigned char*>(blob.data()), blob.size());
+  RFID_CHECK(parsed.ok());
+  const unsigned char* keys =
+      parsed.value().SectionData(store::SectionId::kKeys);
+  const std::size_t size = static_cast<std::size_t>(
+      parsed.value().SectionSize(store::SectionId::kKeys));
+  std::vector<std::uint32_t> chunk(2048);
+  std::size_t values = 0;
+  for (auto _ : state) {
+    values = 0;
+    for (std::size_t at = 0; at < size;) {
+      const VarintRun run =
+          DecodeVarints(keys + at, size - at, chunk.data(), chunk.size());
+      RFID_CHECK_GT(run.bytes, 0u);
+      at += run.bytes;
+      values += run.count;
+    }
+    benchmark::DoNotOptimize(chunk.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["values"] = static_cast<double>(values);
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(size));
+}
+BENCHMARK(BM_DecodeVarints)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace rfidclean

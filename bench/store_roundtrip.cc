@@ -65,8 +65,8 @@ bool HasFlag(int argc, char** argv, const char* name) {
 
 int Main(int argc, char** argv) {
   const BenchScale scale = BenchScale::FromArgs(argc, argv);
-  // Routes Crc32 (and every other dispatched kernel) to the scalar
-  // reference; the blobs must not change.
+  // Routes Crc32, the varint decoder and every other dispatched kernel to
+  // the scalar reference; the blobs must not change.
   if (HasFlag(argc, argv, "--force-scalar")) {
     simd::ForceScalarForTesting(true);
   }
@@ -108,7 +108,8 @@ int Main(int argc, char** argv) {
       .Add("dataset", "SYN1")
       .Add("families", "DU+LT+TT")
       .Add("seed", static_cast<long long>(seed))
-      .Add("crc32_kernel_active", Crc32KernelActive() ? 1 : 0);
+      .Add("crc32_kernel_active", Crc32KernelActive() ? 1 : 0)
+      .Add("decode_kernel_active", simd::VectorKernelsActive() ? 1 : 0);
 
   Table table({"ticks", "reps", "nodes", "edges", "text", "blob", "ratio",
                "B/node", "build ms", "encode ms", "load ms", "speedup",

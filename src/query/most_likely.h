@@ -27,6 +27,13 @@ namespace rfidclean {
 /// Templated over the structural graph concept so an owning CtGraph and a
 /// zero-copy store::CtGraphView yield bit-identical answers (same visit
 /// order, same float operations).
+///
+/// When no target node has a finite score, the answer is
+/// {Trajectory(), 0.0}: an empty trajectory with probability zero. A
+/// consistent graph never gets there (its probabilities are positive), but
+/// a view mapped with MapVerify::kStructural has unverified probability
+/// sections, and NaN or zero probabilities there would leave every target
+/// at -inf (docs/ALGORITHM.md §12).
 template <typename Graph>
 std::pair<Trajectory, double> MostLikelyTrajectoryOf(const Graph& graph) {
   RFID_CHECK_GT(graph.length(), 0);
@@ -55,12 +62,13 @@ std::pair<Trajectory, double> MostLikelyTrajectoryOf(const Graph& graph) {
   NodeId argmax = kInvalidNode;
   double max_score = kMinusInfinity;
   for (NodeId id : graph.TargetNodes()) {
-    if (best[static_cast<std::size_t>(id)] > max_score) {
-      max_score = best[static_cast<std::size_t>(id)];
+    const double score = best[static_cast<std::size_t>(id)];
+    if (std::isfinite(score) && score > max_score) {
+      max_score = score;
       argmax = id;
     }
   }
-  RFID_CHECK_NE(argmax, kInvalidNode);
+  if (argmax == kInvalidNode) return {Trajectory(), 0.0};
 
   std::vector<LocationId> reversed;
   for (NodeId id = argmax; id != kInvalidNode;

@@ -3,9 +3,10 @@
 #include <cstring>
 
 #include "common/crc32.h"
+#include "common/simd.h"
 #include "common/strings.h"
+#include "common/varint.h"
 #include "obs/metrics.h"
-#include "store/varint.h"
 
 namespace rfidclean::store {
 
@@ -37,19 +38,17 @@ const char* SectionName(SectionId id) {
   return "?";
 }
 
-/// Decodes the EDGETGT section: per edge in CSR order,
-/// zigzag(to - prev_target) with one running prev_target across the whole
-/// section (init 0). Each target must land in its source node's next
+/// Decodes the EDGETGT section into targets[0, num_edges): per edge in CSR
+/// order, zigzag(to - prev_target) with one running prev_target across the
+/// whole section (init 0). Each target must land in its source node's next
 /// layer, which also proves it is a valid NodeId.
-Result<std::vector<NodeId>> DecodeEdgeTargets(const BlobContents& contents) {
+Status DecodeEdgeTargets(const BlobContents& contents, NodeId* targets) {
   const ParsedBlob& blob = contents.parsed;
   const unsigned char* cursor = blob.SectionData(SectionId::kEdgeTargets);
   const unsigned char* end =
       cursor + blob.SectionSize(SectionId::kEdgeTargets);
   const std::int32_t length = blob.header.length;
 
-  std::vector<NodeId> targets;
-  targets.reserve(static_cast<std::size_t>(blob.header.num_edges));
   std::int64_t prev_target = 0;
   for (std::int32_t t = 0; t < length; ++t) {
     const std::uint64_t layer_lo = contents.LayerBegin(t);
@@ -94,7 +93,7 @@ Result<std::vector<NodeId>> DecodeEdgeTargets(const BlobContents& contents) {
                         static_cast<long long>(to), t + 1));
         }
         prev_target = to;
-        targets.push_back(static_cast<NodeId>(to));
+        targets[e] = static_cast<NodeId>(to);
       }
     }
   }
@@ -103,7 +102,7 @@ Result<std::vector<NodeId>> DecodeEdgeTargets(const BlobContents& contents) {
                      StrFormat("%zu trailing bytes after the last edge",
                                static_cast<std::size_t>(end - cursor)));
   }
-  return targets;
+  return Status::Ok();
 }
 
 }  // namespace
@@ -326,34 +325,58 @@ Result<BlobContents> ParseBlobContents(const unsigned char* data,
                   static_cast<unsigned long long>(layer0)));
   }
 
-  // CSR edge rows: start at 0, monotone, end at num_edges.
   if (contents.EdgeRow(0) != 0) {
     return BlobError("EDGEROWS section", "first row offset is not 0");
   }
-  for (std::uint64_t i = 0; i < header.num_nodes; ++i) {
-    if (contents.EdgeRow(i + 1) < contents.EdgeRow(i)) {
-      return BlobError("EDGEROWS section",
-                       StrFormat("row offsets decrease at node %llu",
-                                 static_cast<unsigned long long>(i)));
-    }
-  }
-  if (contents.EdgeRow(header.num_nodes) != header.num_edges) {
-    return BlobError(
-        "EDGEROWS section",
-        StrFormat("rows end at %u but the header claims %llu edges",
-                  contents.EdgeRow(header.num_nodes),
-                  static_cast<unsigned long long>(header.num_edges)));
-  }
 
-  // Deltas and TL lists are validated here but not kept (see BlobContents).
-  contents.locations.reserve(static_cast<std::size_t>(header.num_nodes));
-  RFID_RETURN_IF_ERROR(WalkKeys(
-      blob, [&contents](std::uint64_t, LocationId location, Timestamp,
-                        std::span<const Departure> tl) {
-        contents.locations.push_back(location);
-        contents.num_departures += tl.size();
-      }));
-  RFID_ASSIGN_OR_RETURN(contents.edge_targets, DecodeEdgeTargets(contents));
+  // The decoded arrays: EDGEPROB holds num_edges doubles, so both sizes
+  // are bounded by the blob. Deltas and TL lists are validated but not
+  // kept (see BlobContents).
+  contents.locations.resize(static_cast<std::size_t>(header.num_nodes));
+  contents.edge_targets.resize(static_cast<std::size_t>(header.num_edges));
+  bool decoded = false;
+#if RFIDCLEAN_SIMD_ENABLED
+  decoded =
+      simd::VectorKernelsActive() &&
+      internal_blob::DecodeKeysAvx2(
+          blob.SectionData(SectionId::kKeys),
+          static_cast<std::size_t>(blob.SectionSize(SectionId::kKeys)),
+          header.num_nodes, contents.locations.data(),
+          &contents.num_departures) &&
+      internal_blob::DecodeEdgeTargetsAvx2(
+          blob.SectionData(SectionId::kEdgeTargets),
+          static_cast<std::size_t>(
+              blob.SectionSize(SectionId::kEdgeTargets)),
+          contents.layer_begin, header.length, contents.edge_rows,
+          header.num_edges, contents.edge_targets.data());
+#endif
+  if (!decoded) {
+    // CSR edge rows: start at 0 (checked above), monotone, end at
+    // num_edges.
+    for (std::uint64_t i = 0; i < header.num_nodes; ++i) {
+      if (contents.EdgeRow(i + 1) < contents.EdgeRow(i)) {
+        return BlobError("EDGEROWS section",
+                         StrFormat("row offsets decrease at node %llu",
+                                   static_cast<unsigned long long>(i)));
+      }
+    }
+    if (contents.EdgeRow(header.num_nodes) != header.num_edges) {
+      return BlobError(
+          "EDGEROWS section",
+          StrFormat("rows end at %u but the header claims %llu edges",
+                    contents.EdgeRow(header.num_nodes),
+                    static_cast<unsigned long long>(header.num_edges)));
+    }
+    contents.num_departures = 0;
+    RFID_RETURN_IF_ERROR(WalkKeys(
+        blob, [&contents](std::uint64_t i, LocationId location, Timestamp,
+                          std::span<const Departure> tl) {
+          contents.locations[i] = location;
+          contents.num_departures += tl.size();
+        }));
+    RFID_RETURN_IF_ERROR(
+        DecodeEdgeTargets(contents, contents.edge_targets.data()));
+  }
 
   RFID_STATS(obs::Add(obs::Counter::kStoreBlobsDecoded));
   RFID_STATS(obs::Add(obs::Counter::kStoreBytesDecoded, size));

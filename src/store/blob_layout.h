@@ -4,15 +4,18 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
+#include "common/simd.h"
+#include "common/varint.h"
 #include "core/ct_graph.h"
 #include "core/location_node.h"
 #include "store/format.h"
-#include "store/varint.h"
 
 /// \file
 /// Shared parse-and-verify layer for binary ct-graph blobs. Both decode
@@ -74,6 +77,31 @@ Result<ParsedBlob> ParseAndVerifyBlob(
     const unsigned char* data, std::size_t size,
     SectionChecks checks = SectionChecks::kAll);
 
+/// The allocator of the decoded arrays: resize() default-initializes new
+/// elements instead of zeroing them, since a decoder writes every element
+/// before anything reads it.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+template <typename T>
+using DecodedArray = std::vector<T, DefaultInitAllocator<T>>;
+
 /// Fully structurally-validated contents of one blob. The fixed-width
 /// sections stay as aliases into the input bytes (read via the
 /// endian-stable Load* codecs, which compile to plain loads on
@@ -93,8 +121,8 @@ struct BlobContents {
   const unsigned char* source_prob = nullptr;  // layer-0 count x double
   const unsigned char* edge_prob = nullptr;    // num_edges x double
 
-  std::vector<LocationId> locations;  // one per node, id order
-  std::vector<NodeId> edge_targets;  // CSR order, next-layer membership held
+  DecodedArray<LocationId> locations;  // one per node, id order
+  DecodedArray<NodeId> edge_targets;  // CSR order, next-layer membership held
   std::uint64_t num_departures = 0;  // TL entries over all nodes
 
   std::uint32_t LayerBegin(std::int32_t t) const {
@@ -112,6 +140,28 @@ namespace internal_blob {
 /// of line: the error path is cold).
 Status KeyError(std::uint64_t node, const std::string& detail);
 Status KeySectionError(const std::string& detail);
+
+#if RFIDCLEAN_SIMD_ENABLED
+// The fast decoders ParseBlobContents runs while
+// simd::VectorKernelsActive() (blob_layout_avx2.cc, built with -mavx2;
+// absent from SIMD-off binaries). Each only ever accepts: it returns true
+// only for a section its scalar counterpart accepts, after writing exactly
+// what that decoder writes, and false on any failed check and on anything
+// it does not handle, with its outputs then unspecified.
+
+/// WalkKeys' checks over the KEYS section; writes every node's location
+/// and the total TL entry count.
+bool DecodeKeysAvx2(const unsigned char* keys, std::size_t size,
+                    std::uint64_t num_nodes, LocationId* locations,
+                    std::uint64_t* num_departures);
+/// ParseBlobContents' EDGEROWS checks and DecodeEdgeTargets' checks over
+/// the EDGETGT section, given validated LAYERS; writes every edge target.
+bool DecodeEdgeTargetsAvx2(const unsigned char* section, std::size_t size,
+                           const unsigned char* layer_begin,
+                           std::int32_t length,
+                           const unsigned char* edge_rows,
+                           std::uint64_t num_edges, NodeId* targets);
+#endif
 
 }  // namespace internal_blob
 
@@ -212,6 +262,11 @@ Status WalkKeys(const ParsedBlob& blob, Visit&& visit) {
 /// edge rows (start at 0, monotone, end at num_edges, empty exactly on the
 /// last layer) and edge targets (each lands in its source's next layer).
 /// On success the blob is safe to expose through bounds-trusting accessors.
+///
+/// While simd::VectorKernelsActive(), the KEYS and EDGETGT sections first
+/// go through the fast decoders above. If either declines, the scalar
+/// decoders run from the start, so the result — arrays, verdict and
+/// message — is always the scalar decoders'.
 Result<BlobContents> ParseBlobContents(
     const unsigned char* data, std::size_t size,
     SectionChecks checks = SectionChecks::kAll);

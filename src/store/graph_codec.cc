@@ -8,11 +8,11 @@
 #include "common/crc32.h"
 #include "common/fnv.h"
 #include "common/strings.h"
+#include "common/varint.h"
 #include "core/graph_digest.h"
 #include "core/self_audit.h"
 #include "obs/metrics.h"
 #include "store/blob_layout.h"
-#include "store/varint.h"
 
 namespace rfidclean::store {
 

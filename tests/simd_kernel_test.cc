@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -10,6 +11,7 @@
 
 #include "common/crc32.h"
 #include "common/rng.h"
+#include "common/varint.h"
 
 namespace rfidclean::simd {
 namespace {
@@ -322,6 +324,143 @@ TEST(Crc32KernelTest, ForceScalarTurnsTheKernelOff) {
   EXPECT_FALSE(rfidclean::Crc32KernelActive());
   ForceScalarForTesting(false);
   EXPECT_EQ(rfidclean::Crc32KernelActive(), active_before);
+}
+
+// --- Bulk varint decoder -----------------------------------------------------
+
+/// Guard values past out[max_values]: the decoder must never write there.
+constexpr std::size_t kGuardValues = 16;
+constexpr std::uint32_t kGuard = 0xA5A5A5A5u;
+
+/// Decodes [data, data + size) with the dispatched decoder and with the
+/// GetVarint reference and checks they agree on the count, the byte count
+/// and every value, and that neither wrote past out[max_values).
+::testing::AssertionResult SameDecode(const unsigned char* data,
+                                      std::size_t size,
+                                      std::size_t max_values) {
+  std::uint32_t dispatched[300 + kGuardValues];
+  std::uint32_t reference[300 + kGuardValues];
+  if (max_values > 300) return ::testing::AssertionFailure() << "too many";
+  std::fill(dispatched, dispatched + max_values + kGuardValues, kGuard);
+  std::fill(reference, reference + max_values + kGuardValues, kGuard);
+  const rfidclean::VarintRun got =
+      rfidclean::DecodeVarints(data, size, dispatched, max_values);
+  const rfidclean::VarintRun want = rfidclean::internal::DecodeVarintsScalar(
+      data, size, reference, max_values);
+  if (got.count != want.count || got.bytes != want.bytes) {
+    return ::testing::AssertionFailure()
+           << "size=" << size << " max=" << max_values << ": decoded "
+           << got.count << " values from " << got.bytes
+           << " bytes, reference " << want.count << " from " << want.bytes;
+  }
+  for (std::size_t i = 0; i < got.count; ++i) {
+    if (dispatched[i] != reference[i]) {
+      return ::testing::AssertionFailure()
+             << "size=" << size << " value " << i << ": " << dispatched[i]
+             << " vs " << reference[i];
+    }
+  }
+  for (std::size_t i = max_values; i < max_values + kGuardValues; ++i) {
+    if (dispatched[i] != kGuard || reference[i] != kGuard) {
+      return ::testing::AssertionFailure()
+             << "size=" << size << " max=" << max_values
+             << ": wrote past max_values at " << i;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Appends `value` as a varint padded with `extra` redundant continuation
+/// bytes (GetVarint accepts such non-canonical forms).
+void AppendVarint(std::vector<unsigned char>* out, std::uint64_t value,
+                  int extra) {
+  unsigned char bytes[16];
+  int n = static_cast<int>(rfidclean::WriteVarint(bytes, value) - bytes);
+  for (int k = 0; k < extra; ++k) {
+    bytes[n - 1] |= 0x80u;
+    bytes[n++] = 0;
+  }
+  out->insert(out->end(), bytes, bytes + n);
+}
+
+TEST(DecodeVarintsTest, MatchesScalarOnEveryInputOfUpToThreeBytes) {
+  // Every string of 1 to 3 bytes, so every truncation of a longer one is
+  // covered too. Each runs bare, where the scalar step meets it, and ahead
+  // of 16 zero bytes, where a 16-byte block holds it.
+  unsigned char bytes[3 + 16] = {};
+  for (std::size_t length = 1; length <= 3; ++length) {
+    const std::uint32_t patterns = 1u << (8 * length);
+    for (std::uint32_t pattern = 0; pattern < patterns; ++pattern) {
+      for (std::size_t k = 0; k < length; ++k) {
+        bytes[k] = static_cast<unsigned char>(pattern >> (8 * k));
+      }
+      ASSERT_TRUE(SameDecode(bytes, length, 4)) << "pattern " << pattern;
+      ASSERT_TRUE(SameDecode(bytes, length + 16, 32))
+          << "pattern " << pattern << " + 16 zero bytes";
+    }
+  }
+}
+
+TEST(DecodeVarintsTest, MatchesScalarOnRandomStreamsAtEveryOffsetAndLength) {
+  Rng rng(17, /*stream=*/93);
+  for (int trial = 0; trial < 48; ++trial) {
+    // Trials differ in how often the slow forms appear: mostly 1- and
+    // 2-byte varints, then 3- to 5-byte ones, values of 2^32 or more, and
+    // encodings longer than 5 or 10 bytes.
+    const double slow = trial % 4 == 0 ? 0.0 : 0.02 * (trial % 4);
+    std::vector<unsigned char> stream;
+    while (stream.size() < 300) {
+      const double pick = rng.UniformDouble();
+      if (pick < slow) {
+        AppendVarint(&stream, rng.UniformUint32(1u << 28) + (1u << 14),
+                     0);  // 3-5 bytes
+      } else if (pick < 1.5 * slow) {
+        AppendVarint(&stream,
+                     (std::uint64_t{1} << 32) +
+                         rng.UniformUint32(0xFFFFFFFFu),
+                     rng.UniformInt(0, 1));  // >= 2^32
+      } else if (pick < 1.8 * slow) {
+        AppendVarint(&stream, rng.UniformUint32(128), rng.UniformInt(1, 9));
+      } else if (pick < 1.9 * slow) {
+        stream.insert(stream.end(), 11, 0x80u);  // over 10 bytes
+      } else {
+        AppendVarint(&stream,
+                     rng.Bernoulli(0.7) ? rng.UniformUint32(128)
+                                        : rng.UniformUint32(1u << 14),
+                     0);
+      }
+    }
+    std::vector<unsigned char> buffer(stream.size() + 16);
+    for (std::size_t offset = 0; offset < 16; ++offset) {
+      std::copy(stream.begin(), stream.end(), buffer.begin() + offset);
+      const unsigned char* data = buffer.data() + offset;
+      for (std::size_t length = 0; length <= 256; ++length) {
+        ASSERT_TRUE(SameDecode(data, length, 257))
+            << "trial " << trial << " offset " << offset;
+        ASSERT_TRUE(SameDecode(data, length, rng.UniformIndex(40)))
+            << "trial " << trial << " offset " << offset;
+      }
+    }
+  }
+}
+
+TEST(DecodeVarintsTest, StopsBeforeVarintsItDoesNotJudge) {
+  std::vector<unsigned char> stream;
+  for (int i = 0; i < 20; ++i) AppendVarint(&stream, 300, 0);
+  AppendVarint(&stream, 0xFFFFFFFFu, 0);  // 5 bytes, still decoded
+  const std::size_t judged = stream.size();
+  AppendVarint(&stream, std::uint64_t{1} << 32, 0);
+  for (int i = 0; i < 20; ++i) AppendVarint(&stream, 1, 0);
+  std::uint32_t out[64];
+  for (const bool force_scalar : {false, true}) {
+    ForceScalarForTesting(force_scalar);
+    const rfidclean::VarintRun run =
+        rfidclean::DecodeVarints(stream.data(), stream.size(), out, 64);
+    EXPECT_EQ(run.count, 21u);
+    EXPECT_EQ(run.bytes, judged);
+    EXPECT_EQ(out[20], 0xFFFFFFFFu);
+  }
+  ForceScalarForTesting(false);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -9,14 +11,18 @@
 #include <gtest/gtest.h>
 
 #include "analysis/graph_audit.h"
+#include "common/crc32.h"
 #include "common/fnv.h"
 #include "common/rng.h"
+#include "common/simd.h"
 #include "constraints/constraint_set.h"
 #include "core/builder.h"
 #include "io/ctgraph_io.h"
 #include "model/lsequence.h"
 #include "query/marginals.h"
 #include "query/most_likely.h"
+#include "query/stay_query.h"
+#include "store/blob_layout.h"
 #include "store/ct_store.h"
 #include "store/ctgraph_view.h"
 #include "store/graph_codec.h"
@@ -25,12 +31,49 @@
 namespace rfidclean {
 namespace {
 
+using store::BlobContents;
 using store::CtGraphView;
 using store::CtStoreReader;
 using store::CtStoreWriter;
 using store::DecodeCtGraphBlob;
 using store::EncodeCtGraphBlob;
 using store::MapVerify;
+using store::ParsedBlob;
+using store::SectionChecks;
+using store::SectionId;
+
+/// ParseBlobContents on `blob` with the vector kernels active (when the
+/// build and the CPU have them) or forced scalar.
+Result<BlobContents> ParseOnPath(const std::string& blob,
+                                 SectionChecks checks, bool force_scalar) {
+  simd::ForceScalarForTesting(force_scalar);
+  Result<BlobContents> contents = store::ParseBlobContents(
+      reinterpret_cast<const unsigned char*>(blob.data()), blob.size(),
+      checks);
+  simd::ForceScalarForTesting(false);
+  return contents;
+}
+
+/// The decoder differential: the vector and the forced-scalar parse of
+/// `blob` agree on the verdict, word for word, and on every decoded array.
+void ExpectSameParseOnBothPaths(const std::string& blob) {
+  for (const SectionChecks checks :
+       {SectionChecks::kGeometry, SectionChecks::kAll}) {
+    const Result<BlobContents> vector = ParseOnPath(blob, checks, false);
+    const Result<BlobContents> scalar = ParseOnPath(blob, checks, true);
+    ASSERT_EQ(vector.ok(), scalar.ok())
+        << (vector.ok() ? scalar : vector).status().ToString();
+    if (!vector.ok()) {
+      EXPECT_EQ(vector.status().ToString(), scalar.status().ToString());
+      continue;
+    }
+    EXPECT_TRUE(std::ranges::equal(vector.value().locations,
+                                   scalar.value().locations));
+    EXPECT_TRUE(std::ranges::equal(vector.value().edge_targets,
+                                   scalar.value().edge_targets));
+    EXPECT_EQ(vector.value().num_departures, scalar.value().num_departures);
+  }
+}
 
 /// Randomized round-trip property: for random cleaned graphs, every
 /// serialization path — text, binary blob, zero-copy mmap view, container
@@ -156,6 +199,7 @@ TEST_P(StoreRoundTripPropertyTest, AllSerializationPathsAreBitFaithful) {
     // The v1 encoding is canonical: re-encoding the decoded graph must
     // reproduce the exact blob bytes.
     EXPECT_EQ(EncodeCtGraphBlob(decoded.value(), round, provenance), blob);
+    ExpectSameParseOnBothPaths(blob);
 
     // Zero-copy view under full verification: provenance fields, digest,
     // and bit-identical query answers against the owning graph.
@@ -320,7 +364,7 @@ void ExpectSameAccessors(const CtGraph& expected, const CtGraph& actual) {
 /// tick: six at t = 6, past DepartureList's four inline slots. Location 0
 /// is the alternative at every tick, and 8 (the constrained destination)
 /// is reachable at t = 7 only from a history that never left 0.
-TEST(CtGraphFlatLayoutTest, FiveConstructionPathsAgree) {
+CtGraph LongTlGraph() {
   ConstraintSet constraints(9);
   for (LocationId l = 1; l <= 7; ++l) constraints.AddTravelingTime(l, 8, 20);
   std::vector<std::vector<Candidate>> ticks;
@@ -329,10 +373,14 @@ TEST(CtGraphFlatLayoutTest, FiveConstructionPathsAgree) {
   }
   ticks.push_back({Candidate{8, 0.5}, Candidate{0, 0.5}});
   Result<LSequence> sequence = LSequence::Create(std::move(ticks));
-  ASSERT_TRUE(sequence.ok());
+  RFID_CHECK(sequence.ok());
   Result<CtGraph> built = CtGraphBuilder(constraints).Build(sequence.value());
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
-  const CtGraph& graph = built.value();
+  RFID_CHECK(built.ok());
+  return std::move(built).value();
+}
+
+TEST(CtGraphFlatLayoutTest, FiveConstructionPathsAgree) {
+  const CtGraph graph = LongTlGraph();
   std::size_t six_entry_nodes = 0;
   for (std::size_t i = 0; i < graph.NumNodes(); ++i) {
     six_entry_nodes += graph.DeparturesOf(static_cast<NodeId>(i)).size() == 6;
@@ -427,6 +475,353 @@ TEST(CtGraphFlatLayoutTest, TextGraphOutOfLayerOrderKeepsIdsAndDigest) {
   const std::string blob = EncodeCtGraphBlob(graph.value(), /*tag=*/7);
   EXPECT_EQ(blob.size(), 416u);
   EXPECT_EQ(BlobFnv(blob), 0x3cc5bccee5b668c4ULL);
+}
+
+// --- Vector vs scalar decode ------------------------------------------------
+
+/// Recomputes every section CRC and then the header CRC, so an edited
+/// payload reaches the section decoders instead of failing a checksum.
+void Reseal(std::string* blob) {
+  unsigned char* data = reinterpret_cast<unsigned char*>(blob->data());
+  for (std::uint32_t i = 0; i < store::kNumSections; ++i) {
+    unsigned char* entry =
+        data + store::kBlobHeaderBytes + i * store::kSectionEntryBytes;
+    store::StoreU32(entry + 4,
+                    Crc32(data + store::LoadU64(entry + 8),
+                          static_cast<std::size_t>(
+                              store::LoadU64(entry + 16))));
+  }
+  store::StoreU32(data + store::kBlobHeaderBytes - 4,
+                  Crc32(data + store::kBlobHeaderBytes, store::kBlobTableBytes,
+                        Crc32(data, store::kBlobHeaderBytes - 4)));
+}
+
+ParsedBlob ParsedOf(const std::string& blob) {
+  Result<ParsedBlob> parsed = store::ParseAndVerifyBlob(
+      reinterpret_cast<const unsigned char*>(blob.data()), blob.size());
+  RFID_CHECK(parsed.ok());
+  return parsed.value();
+}
+
+/// The blob tests/store_corruption_test.cc corrupts: the paper's running
+/// example.
+std::string PaperExampleBlob() {
+  const ConstraintSet constraints =
+      ::rfidclean::testing::PaperExampleConstraints();
+  Result<CtGraph> graph = CtGraphBuilder(constraints).Build(
+      ::rfidclean::testing::PaperExampleSequence());
+  RFID_CHECK(graph.ok());
+  return EncodeCtGraphBlob(
+      graph.value(), /*tag=*/7,
+      store::GraphProvenance{0x1111222233334444ull, 0x5555666677778888ull});
+}
+
+/// Runs the decoder differential over every corruption
+/// store_corruption_test makes of `pristine` — each prelude byte flipped,
+/// each truncation (every `stride`-th for long blobs), trailing bytes, one
+/// flip per section payload — and over edits of the geometry sections
+/// (LAYERS, KEYS, EDGEROWS, EDGETGT) that are resealed, so the decoders see
+/// them: every `stride`-th byte xor-ed or overwritten six ways, and every
+/// `stride`-th CSR row boundary moved by one edge either way.
+void ExpectSameVerdictsUnderCorruption(const std::string& pristine,
+                                       std::size_t stride) {
+  const ParsedBlob parsed = ParsedOf(pristine);
+  for (std::size_t at = 0; at < store::kBlobPreludeBytes; ++at) {
+    std::string corrupted = pristine;
+    corrupted[at] = static_cast<char>(corrupted[at] ^ 0x5A);
+    ASSERT_NO_FATAL_FAILURE(ExpectSameParseOnBothPaths(corrupted))
+        << "prelude flip at " << at;
+  }
+  for (std::size_t size = 0; size < pristine.size(); size += stride) {
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectSameParseOnBothPaths(pristine.substr(0, size)))
+        << "prefix of " << size;
+  }
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectSameParseOnBothPaths(pristine + std::string(8, '\0')));
+  const auto edit = [](char byte, int how) {
+    const unsigned char b = static_cast<unsigned char>(byte);
+    switch (how) {
+      case 0: return static_cast<char>(b ^ 0x01);
+      case 1: return static_cast<char>(b ^ 0x80);
+      case 2: return static_cast<char>(b ^ 0xFF);
+      case 3: return static_cast<char>(0x00);
+      case 4: return static_cast<char>(0x7F);
+      default: return static_cast<char>(0x80);
+    }
+  };
+  for (std::uint32_t s = 1; s <= store::kNumSections; ++s) {
+    const SectionId id = static_cast<SectionId>(s);
+    const std::size_t offset =
+        static_cast<std::size_t>(parsed.Section(id).offset);
+    const std::size_t size = static_cast<std::size_t>(parsed.SectionSize(id));
+    std::string flipped = pristine;
+    flipped[offset + size / 2] =
+        static_cast<char>(flipped[offset + size / 2] ^ 0x5A);
+    ASSERT_NO_FATAL_FAILURE(ExpectSameParseOnBothPaths(flipped))
+        << "section " << s;
+    if (id == SectionId::kSourceProb || id == SectionId::kEdgeProb) continue;
+    for (std::size_t at = 0; at < size; at += stride) {
+      for (int how = 0; how < 6; ++how) {
+        std::string edited = pristine;
+        edited[offset + at] = edit(edited[offset + at], how);
+        if (edited == pristine) continue;
+        Reseal(&edited);
+        ASSERT_NO_FATAL_FAILURE(ExpectSameParseOnBothPaths(edited))
+            << "section " << s << " byte " << at << " edit " << how;
+      }
+    }
+  }
+  const std::size_t rows =
+      static_cast<std::size_t>(parsed.Section(SectionId::kEdgeRows).offset);
+  for (std::uint64_t node = 1; node < parsed.header.num_nodes;
+       node += stride) {
+    for (const std::uint32_t step : {1u, 0xFFFFFFFFu}) {
+      std::string edited = pristine;
+      unsigned char* row =
+          reinterpret_cast<unsigned char*>(edited.data()) + rows + 4 * node;
+      store::StoreU32(row, store::LoadU32(row) + step);
+      Reseal(&edited);
+      ASSERT_NO_FATAL_FAILURE(ExpectSameParseOnBothPaths(edited))
+          << "row boundary " << node << " step " << step;
+    }
+  }
+}
+
+TEST(BlobDecodeDifferentialTest, CorruptionMatrixGivesTheSameStatusText) {
+  ExpectSameVerdictsUnderCorruption(PaperExampleBlob(), 1);
+}
+
+TEST(BlobDecodeDifferentialTest, ResealedEditsOfALargerBlobAgree) {
+  // The paper example's sections are shorter than one 16-byte block of
+  // the varint kernel; this graph's TL-heavy keys fill many.
+  ExpectSameVerdictsUnderCorruption(EncodeCtGraphBlob(LongTlGraph(), 7), 1);
+}
+
+/// A graph whose KEYS section needs varints of every length from 1 to 5
+/// bytes and whose EDGETGT section needs 1 to 3: location ids and deltas
+/// past 2^13, 2^20, 2^27 and up to INT32_MAX, TL times and locations as
+/// large, TL lists of 1 to 6 entries, and a layer of 8 200 nodes (wider
+/// than 2^13) whose in-edges jump across it.
+CtGraph WideVarintGraph() {
+  constexpr int kWidth = 8200;
+  constexpr LocationId kMaxLocation = std::numeric_limits<LocationId>::max();
+  const NodeId first = 2;                   // layer 1 is ids [2, 2 + kWidth)
+  const NodeId target = first + kWidth;     // the one node of layer 2
+  std::vector<CtGraph::Node> nodes(static_cast<std::size_t>(target) + 1);
+  nodes[0].time = 0;
+  nodes[0].key.location = 1;
+  nodes[0].source_probability = 0.5;
+  nodes[0].out_edges = {{first, 0.5}, {target - 1, 0.5}};
+  nodes[1].time = 0;
+  nodes[1].key.location = 2;
+  nodes[1].source_probability = 0.5;
+  // Node 1 reaches the rest of layer 1 in strides of 200: 2-byte deltas,
+  // and a 3-byte jump back at each wrap.
+  for (int phase = 0; phase < 200; ++phase) {
+    for (int k = 1 + phase; k < kWidth - 1; k += 200) {
+      nodes[1].out_edges.push_back({first + k, 1.0 / (kWidth - 2)});
+    }
+  }
+  for (int k = 0; k < kWidth; ++k) {
+    CtGraph::Node& node = nodes[static_cast<std::size_t>(first + k)];
+    node.time = 1;
+    node.key.location = k;
+    node.out_edges = {{target, 1.0}};
+  }
+  const auto key = [&](int k) -> NodeKey& {
+    return nodes[static_cast<std::size_t>(first + k)].key;
+  };
+  key(100).location = (1 << 13) + 100;
+  key(200).location = (1 << 20) + 200;
+  key(300).location = (1 << 27) + 300;
+  key(400).location = kMaxLocation - 1;
+  key(10).delta = 100;
+  key(20).delta = 1 << 13;
+  key(30).delta = 1 << 20;
+  key(40).delta = 1 << 28;
+  key(50).delta = kMaxLocation;
+  key(60).departures.push_back(Departure{9000, 5});
+  for (const Departure& d :
+       {Departure{1 << 20, 5}, Departure{1 << 28, 1 << 29}}) {
+    key(61).departures.push_back(d);
+  }
+  for (const Departure& d : {Departure{1, 7}, Departure{2, 1 << 30},
+                             Departure{3, kMaxLocation}}) {
+    key(62).departures.push_back(d);
+  }
+  for (LocationId l = 0; l < 4; ++l) {
+    key(63).departures.push_back(Departure{l + 1, 3 * l});
+  }
+  for (LocationId l = 0; l < 6; ++l) {
+    key(64).departures.push_back(Departure{kMaxLocation - l, l * (1 << 24)});
+  }
+  for (const Departure& d : {Departure{3, 1}, Departure{4, 2}}) {
+    key(70).departures.push_back(d);
+  }
+  for (const Departure& d :
+       {Departure{5, 0}, Departure{6, 3}, Departure{7, 9}}) {
+    key(71).departures.push_back(d);
+  }
+  nodes[static_cast<std::size_t>(target)].time = 2;
+  nodes[static_cast<std::size_t>(target)].key.location = 3;
+  Result<CtGraph> graph = CtGraph::Assemble(nodes, 3);
+  RFID_CHECK(graph.ok());
+  return std::move(graph).value();
+}
+
+/// Which varint lengths (bit k for k bytes) a whole section holds.
+unsigned VarintLengthsIn(const ParsedBlob& blob, SectionId id) {
+  const unsigned char* cursor = blob.SectionData(id);
+  const unsigned char* end = cursor + blob.SectionSize(id);
+  unsigned lengths = 0;
+  while (cursor != end) {
+    const unsigned char* start = cursor;
+    std::uint64_t value = 0;
+    RFID_CHECK(GetVarint(&cursor, end, &value));
+    lengths |= 1u << (cursor - start);
+  }
+  return lengths;
+}
+
+TEST(BlobDecodeDifferentialTest, EveryVarintLengthDecodesAlikeOnBothPaths) {
+  const CtGraph graph = WideVarintGraph();
+  const std::string blob = EncodeCtGraphBlob(graph, /*tag=*/11);
+  const ParsedBlob parsed = ParsedOf(blob);
+  EXPECT_EQ(VarintLengthsIn(parsed, SectionId::kKeys), 0b111110u);
+  EXPECT_EQ(VarintLengthsIn(parsed, SectionId::kEdgeTargets), 0b1110u);
+
+  ExpectSameParseOnBothPaths(blob);
+  for (const bool force_scalar : {false, true}) {
+    simd::ForceScalarForTesting(force_scalar);
+    Result<CtGraphView> view = CtGraphView::Map(
+        reinterpret_cast<const unsigned char*>(blob.data()), blob.size(),
+        MapVerify::kFull);
+    simd::ForceScalarForTesting(false);
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    EXPECT_EQ(view.value().Digest(), graph.Digest());
+    for (std::size_t i = 0; i < graph.NumNodes(); ++i) {
+      const NodeId id = static_cast<NodeId>(i);
+      ASSERT_EQ(view.value().LocationOf(id), graph.LocationOf(id));
+      std::vector<NodeId> targets;
+      for (const auto edge : view.value().OutEdges(id)) {
+        targets.push_back(edge.to);
+      }
+      ASSERT_TRUE(std::ranges::equal(
+          targets, graph.OutEdges(id),
+          [](NodeId to, const CtGraph::Edge& edge) { return to == edge.to; }))
+          << "node " << id;
+    }
+  }
+  Result<CtGraph> decoded = DecodeCtGraphBlob(blob);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(EncodeCtGraphBlob(decoded.value(), /*tag=*/11), blob);
+  ExpectSameVerdictsUnderCorruption(blob, 509);
+}
+
+/// The offset and value of every varint of a blob's KEYS section.
+std::vector<std::pair<std::size_t, std::uint64_t>> KeyVarints(
+    const ParsedBlob& blob) {
+  const unsigned char* begin = blob.SectionData(SectionId::kKeys);
+  const unsigned char* end = begin + blob.SectionSize(SectionId::kKeys);
+  std::vector<std::pair<std::size_t, std::uint64_t>> varints;
+  for (const unsigned char* cursor = begin; cursor != end;) {
+    const std::size_t at = static_cast<std::size_t>(cursor - begin);
+    std::uint64_t value = 0;
+    RFID_CHECK(GetVarint(&cursor, end, &value));
+    varints.emplace_back(at, value);
+  }
+  return varints;
+}
+
+TEST(BlobDecodeDifferentialTest, RangeBreaksOnlyTheBoundsCatchAgree) {
+  // Two 5-byte varints of the wide graph's keys are rewritten in place with
+  // values that are even and below 2^32, so only the INT32_MAX bounds can
+  // reject them: a node location delta past INT32_MAX, and a third TL
+  // location delta whose running sum passes it.
+  const CtGraph graph = WideVarintGraph();
+  const std::string pristine = EncodeCtGraphBlob(graph, /*tag=*/11);
+  const ParsedBlob parsed = ParsedOf(pristine);
+  const auto varints = KeyVarints(parsed);
+  // Index of the first varint of each node's key.
+  std::vector<std::size_t> key_begin;
+  for (std::size_t v = 0; v < varints.size();
+       v += 3 + 2 * varints[v + 2].second) {
+    key_begin.push_back(v);
+  }
+  ASSERT_EQ(key_begin.size(), graph.NumNodes());
+  const auto rewrite = [&](std::size_t varint, std::uint64_t value) {
+    std::string edited = pristine;
+    unsigned char* at = reinterpret_cast<unsigned char*>(edited.data()) +
+                        parsed.Section(SectionId::kKeys).offset +
+                        varints[varint].first;
+    RFID_CHECK_EQ(varints[varint + 1].first - varints[varint].first, 5u);
+    RFID_CHECK_EQ(VarintSize(value), 5u);
+    WriteVarint(at, value);
+    Reseal(&edited);
+    return edited;
+  };
+  const struct {
+    std::size_t varint;
+    std::uint64_t value;
+    const char* message;
+  } cases[] = {
+      // Node 402 (layer 1, k = 400) follows location 399.
+      {key_begin[402], 0xFFFFFFFEu,
+       "node 402: location 2147484046 out of range"},
+      // Node 64 (k = 62) has TL locations 7, 2^30, INT32_MAX.
+      {key_begin[64] + 3 + 5, (std::uint64_t{3} << 30),
+       "node 64: TL location 2684354560 breaks sorted order"},
+  };
+  for (const auto& c : cases) {
+    const std::string edited = rewrite(c.varint, c.value);
+    ExpectSameParseOnBothPaths(edited);
+    const Result<BlobContents> contents =
+        ParseOnPath(edited, SectionChecks::kGeometry, false);
+    ASSERT_FALSE(contents.ok());
+    EXPECT_NE(contents.status().message().find(c.message), std::string::npos)
+        << contents.status().ToString();
+  }
+}
+
+/// kStructural leaves the probability sections unchecked, so a view can
+/// carry NaN or zero edge probabilities. Queries on it must answer, not
+/// abort: stay masses come out NaN or zero, and the most-likely
+/// trajectory is the empty one with probability 0.
+TEST(StructuralViewQueryTest, PoisonedEdgeProbabilitiesDoNotAbortQueries) {
+  for (const double poison : {std::numeric_limits<double>::quiet_NaN(), 0.0}) {
+    SCOPED_TRACE(poison);
+    std::string blob = PaperExampleBlob();
+    const ParsedBlob parsed = ParsedOf(blob);
+    unsigned char* probabilities =
+        reinterpret_cast<unsigned char*>(blob.data()) +
+        parsed.Section(SectionId::kEdgeProb).offset;
+    for (std::uint64_t e = 0; e < parsed.header.num_edges; ++e) {
+      store::StoreDouble(probabilities + 8 * e, poison);  // CRC left stale
+    }
+    const auto* data = reinterpret_cast<const unsigned char*>(blob.data());
+    Result<CtGraphView> full =
+        CtGraphView::Map(data, blob.size(), MapVerify::kFull);
+    ASSERT_FALSE(full.ok());
+    EXPECT_NE(full.status().message().find(
+                  "ct-graph blob: EDGEPROB section checksum mismatch"),
+              std::string::npos)
+        << full.status().ToString();
+    Result<CtGraphView> view =
+        CtGraphView::Map(data, blob.size(), MapVerify::kStructural);
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+
+    StayQueryEvaluatorT<CtGraphView> stay(view.value());
+    const auto last = stay.Evaluate(view.value().length() - 1);
+    ASSERT_FALSE(last.empty());
+    for (const auto& [location, mass] : last) {
+      EXPECT_TRUE(std::isnan(poison) ? std::isnan(mass) : mass == 0.0)
+          << "location " << location << " mass " << mass;
+    }
+    const auto [path, probability] = MostLikelyTrajectoryOf(view.value());
+    EXPECT_TRUE(path.empty());
+    EXPECT_EQ(probability, 0.0);
+  }
 }
 
 }  // namespace
