@@ -184,12 +184,9 @@ int Main(int argc, char** argv) {
         .Add("stats_edges_killed",
              static_cast<long long>(
                  stats_snapshot.Get(obs::Counter::kBackwardEdgesKilled)))
-        // Scheduling-dependent counters: vary run to run at jobs > 1, so
-        // the determinism gate strips them like the timing fields (see
+        // Scheduling-dependent counter: varies run to run at jobs > 1, so
+        // the determinism gate strips it like the timing fields (see
         // batch_determinism.cmake's regex).
-        .Add("stats_queue_steals",
-             static_cast<long long>(
-                 stats_snapshot.Get(obs::Counter::kQueueSteals)))
         .Add("stats_arena_reuses",
              static_cast<long long>(
                  stats_snapshot.Get(obs::Counter::kBatchArenaReuses)))

@@ -42,6 +42,23 @@ Status ValidateCandidates(const std::vector<Candidate>& candidates) {
   return Status::Ok();
 }
 
+/// Rejects a candidate whose location id the constraint set does not
+/// cover; every later stage would index its tables out of range. Push and
+/// CleanSequence both check through here, so each cleaning path reports
+/// the same status for the same sequence.
+Status CheckCandidateLocations(const std::vector<Candidate>& candidates,
+                               Timestamp t, std::size_t num_locations) {
+  for (const Candidate& candidate : candidates) {
+    if (static_cast<std::size_t>(candidate.location) >= num_locations) {
+      return InvalidArgumentError(StrFormat(
+          "candidate location %d at tick %d is out of range: the "
+          "constraint set has %zu locations",
+          candidate.location, t, num_locations));
+    }
+  }
+  return Status::Ok();
+}
+
 /// Records the explain summary of a clean that stops before Finish with
 /// `status`, so a report lists every clean once. A dead end at `dead_tick`
 /// leaves no interpretation alive, so conditioning never runs and this is
@@ -103,6 +120,8 @@ Status StreamingCleaner::Push(const std::vector<Candidate>& candidates) {
   }
   obs::PhaseTimer phase_timer(obs::Phase::kForward);
   RFID_RETURN_IF_ERROR(ValidateCandidates(candidates));
+  RFID_RETURN_IF_ERROR(CheckCandidateLocations(
+      candidates, TicksSeen(), successors_->constraints().num_locations()));
   // The plan indexes ticks and candidates by position, so the Push stream
   // must be exactly the candidate lists the plan was computed from. A tick
   // past the plan or of another width is rejected before any state moves.
@@ -304,6 +323,14 @@ Result<CtGraph> CleanSequence(
   };
   if (sequence.length() == 0) {
     return unfinished(InvalidArgumentError("l-sequence must not be empty"));
+  }
+  // Before preflight: the oracle indexes its tables by location too.
+  const std::size_t num_locations =
+      builder.successors().constraints().num_locations();
+  for (Timestamp t = 0; t < sequence.length(); ++t) {
+    Status in_range =
+        CheckCandidateLocations(sequence.CandidatesAt(t), t, num_locations);
+    if (!in_range.ok()) return unfinished(std::move(in_range));
   }
   BuildStats local_stats;
   if (stats == nullptr) stats = &local_stats;

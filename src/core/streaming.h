@@ -82,10 +82,11 @@ class StreamingCleaner {
   /// Appends the candidate interpretation of the next tick (location,
   /// probability pairs summing to 1, as produced by AprioriModel /
   /// LSequence). Fails with InvalidArgument, leaving the cleaner as it was,
-  /// when the tick is malformed or, under a preflight plan, lies past the
-  /// plan's last tick or holds a different number of candidates than the
-  /// plan has for it. Fails with FailedPrecondition — the message Finish
-  /// and CtGraphBuilder::Build report for an infeasible sequence — when no
+  /// when the tick is malformed, names a location id the constraint set
+  /// does not cover, or, under a preflight plan, lies past the plan's last
+  /// tick or holds a different number of candidates than the plan has for
+  /// it. Fails with FailedPrecondition — the message Finish and
+  /// CtGraphBuilder::Build report for an infeasible sequence — when no
   /// frontier node admits a successor: every interpretation dies at this
   /// tick, nothing is appended, the cleaner stays observably at its
   /// previous state, and further Pushes are rejected.
@@ -140,7 +141,9 @@ namespace internal_core {
 
 /// The one cleaning routine (Algorithm 1, docs/ALGORITHM.md §7) behind
 /// CtGraphBuilder::Build and the batch runtime's per-tag clean:
-///  1. an empty sequence fails with InvalidArgument;
+///  1. an empty sequence fails with InvalidArgument, and so does a
+///     candidate location the constraint set does not cover (Push's
+///     status for the first such candidate);
 ///  2. preflight, when `builder` has an oracle: a statically doomed
 ///     sequence fails fast with Finish's infeasibility status, and a plan
 ///     that prunes anything is attached to the cleaner;

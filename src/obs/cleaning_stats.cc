@@ -67,8 +67,6 @@ const char* CounterName(Counter counter) {
     case Counter::kBatchTagsInternalError: return "batch_tags_internal_error";
     case Counter::kBatchArenaReuses: return "batch_arena_reuses";
     case Counter::kBatchArenaColdStarts: return "batch_arena_cold_starts";
-    case Counter::kQueuePopsLocal: return "queue_pops_local";
-    case Counter::kQueueSteals: return "queue_steals";
     case Counter::kPreflightNodesPruned: return "preflight_nodes_pruned";
     case Counter::kPreflightEdgesPruned: return "preflight_edges_pruned";
     case Counter::kPreflightTagsDoomed: return "preflight_tags_doomed";
@@ -214,7 +212,6 @@ void TraceSampleCounterTracks() {
   TraceCounter("backward_edges_killed",
                stats.Get(Counter::kBackwardEdgesKilled));
   TraceCounter("batch_tags_cleaned", stats.Get(Counter::kBatchTagsCleaned));
-  TraceCounter("queue_steals", stats.Get(Counter::kQueueSteals));
 #endif
 }
 

@@ -61,9 +61,11 @@ struct CleaningStats {
 
 /// Samples a fixed subset of the pipeline counters into trace counter
 /// tracks (forward_nodes, forward_edges, backward_edges_killed,
-/// batch_tags_cleaned, queue_steals), one point per call. Called at phase
-/// boundaries (per cleaned tag, per build). No-op unless stats and tracing
-/// are both compiled in and a trace session is active.
+/// batch_tags_cleaned), one point per call. Called once a clean is over
+/// (after BatchCleaner::CleanAll joins its pool, after a single-tag
+/// Build), never while other threads write their sinks: Capture() reads
+/// every sink without synchronization. No-op unless stats and tracing are
+/// both compiled in and a trace session is active.
 void TraceSampleCounterTracks();
 
 /// Snake-case stable identifier for each enumerator, used as the JSON key.

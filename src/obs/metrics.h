@@ -68,15 +68,13 @@ enum class Counter : std::uint8_t {
   kBackwardNodesDead,     ///< nodes with no surviving suffix (S(n) = 0)
   kBackwardRenormPasses,  ///< per-layer rescaling passes
 
-  // Batch runtime (runtime/batch_cleaner.cc, runtime/shard_queue.cc).
+  // Batch runtime (runtime/batch_cleaner.cc).
   kBatchTagsCleaned,             ///< tags that produced a graph
   kBatchTagsFailedPrecondition,  ///< tags with no consistent interpretation
   kBatchTagsInvalidArgument,     ///< tags rejected before cleaning
   kBatchTagsInternalError,       ///< tags boxed from an uncaught exception
   kBatchArenaReuses,             ///< per-tag cleanings seeded by recycled hints
   kBatchArenaColdStarts,         ///< per-tag cleanings with no hints yet
-  kQueuePopsLocal,               ///< shards served from the worker's own lane
-  kQueueSteals,                  ///< shards stolen from another worker's lane
 
   // Preflight feasibility analysis (analysis/feasibility.cc).
   kPreflightNodesPruned,  ///< statically-dead candidates removed pre-build

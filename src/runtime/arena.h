@@ -10,15 +10,15 @@
 namespace rfidclean::runtime {
 
 /// Thread-confined allocation recycler for consecutive cleanings. Each
-/// BatchCleaner worker owns one WorkerArena; before cleaning a tag it
+/// BatchCleaner lane owns one WorkerArena; before cleaning a tag it
 /// pre-reserves the StreamingCleaner's node/edge/layer storage to the
-/// high-water marks observed over the tags the worker already processed,
+/// high-water marks observed over the tags the lane already processed,
 /// so in steady state a per-tag build performs one up-front reservation
 /// instead of a geometric regrowth chain of its work arrays (the dominant
 /// allocations of the forward phase). Purely an allocation hint: the
 /// cleaning result is bit-identical with or without it.
 ///
-/// Not thread-safe by design — one instance per worker thread.
+/// Not thread-safe by design — one instance per pool lane.
 class WorkerArena {
  public:
   /// Applies the recorded high-water marks to a fresh cleaner about to

@@ -1,11 +1,13 @@
 #include "runtime/batch_cleaner.h"
 
+#include <algorithm>
 #include <exception>
+#include <memory>
 #include <optional>
-#include <thread>
 #include <utility>
 
 #include "common/check.h"
+#include "common/parallel.h"
 #include "common/stopwatch.h"
 #include "common/strings.h"
 #include "obs/cleaning_stats.h"
@@ -13,7 +15,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/arena.h"
-#include "runtime/shard_queue.h"
 
 namespace rfidclean {
 
@@ -21,7 +22,7 @@ namespace {
 
 #if RFIDCLEAN_STATS_ENABLED
 /// Maps a tag outcome status onto its taxonomy counter. Internal errors
-/// never reach here (exceptions are boxed in run_worker, which counts them
+/// never reach here (exceptions are boxed in CleanAll, which counts them
 /// itself).
 obs::Counter OutcomeCounter(const Result<CtGraph>& graph) {
   if (graph.ok()) return obs::Counter::kBatchTagsCleaned;
@@ -36,7 +37,7 @@ obs::Counter OutcomeCounter(const Result<CtGraph>& graph) {
 }
 #endif
 
-/// Cleans one workload with the worker's pool and recycled capacity hints,
+/// Cleans one workload with its lane's pool and recycled capacity hints,
 /// through the same routine as CtGraphBuilder::Build. All error messages
 /// are deterministic functions of the workload, so outcomes compare
 /// bit-identical across job counts and runs.
@@ -100,84 +101,80 @@ std::vector<TagOutcome> BatchCleaner::CleanAll(
   RFID_TRACE(batch_span.AddArg("tags", workloads.size()));
   std::vector<std::optional<TagOutcome>> slots(workloads.size());
   if (!workloads.empty()) {
-    const std::size_t num_workers =
+    const std::size_t lanes =
         std::min(static_cast<std::size_t>(options_.jobs), workloads.size());
-    RFID_TRACE(batch_span.AddArg("workers", num_workers));
-    runtime::ShardQueue queue(workloads.size(), num_workers);
-
-    // Each worker owns slot writes for the shards it pops (shards are
-    // handed out exactly once), so no synchronization beyond the queue and
-    // the final joins is needed.
-    auto run_worker = [&](std::size_t worker) {
-      RFID_TRACE(obs::SetTraceThreadName(StrFormat("worker-%d",
-                                                   static_cast<int>(worker))));
-      runtime::WorkerArena arena;
-      // Worker-private lanes for intra-tag layer parallelism; byte-identity
-      // across forward_threads values rests on the engine's Phase A/B
-      // split, so the pool's only observable effect is wall-clock.
-      std::optional<ThreadPool> pool;
-      if (options_.forward_threads > 1) {
-        pool.emplace(options_.forward_threads);
+    RFID_TRACE(batch_span.AddArg("workers", lanes));
+    // A lane is held by one thread at a time, so lane-indexed arenas and
+    // forward pools need no synchronization. Byte-identity across
+    // forward_threads values rests on the engine's Phase A/B split, so a
+    // forward pool's only observable effect is wall-clock.
+    std::vector<runtime::WorkerArena> arenas(lanes);
+    std::vector<std::unique_ptr<ThreadPool>> forward_pools(lanes);
+    if (options_.forward_threads > 1) {
+      for (std::unique_ptr<ThreadPool>& pool : forward_pools) {
+        pool = std::make_unique<ThreadPool>(options_.forward_threads);
       }
-      std::size_t shard = 0;
-      while (queue.Pop(worker, &shard)) {
-        // Counted per popped shard (not inside CleanOne) so that every
-        // shard gets exactly one provision count and one outcome count,
-        // whichever path — success, error status, or throw — it takes.
+    }
+    // Each tag writes only its own slot, so the order in which lanes
+    // finish never shows in the result.
+    const auto clean_tags = [&](std::size_t begin, std::size_t end,
+                                int lane) {
+      RFID_TRACE(obs::SetTraceThreadName(StrFormat("worker-%d", lane)));
+      runtime::WorkerArena& arena = arenas[static_cast<std::size_t>(lane)];
+      ThreadPool* forward_pool =
+          forward_pools[static_cast<std::size_t>(lane)].get();
+      for (std::size_t index = begin; index < end; ++index) {
+        const TagWorkload& workload = workloads[index];
+        std::optional<TagOutcome>& slot = slots[index];
+        // Counted per tag (not inside CleanOne) so that every tag gets
+        // exactly one provision count and one outcome count, whichever
+        // path — success, error status, or throw — it takes.
         RFID_STATS(obs::Add(arena.tick_hint() > 0
                                 ? obs::Counter::kBatchArenaReuses
                                 : obs::Counter::kBatchArenaColdStarts));
-        // Outside the tag span: whether this worker's arena had hints is a
+        // Outside the tag span: whether this lane's arena had hints is a
         // scheduling artifact, and tag_clean subtrees must stay identical
         // across job counts (tests/obs_trace_test.cc).
         RFID_TRACE(obs::TraceInstant(
             "batch", "arena_prepare", "reused",
             static_cast<std::uint64_t>(arena.tick_hint() > 0)));
-        {
-          RFID_TRACE_SPAN(tag_span, "batch", "tag_clean");
-          RFID_TRACE(tag_span.AddArg(
-              "tag", static_cast<std::uint64_t>(workloads[shard].tag)));
-          try {
-            if (options_.before_tag) options_.before_tag(shard);
-            slots[shard].emplace(CleanOne(
-                builder_, workloads[shard], options_, shard, &arena,
-                pool.has_value() ? &*pool : nullptr, constraint_digest_));
-          } catch (const std::exception& e) {
-            RFID_STATS(obs::Add(obs::Counter::kBatchTagsInternalError));
-            slots[shard].emplace(TagOutcome{
-                workloads[shard].tag,
-                InternalError(StrFormat(
-                    "uncaught exception while cleaning tag %lld: %s",
-                    static_cast<long long>(workloads[shard].tag), e.what())),
-                BuildStats{}});
-          } catch (...) {
-            RFID_STATS(obs::Add(obs::Counter::kBatchTagsInternalError));
-            slots[shard].emplace(TagOutcome{
-                workloads[shard].tag,
-                InternalError(StrFormat(
-                    "uncaught exception while cleaning tag %lld",
-                    static_cast<long long>(workloads[shard].tag))),
-                BuildStats{}});
-          }
-          RFID_TRACE(tag_span.AddArg(
-              "ok", static_cast<std::uint64_t>(slots[shard]->graph.ok())));
+        RFID_TRACE_SPAN(tag_span, "batch", "tag_clean");
+        RFID_TRACE(
+            tag_span.AddArg("tag", static_cast<std::uint64_t>(workload.tag)));
+        try {
+          if (options_.before_tag) options_.before_tag(index);
+          slot.emplace(CleanOne(builder_, workload, options_, index, &arena,
+                                forward_pool, constraint_digest_));
+        } catch (const std::exception& e) {
+          RFID_STATS(obs::Add(obs::Counter::kBatchTagsInternalError));
+          slot.emplace(TagOutcome{
+              workload.tag,
+              InternalError(StrFormat(
+                  "uncaught exception while cleaning tag %lld: %s",
+                  static_cast<long long>(workload.tag), e.what())),
+              BuildStats{}});
+        } catch (...) {
+          RFID_STATS(obs::Add(obs::Counter::kBatchTagsInternalError));
+          slot.emplace(TagOutcome{
+              workload.tag,
+              InternalError(
+                  StrFormat("uncaught exception while cleaning tag %lld",
+                            static_cast<long long>(workload.tag))),
+              BuildStats{}});
         }
-        // Counter tracks sample global snapshots, which depend on what the
-        // other workers have finished — also outside the tag span.
-        RFID_TRACE(obs::TraceSampleCounterTracks());
+        RFID_TRACE(tag_span.AddArg(
+            "ok", static_cast<std::uint64_t>(slot->graph.ok())));
       }
     };
-
-    if (num_workers == 1) {
-      run_worker(0);
-    } else {
-      std::vector<std::thread> workers;
-      workers.reserve(num_workers);
-      for (std::size_t w = 0; w < num_workers; ++w) {
-        workers.emplace_back(run_worker, w);
-      }
-      for (std::thread& worker : workers) worker.join();
-    }
+    // The pool's cursor hands out every tag exactly once, in input order.
+    // Destroying the pools joins their threads, which folds every lane's
+    // metric sinks before anything below reads them.
+    ThreadPool(static_cast<int>(lanes))
+        .ParallelFor(workloads.size(), /*chunk=*/1, clean_tags);
+    forward_pools.clear();
+    // Sampled once, with every worker joined: a capture taken while other
+    // lanes still write their sinks would race them.
+    RFID_TRACE(obs::TraceSampleCounterTracks());
   }
 
   std::vector<TagOutcome> outcomes;

@@ -10,7 +10,6 @@
 #include "io/ctgraph_io.h"
 #include "runtime/arena.h"
 #include "runtime/batch_cleaner.h"
-#include "runtime/shard_queue.h"
 #include "test_util.h"
 
 namespace rfidclean {
@@ -21,8 +20,8 @@ using ::rfidclean::testing::MakeLSequence;
 /// Concurrency stress for the batch engine: skewed shard sizes, degenerate
 /// batch shapes (0 tags, 1 tag, more jobs than tags), per-tag failures and
 /// exceptions that must stay contained, and enough repetition under many
-/// workers that TSan gets a real shot at any data race in the queue or the
-/// slot writes. This file is part of the tsan CI matrix.
+/// lanes that TSan gets a real shot at any data race in the pool's cursor
+/// or the slot writes. This file is part of the tsan CI matrix.
 
 /// A workload whose every tick admits both locations: always cleanable
 /// under an empty constraint set.
@@ -52,29 +51,6 @@ std::string Serialize(const CtGraph& graph) {
   std::ostringstream os;
   WriteCtGraph(graph, os);
   return os.str();
-}
-
-TEST(ShardQueueTest, DealsEveryShardExactlyOnce) {
-  runtime::ShardQueue queue(100, 4);
-  std::vector<int> seen(100, 0);
-  for (std::size_t worker = 0; worker < 4; ++worker) {
-    std::size_t shard = 0;
-    // Drain ~a quarter through each worker; the last worker steals the rest.
-    while (queue.Pop(worker, &shard)) ++seen[shard];
-  }
-  for (int count : seen) EXPECT_EQ(count, 1);
-}
-
-TEST(ShardQueueTest, SurplusWorkersDrainByStealing) {
-  runtime::ShardQueue queue(3, 8);
-  std::size_t shard = 0;
-  // Workers 3..7 got nothing dealt; they must still see all work via theft.
-  std::vector<int> seen(3, 0);
-  for (std::size_t worker = 3; worker < 8; ++worker) {
-    while (queue.Pop(worker, &shard)) ++seen[shard];
-  }
-  for (int count : seen) EXPECT_EQ(count, 1);
-  EXPECT_FALSE(queue.Pop(0, &shard));
 }
 
 TEST(WorkerArenaTest, RecordsHighWaterMarks) {
@@ -130,9 +106,10 @@ TEST(BatchCleanerStressTest, MoreJobsThanTags) {
 }
 
 TEST(BatchCleanerStressTest, SkewedShardSizesBalanceByStealing) {
-  // One 400-tick giant among 15 tiny tags: round-robin dealing puts the
-  // giant in one lane, so every other worker finishes early and must steal
-  // to keep the batch deterministic and complete.
+  // One 400-tick giant among 15 tiny tags: the lane that takes the giant
+  // is busy for the whole batch, so the other lanes must drain every tiny
+  // tag from the shared cursor, and the batch must stay deterministic and
+  // complete.
   ConstraintSet constraints(2);
   BatchOptions options;
   options.jobs = 8;
@@ -267,8 +244,8 @@ TEST(BatchCleanerStressTest, ThrowMidCleanLeavesArenaRecyclable) {
 TEST(BatchCleanerStressTest, RepeatedRunsAreByteStableUnderContention) {
   // 30 tags × 8 workers, repeated: scheduling varies wildly between
   // iterations, the serialized results must not. This is the test TSan
-  // leans on hardest — every iteration re-exercises the queue, the steals
-  // and the slot writes.
+  // leans on hardest — every iteration re-exercises the pool's cursor, its
+  // start and join, and the slot writes.
   Rng rng(7, /*stream=*/31);
   std::vector<TagWorkload> workloads;
   for (int k = 0; k < 30; ++k) {

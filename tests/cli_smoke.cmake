@@ -13,13 +13,14 @@ function(run_step)
   endif()
 endfunction()
 
-# Runs a command that must exit nonzero AND mention `substr` in its output —
-# bad flags must produce a diagnostic, not a silent fallback or a crash.
+# Runs a command that must exit 1 AND mention `substr` in its output — bad
+# flags must produce a diagnostic, not a silent fallback or a crash.
 function(expect_fail substr)
   execute_process(COMMAND ${ARGN} RESULT_VARIABLE code
                   OUTPUT_VARIABLE out ERROR_VARIABLE err)
-  if(code EQUAL 0)
-    message(FATAL_ERROR "expected nonzero exit: ${ARGN}\n${out}\n${err}")
+  if(NOT code EQUAL 1)
+    message(FATAL_ERROR
+            "expected exit 1, got '${code}': ${ARGN}\n${out}\n${err}")
   endif()
   string(FIND "${out}${err}" "${substr}" found)
   if(found EQUAL -1)
@@ -176,5 +177,24 @@ else()
   expect_fail("--explain requires an explain-enabled build"
               ${CLI} clean --dir ${WORK_DIR} --explain)
 endif()
+
+# A graph cleaned over one building and queried against another names
+# locations the second building lacks: every query must fail naming the
+# id, the location count and the building file, not abort mid-query.
+set(big ${WORK_DIR}/four_floors)
+set(small ${WORK_DIR}/one_floor)
+file(MAKE_DIRECTORY ${big} ${small})
+run_step(${CLI} generate --floors 4 --duration 30 --seed 3 --out ${big})
+run_step(${CLI} generate --floors 1 --duration 30 --seed 3 --out ${small})
+run_step(${CLI} clean --dir ${big} --store ${big}/graphs.cts)
+run_step(${CLI} clean --dir ${big})
+set(mismatch "${small}/building.map has only")
+expect_fail("${mismatch}" ${CLI} stay --dir ${small}
+            --store ${big}/graphs.cts --tag 0 --time 5)
+file(COPY ${big}/graph.ctg DESTINATION ${small})
+expect_fail("${mismatch}" ${CLI} stay --dir ${small} --time 5)
+expect_fail("${mismatch}" ${CLI} sample --dir ${small})
+expect_fail("${mismatch}" ${CLI} report --dir ${small})
+expect_fail("${mismatch}" ${CLI} pattern --dir ${small} --pattern "?")
 
 message(STATUS "cli smoke test passed")

@@ -1,13 +1,16 @@
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <limits>
 #include <set>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/fnv.h"
+#include "common/parallel.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/small_vector.h"
@@ -411,6 +414,84 @@ TEST(StopwatchTest, ElapsedIsMonotonic) {
   EXPECT_GE(second, first);
   stopwatch.Reset();
   EXPECT_GE(stopwatch.ElapsedMillis(), 0.0);
+}
+
+// --- ThreadPool --------------------------------------------------------------
+
+TEST(ThreadPoolTest, EveryIndexRunsExactlyOnce) {
+  // One pool per lane count runs every (n, chunk) job back to back; an
+  // empty range makes no call at all.
+  for (int lanes = 1; lanes <= 8; ++lanes) {
+    ThreadPool pool(lanes);
+    ASSERT_EQ(pool.lanes(), lanes);
+    for (std::size_t n = 0; n <= 64; ++n) {
+      for (std::size_t chunk = 1; chunk <= n + 1; ++chunk) {
+        std::vector<std::atomic<int>> runs(n);
+        std::atomic<int> calls{0};
+        pool.ParallelFor(n, chunk,
+                         [&](std::size_t begin, std::size_t end, int) {
+                           calls.fetch_add(1, std::memory_order_relaxed);
+                           for (std::size_t i = begin; i < end; ++i) {
+                             runs[i].fetch_add(1, std::memory_order_relaxed);
+                           }
+                         });
+        if (n == 0) {
+          ASSERT_EQ(calls.load(), 0) << "lanes " << lanes;
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(runs[i].load(), 1) << "lanes " << lanes << ", n " << n
+                                       << ", chunk " << chunk << ", i " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(ThreadPoolTest, LanesAreExclusiveAndLaneZeroIsTheCaller) {
+  constexpr int kLanes = 4;
+  ThreadPool pool(kLanes);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> busy[kLanes] = {};
+  std::atomic<int> out_of_range{0};
+  std::atomic<int> overlaps{0};
+  std::atomic<int> lane_zero_elsewhere{0};
+  std::atomic<std::uint64_t> sum{0};
+  pool.ParallelFor(4000, 1, [&](std::size_t begin, std::size_t end,
+                                int lane) {
+    if (lane < 0 || lane >= kLanes) {
+      out_of_range.fetch_add(1);
+      return;
+    }
+    if (busy[lane].exchange(1) != 0) overlaps.fetch_add(1);
+    if (lane == 0 && std::this_thread::get_id() != caller) {
+      lane_zero_elsewhere.fetch_add(1);
+    }
+    for (std::size_t i = begin; i < end; ++i) sum.fetch_add(i);
+    busy[lane].store(0);
+  });
+  EXPECT_EQ(out_of_range.load(), 0);
+  EXPECT_EQ(overlaps.load(), 0);
+  EXPECT_EQ(lane_zero_elsewhere.load(), 0);
+  EXPECT_EQ(sum.load(), 4000u * 3999u / 2);
+}
+
+TEST(ThreadPoolTest, OneLaneOrFewerRunsOnTheCaller) {
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int lanes : {-3, 0, 1}) {
+    ThreadPool pool(lanes);
+    EXPECT_EQ(pool.lanes(), 1) << "lanes " << lanes;
+    std::vector<std::pair<std::size_t, std::size_t>> calls;
+    bool elsewhere = false;
+    pool.ParallelFor(10, 3, [&](std::size_t begin, std::size_t end, int lane) {
+      EXPECT_EQ(lane, 0);
+      elsewhere |= std::this_thread::get_id() != caller;
+      calls.emplace_back(begin, end);
+    });
+    EXPECT_FALSE(elsewhere) << "lanes " << lanes;
+    EXPECT_EQ(calls, (std::vector<std::pair<std::size_t, std::size_t>>{
+                         {0, 10}}))
+        << "lanes " << lanes;
+  }
 }
 
 // --- FNV-1a 64 ---------------------------------------------------------------

@@ -213,6 +213,48 @@ TEST(OnePipelineTest, EmptySequenceGivesOneStatusOnEveryPath) {
   }
 }
 
+/// A candidate location the constraint set does not cover: one
+/// InvalidArgument naming the tick, the location and the location count
+/// from Build and BatchCleaner (preflight on and off, 1 and 4 jobs) and a
+/// hand-driven StreamingCleaner. The batch boxes it to its own tag.
+TEST(OnePipelineTest, OutOfRangeLocationGivesOneStatusOnEveryPath) {
+  ConstraintSet constraints(3);
+  const LSequence sequence = ::rfidclean::testing::MakeLSequence(
+      {{{0, 1.0}}, {{1, 0.5}, {5, 0.5}}, {{2, 1.0}}});
+  const LSequence alive = ::rfidclean::testing::MakeLSequence(
+      {{{0, 1.0}}, {{1, 1.0}}, {{2, 1.0}}});
+  const Status expected = InvalidArgumentError(
+      "candidate location 5 at tick 1 is out of range: the constraint set "
+      "has 3 locations");
+
+  StreamingCleaner cleaner(constraints);
+  ASSERT_TRUE(cleaner.Push(sequence.CandidatesAt(0)).ok());
+  EXPECT_EQ(cleaner.Push(sequence.CandidatesAt(1)), expected);
+  EXPECT_EQ(cleaner.TicksSeen(), 1);  // the rejected tick moved nothing
+
+  for (const bool preflight : {true, false}) {
+    SCOPED_TRACE(preflight ? "preflight on" : "preflight off");
+    CleanOptions clean;
+    clean.preflight = preflight;
+    EXPECT_EQ(CtGraphBuilder(constraints, clean).Build(sequence).status(),
+              expected);
+    for (const int jobs : {1, 4}) {
+      SCOPED_TRACE(::testing::Message() << "jobs " << jobs);
+      BatchOptions batch;
+      batch.preflight = preflight;
+      batch.jobs = jobs;
+      const std::vector<TagOutcome> outcomes =
+          BatchCleaner(constraints, batch)
+              .CleanAll({TagWorkload{0, alive}, TagWorkload{1, sequence},
+                         TagWorkload{2, alive}});
+      ASSERT_EQ(outcomes.size(), 3u);
+      EXPECT_TRUE(outcomes[0].graph.ok());
+      EXPECT_EQ(outcomes[1].graph.status(), expected);
+      EXPECT_TRUE(outcomes[2].graph.ok());
+    }
+  }
+}
+
 /// The SIMD digest-identity gate over the same battery: building with the
 /// vector kernels dispatched and with every kernel forced scalar must
 /// produce byte-identical graphs and identical statuses. On hardware

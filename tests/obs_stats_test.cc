@@ -196,8 +196,8 @@ TEST(CleaningStatsTest, BatchCountersAggregateAcrossWorkerThreads) {
   if (!obs::Enabled()) GTEST_SKIP() << "stats compiled out";
   // 16 cleanable tags, one dead tag, one empty stream, across 4 workers:
   // the thread-local sinks (folded when each worker exits) must sum to the
-  // full taxonomy, and the queue/arena provisioning counters must cover
-  // every shard exactly once.
+  // full taxonomy, and the arena provisioning counters must cover every
+  // tag exactly once.
   ConstraintSet constraints(2);
   constraints.AddUnreachable(0, 1);
   constraints.AddUnreachable(1, 0);
@@ -225,9 +225,6 @@ TEST(CleaningStatsTest, BatchCountersAggregateAcrossWorkerThreads) {
   EXPECT_EQ(stats.Get(obs::Counter::kBatchTagsInternalError), 0u);
   EXPECT_EQ(stats.Get(obs::Counter::kBatchArenaReuses) +
                 stats.Get(obs::Counter::kBatchArenaColdStarts),
-            18u);
-  EXPECT_EQ(stats.Get(obs::Counter::kQueuePopsLocal) +
-                stats.Get(obs::Counter::kQueueSteals),
             18u);
   EXPECT_EQ(stats.Hist(obs::Dist::kTagMicros).count, 18u);
   EXPECT_TRUE(stats.CheckInvariants().empty());
@@ -307,18 +304,16 @@ TEST(CleaningStatsTest, CaptureResetDeltaRoundTripAcrossThreads) {
   }
 
   // The delta must equal a fresh, reset-scoped run of the same workload.
-  // Queue and arena provisioning split between their counters by schedule
-  // (a shard is popped locally or stolen, an arena is warm or cold), so
-  // those compare as pair sums; key-probe step counts depend on the
-  // recycled table capacities. Everything else is workload-determined.
+  // Arena provisioning splits between its two counters by schedule (an
+  // arena is warm or cold), so those compare as a pair sum; key-probe step
+  // counts depend on the recycled table capacities. Everything else is
+  // workload-determined.
   obs::CleaningStats::Reset();
   cleaner.CleanAll(workloads);
   const obs::CleaningStats fresh = obs::CleaningStats::Capture();
   for (int i = 0; i < obs::kNumCounters; ++i) {
     const obs::Counter counter = static_cast<obs::Counter>(i);
-    if (counter == obs::Counter::kQueuePopsLocal ||
-        counter == obs::Counter::kQueueSteals ||
-        counter == obs::Counter::kBatchArenaReuses ||
+    if (counter == obs::Counter::kBatchArenaReuses ||
         counter == obs::Counter::kBatchArenaColdStarts ||
         counter == obs::Counter::kKeyProbeSteps) {
       continue;
@@ -326,10 +321,6 @@ TEST(CleaningStatsTest, CaptureResetDeltaRoundTripAcrossThreads) {
     EXPECT_EQ(delta.counters[i], fresh.counters[i])
         << obs::CounterName(counter);
   }
-  EXPECT_EQ(delta.Get(obs::Counter::kQueuePopsLocal) +
-                delta.Get(obs::Counter::kQueueSteals),
-            fresh.Get(obs::Counter::kQueuePopsLocal) +
-                fresh.Get(obs::Counter::kQueueSteals));
   EXPECT_EQ(delta.Get(obs::Counter::kBatchArenaReuses) +
                 delta.Get(obs::Counter::kBatchArenaColdStarts),
             fresh.Get(obs::Counter::kBatchArenaReuses) +

@@ -17,10 +17,11 @@
 #include "constraints/constraint_set.h"
 #include "core/builder.h"
 #include "model/lsequence.h"
+#include "obs/cleaning_stats.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/trace_export.h"
 #include "runtime/batch_cleaner.h"
-#include "runtime/shard_queue.h"
 #include "test_util.h"
 
 namespace rfidclean {
@@ -213,6 +214,33 @@ TEST_F(ObsTraceTest, TagSpanTreesIdenticalAcrossJobCounts) {
   }
 }
 
+TEST_F(ObsTraceTest, CounterTracksSampleOnceAfterTheBatch) {
+  if (!obs::Enabled()) GTEST_SKIP() << "stats compiled out";
+  // Every tag cleans under an empty constraint set. The counter tracks are
+  // sampled once per CleanAll, after its lanes are joined, so the batch's
+  // one batch_tags_cleaned point counts every tag, whichever lanes cleaned
+  // them. A sample taken while other lanes still run would read their
+  // sinks as they write them.
+  const ConstraintSet constraints(5);
+  const std::vector<TagWorkload> workloads = MakeWorkloads(12, 5);
+  for (int jobs : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << "jobs " << jobs);
+    obs::CleaningStats::Reset();
+    obs::TraceCollection collection = TraceBatch(constraints, workloads, jobs);
+    std::vector<std::uint64_t> samples;
+    for (const obs::TraceThread& thread : collection.threads) {
+      for (const obs::TraceEvent& event : thread.events) {
+        if (event.type == obs::TraceEventType::kCounter &&
+            std::string(event.name) == "batch_tags_cleaned") {
+          samples.push_back(event.arg_values[0]);
+        }
+      }
+    }
+    ASSERT_EQ(samples.size(), 1u);
+    EXPECT_EQ(samples[0], workloads.size());
+  }
+}
+
 TEST_F(ObsTraceTest, RingDropsOldestAndCountsDrops) {
   obs::TraceOptions options;
   options.buffer_events = 16;
@@ -263,31 +291,6 @@ TEST_F(ObsTraceTest, SpanLatchesArmedStateAtConstruction) {
     obs::StartTracing(obs::TraceOptions());
   }
   EXPECT_EQ(obs::CollectTrace().NumEvents(), 0u);
-}
-
-TEST_F(ObsTraceTest, StealPopsEmitStealInstants) {
-  obs::StartTracing(obs::TraceOptions());
-  // 4 shards round-robined onto 2 lanes: worker 0 owns {0, 2}, worker 1
-  // owns {1, 3}. Worker 0 draining the whole queue must pop 0 and 2
-  // locally, then steal 3 and 1 from lane 1 (back first).
-  runtime::ShardQueue queue(4, 2);
-  std::vector<std::size_t> popped;
-  std::size_t shard = 0;
-  while (queue.Pop(0, &shard)) popped.push_back(shard);
-  ASSERT_EQ(popped, (std::vector<std::size_t>{0, 2, 3, 1}));
-
-  obs::TraceCollection collection = obs::CollectTrace();
-  ASSERT_EQ(collection.threads.size(), 1u);
-  int steals = 0;
-  for (const obs::TraceEvent& event : collection.threads[0].events) {
-    if (std::string(event.name) != "steal") continue;
-    ++steals;
-    EXPECT_EQ(event.type, obs::TraceEventType::kInstant);
-    ASSERT_EQ(event.num_args, 1);
-    EXPECT_STREQ(event.arg_names[0], "victim");
-    EXPECT_EQ(event.arg_values[0], 1u);  // both thefts hit lane 1
-  }
-  EXPECT_EQ(steals, 2);
 }
 
 TEST_F(ObsTraceTest, BatchRecordsProvenancePerTag) {

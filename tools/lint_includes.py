@@ -16,6 +16,10 @@ examples/):
     RFIDCLEAN_TESTS_TEST_UTIL_H_). The trailing #endif must carry the
     guard name as a comment.
 
+ 3. `std::thread` may appear only in src/common/parallel.{h,cc} (over src/
+    and tools/): every other parallel loop runs on its ThreadPool, so the
+    program keeps one scheduler.
+
 Exit status 0 when clean, 1 with one "file:line: message" per finding
 otherwise. Run from anywhere: paths are resolved against the repo root
 (the parent of this script's directory), or pass --root.
@@ -28,11 +32,14 @@ from pathlib import Path
 
 # Directories scanned for headers (guard check) and sources (assert check).
 SCANNED_DIRS = ("src", "tools", "tests", "bench", "examples")
-# assert() is banned only in library/tool code; tests and benches may use
-# the standard macro if they want to.
-ASSERT_BANNED_DIRS = ("src", "tools")
+# assert() and std::thread are banned only in library/tool code; tests and
+# benches may use them if they want to.
+LIBRARY_DIRS = ("src", "tools")
+# The one scheduler: the only sources that may start a std::thread.
+THREAD_ALLOWED = ("src/common/parallel.h", "src/common/parallel.cc")
 
 ASSERT_RE = re.compile(r"(?<![\w_])assert\s*\(")
+THREAD_RE = re.compile(r"\bstd::thread\b")
 LINE_COMMENT_RE = re.compile(r"//.*$")
 
 
@@ -63,6 +70,16 @@ def check_asserts(path: Path, relpath: Path, lines) -> list:
                 "use RFID_CHECK (common/check.h), which stays armed in "
                 "release builds")
     return findings
+
+
+def check_threads(relpath: Path, lines) -> list:
+    if relpath.as_posix() in THREAD_ALLOWED:
+        return []
+    return [
+        f"{relpath}:{lineno}: std::thread is allowed only in "
+        "src/common/parallel.{h,cc}; run parallel work on its ThreadPool"
+        for lineno, line in enumerate(lines, start=1)
+        if THREAD_RE.search(strip_noncode(line))]
 
 
 def check_include_guard(path: Path, relpath: Path, lines) -> list:
@@ -123,8 +140,9 @@ def main() -> int:
             relpath = path.relative_to(args.root)
             lines = path.read_text(encoding="utf-8").splitlines()
             scanned += 1
-            if top in ASSERT_BANNED_DIRS:
+            if top in LIBRARY_DIRS:
                 findings += check_asserts(path, relpath, lines)
+                findings += check_threads(relpath, lines)
             if path.suffix in (".h", ".hpp"):
                 findings += check_include_guard(path, relpath, lines)
 

@@ -325,13 +325,37 @@ Result<RSequence> LoadReadings(const std::string& dir) {
   return ReadReadingsCsv(is);
 }
 
-Result<CtGraph> LoadGraph(const std::string& dir) {
+/// Every query names a graph's locations through the building, so a graph
+/// (or store view) cleaned over another building must fail here, once
+/// after loading, instead of indexing the building out of range.
+template <typename Graph>
+Status CheckGraphLocations(const Graph& graph, const Building& building,
+                           const std::string& dir) {
+  const std::size_t count = building.NumLocations();
+  for (NodeId id = 0; static_cast<std::size_t>(id) < graph.NumNodes(); ++id) {
+    const LocationId location = graph.LocationOf(id);
+    if (static_cast<std::size_t>(location) >= count) {
+      return InvalidArgumentError(StrFormat(
+          "the ct-graph names location id %d, but %s/building.map has only "
+          "%zu locations; was the graph cleaned over another building?",
+          location, dir.c_str(), count));
+    }
+  }
+  return Status::Ok();
+}
+
+/// DIR/graph.ctg, checked against DIR's building.
+Result<CtGraph> LoadGraph(const std::string& dir, const Building& building) {
   std::ifstream is(dir + "/graph.ctg");
   if (!is) {
     return NotFoundError("cannot open " + dir +
                          "/graph.ctg (run 'clean' first)");
   }
-  return ReadCtGraph(is);
+  Result<CtGraph> graph = ReadCtGraph(is);
+  if (graph.ok()) {
+    RFID_RETURN_IF_ERROR(CheckGraphLocations(graph.value(), building, dir));
+  }
+  return graph;
 }
 
 /// The deterministic deployment + calibration shared by generate and clean.
@@ -827,6 +851,8 @@ int Stay(const Args& args) {
     if (!reader.ok()) return Fail(reader.status());
     Result<store::CtGraphView> view = reader.value().LoadView(*tag);
     if (!view.ok()) return Fail(view.status());
+    Status fits = CheckGraphLocations(view.value(), building.value(), dir);
+    if (!fits.ok()) return Fail(fits);
     if (time < 0 || time >= view.value().length()) {
       return Fail("--time outside the monitored interval");
     }
@@ -835,7 +861,7 @@ int Stay(const Args& args) {
     return 0;
   }
 
-  Result<CtGraph> graph = LoadGraph(dir);
+  Result<CtGraph> graph = LoadGraph(dir, building.value());
   if (!graph.ok()) return Fail(graph.status());
   if (time < 0 || time >= graph.value().length()) {
     return Fail("--time outside the monitored interval");
@@ -1224,7 +1250,7 @@ int PatternQuery(const Args& args) {
   const std::string dir = args.Get("dir", ".");
   Result<Building> building = LoadBuilding(dir);
   if (!building.ok()) return Fail(building.status());
-  Result<CtGraph> graph = LoadGraph(dir);
+  Result<CtGraph> graph = LoadGraph(dir, building.value());
   if (!graph.ok()) return Fail(graph.status());
   std::string text = args.Get("pattern", "");
   if (text.empty()) return Fail("missing --pattern");
@@ -1245,7 +1271,7 @@ int Sample(const Args& args) {
   const std::string dir = args.Get("dir", ".");
   Result<Building> building = LoadBuilding(dir);
   if (!building.ok()) return Fail(building.status());
-  Result<CtGraph> graph = LoadGraph(dir);
+  Result<CtGraph> graph = LoadGraph(dir, building.value());
   if (!graph.ok()) return Fail(graph.status());
   TrajectorySampler sampler(graph.value());
   Rng rng(static_cast<std::uint64_t>(seed));
@@ -1269,7 +1295,7 @@ int Report(const Args& args) {
   const std::string dir = args.Get("dir", ".");
   Result<Building> building = LoadBuilding(dir);
   if (!building.ok()) return Fail(building.status());
-  Result<CtGraph> graph = LoadGraph(dir);
+  Result<CtGraph> graph = LoadGraph(dir, building.value());
   if (!graph.ok()) return Fail(graph.status());
   const CtGraph& g = graph.value();
 
