@@ -18,7 +18,7 @@
 //
 //   core_build [--ticks 100,1000,10000] [--reps N] [--seed S]
 //              [--out BENCH_core.json] [--trace FILE] [--explain FILE]
-//              [--paper] [--forward-threads N] [--force-scalar]
+//              [--paper] [--force-scalar]
 //
 // With --sparse the workload switches to sparse feeds (one exact anchor
 // every 8 ticks, ghost-branch distractor walks in between) and every point is
@@ -266,7 +266,6 @@ int Main(int argc, char** argv) {
   const char* out_arg = FlagValue(argc, argv, "--out");
   const char* trace_arg = FlagValue(argc, argv, "--trace");
   const char* explain_arg = FlagValue(argc, argv, "--explain");
-  const char* threads_arg = FlagValue(argc, argv, "--forward-threads");
   const bool sparse = HasFlag(argc, argv, "--sparse");
   // A/B hook for the SIMD win: --force-scalar routes every dispatched
   // kernel through the scalar reference (digests must not move).
@@ -302,10 +301,7 @@ int Main(int argc, char** argv) {
   std::unique_ptr<Dataset> dataset = Dataset::Build(options);
   ConstraintSet constraints =
       dataset->MakeConstraints(ConstraintFamilies::DuLtTt());
-  CleanOptions build_options;
-  build_options.forward_threads =
-      threads_arg != nullptr ? std::atoi(threads_arg) : 1;
-  CtGraphBuilder builder(constraints, build_options);
+  CtGraphBuilder builder(constraints);
 
   if (trace_arg != nullptr) {
     if (!obs::TraceCompiledIn()) {
@@ -337,8 +333,7 @@ int Main(int argc, char** argv) {
       .Add("seed", static_cast<long long>(seed))
       .Add("traced", trace_arg != nullptr ? 1 : 0)
       .Add("explained", explain_arg != nullptr ? 1 : 0)
-      .Add("simd_active", simd::VectorKernelsActive() ? 1 : 0)
-      .Add("forward_threads", build_options.forward_threads);
+      .Add("simd_active", simd::VectorKernelsActive() ? 1 : 0);
 
   Table table({"ticks", "reps", "median ms", "fwd ms", "bwd ms",
                "ns/timestamp", "nodes+edges/s", "peak nodes", "peak edges",

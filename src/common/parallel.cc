@@ -1,77 +1,27 @@
 #include "common/parallel.h"
 
-#include <algorithm>
+#include <atomic>
+#include <thread>
+#include <vector>
 
 namespace rfidclean {
 
-ThreadPool::ThreadPool(int lanes) {
-  const int workers = lanes > 1 ? lanes - 1 : 0;
-  workers_.reserve(static_cast<std::size_t>(workers));
-  for (int i = 0; i < workers; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i + 1); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    shutdown_ = true;
-  }
-  work_cv_.notify_all();
-  for (std::thread& worker : workers_) worker.join();
-}
-
-void ThreadPool::ParallelFor(
-    std::size_t n, std::size_t chunk,
-    const std::function<void(std::size_t, std::size_t, int)>& fn) {
-  if (n == 0) return;
-  if (chunk == 0) chunk = 1;
-  if (workers_.empty() || n <= chunk) {
-    fn(0, n, 0);
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    job_ = &fn;
-    job_n_ = n;
-    job_chunk_ = chunk;
-    cursor_.store(0, std::memory_order_relaxed);
-    active_ = static_cast<int>(workers_.size());
-    ++generation_;
-  }
-  work_cv_.notify_all();
-  DrainChunks(0);
-  std::unique_lock<std::mutex> lock(mutex_);
-  done_cv_.wait(lock, [this] { return active_ == 0; });
-  job_ = nullptr;
-}
-
-void ThreadPool::WorkerLoop(int lane) {
-  std::uint64_t seen = 0;
-  while (true) {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_cv_.wait(lock,
-                    [&] { return shutdown_ || generation_ != seen; });
-      if (shutdown_) return;
-      seen = generation_;
+void ParallelFor(int lanes, std::size_t n,
+                 const std::function<void(std::size_t index, int lane)>& fn) {
+  std::atomic<std::size_t> cursor{0};
+  const auto drain = [&cursor, n, &fn](int lane) {
+    for (std::size_t index = cursor.fetch_add(1, std::memory_order_relaxed);
+         index < n; index = cursor.fetch_add(1, std::memory_order_relaxed)) {
+      fn(index, lane);
     }
-    DrainChunks(lane);
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (--active_ == 0) done_cv_.notify_one();
+  };
+  std::vector<std::thread> threads;
+  for (int lane = 1; lane < lanes && static_cast<std::size_t>(lane) < n;
+       ++lane) {
+    threads.emplace_back(drain, lane);
   }
-}
-
-void ThreadPool::DrainChunks(int lane) {
-  const std::function<void(std::size_t, std::size_t, int)>& fn = *job_;
-  const std::size_t n = job_n_;
-  const std::size_t chunk = job_chunk_;
-  while (true) {
-    const std::size_t begin =
-        cursor_.fetch_add(chunk, std::memory_order_relaxed);
-    if (begin >= n) return;
-    fn(begin, std::min(begin + chunk, n), lane);
-  }
+  drain(0);
+  for (std::thread& thread : threads) thread.join();
 }
 
 }  // namespace rfidclean

@@ -1,65 +1,26 @@
 #ifndef RFIDCLEAN_COMMON_PARALLEL_H_
 #define RFIDCLEAN_COMMON_PARALLEL_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace rfidclean {
 
-/// A small persistent fork-join pool for intra-build parallelism (the
-/// forward engine's layer-parallel expansion). The calling thread is lane
-/// 0 and participates in every ParallelFor; with `lanes` ≤ 1 no worker
-/// thread is ever created and ParallelFor degenerates to a plain loop, so
-/// holding a pool is free for sequential configurations.
+/// The program's one parallel loop: calls fn(index, lane) once for every
+/// index in [0, n) on min(lanes, n) lanes, the calling thread being lane 0.
+/// The other lanes are threads started for this call only; every one of
+/// them is joined before ParallelFor returns, so whatever they wrote
+/// (thread-local sinks folded on thread exit included) is visible to the
+/// caller afterwards. With `lanes` ≤ 1 no thread is started and the
+/// indices run on the caller in increasing order.
 ///
-/// Work is handed out as dynamic chunks from one atomic cursor — lanes
-/// that finish early keep pulling, so skewed per-item costs (a frontier
-/// node with a huge expansion next to memo hits) self-balance. One job at
-/// a time: ParallelFor blocks until every chunk is done, and the pool
-/// must not be shared by concurrent callers.
-class ThreadPool {
- public:
-  /// Total lanes including the caller; `lanes - 1` workers are spawned.
-  explicit ThreadPool(int lanes);
-  ~ThreadPool();
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  int lanes() const { return static_cast<int>(workers_.size()) + 1; }
-
-  /// Invokes fn(begin, end, lane) over dynamic chunks [begin, end) of
-  /// [0, n), `chunk` items at a time, from lanes 0..lanes()-1 (each lane
-  /// value is held by exactly one thread at a time, so per-lane scratch
-  /// needs no synchronization). Returns after all n items completed.
-  void ParallelFor(
-      std::size_t n, std::size_t chunk,
-      const std::function<void(std::size_t, std::size_t, int)>& fn);
-
- private:
-  void WorkerLoop(int lane);
-  /// Pulls chunks until the cursor passes n.
-  void DrainChunks(int lane);
-
-  std::vector<std::thread> workers_;
-  std::mutex mutex_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  // Current job, written under mutex_ before workers are woken and read by
-  // them only after observing the matching generation bump.
-  const std::function<void(std::size_t, std::size_t, int)>* job_ = nullptr;
-  std::size_t job_n_ = 0;
-  std::size_t job_chunk_ = 1;
-  std::atomic<std::size_t> cursor_{0};
-  std::uint64_t generation_ = 0;
-  int active_ = 0;
-  bool shutdown_ = false;
-};
+/// Indices are handed out one at a time, in increasing order, from one
+/// atomic cursor: a lane that finishes early takes the next index, so
+/// skewed per-index costs keep every lane busy. Each lane value is held by
+/// exactly one thread, so lane-indexed scratch needs no synchronization.
+/// `fn` must not throw; an exception escaping it terminates the process.
+void ParallelFor(int lanes, std::size_t n,
+                 const std::function<void(std::size_t index, int lane)>& fn);
 
 }  // namespace rfidclean
 

@@ -13,9 +13,6 @@ CtGraphBuilder::CtGraphBuilder(const ConstraintSet& constraints,
                                const CleanOptions& options)
     : successors_(constraints, options.successor) {
   if (options.preflight) oracle_.emplace(constraints);
-  if (options.forward_threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(options.forward_threads);
-  }
 }
 
 Result<CtGraph> CtGraphBuilder::Build(const LSequence& sequence,
@@ -23,7 +20,7 @@ Result<CtGraph> CtGraphBuilder::Build(const LSequence& sequence,
   RFID_TRACE_SPAN(span, "core", "build");
   RFID_TRACE(
       span.AddArg("ticks", static_cast<std::uint64_t>(sequence.length())));
-  return internal_core::CleanSequence(*this, sequence, pool_.get(), stats);
+  return internal_core::CleanSequence(*this, sequence, stats);
 }
 
 }  // namespace rfidclean

@@ -1,11 +1,9 @@
 #ifndef RFIDCLEAN_CORE_BUILDER_H_
 #define RFIDCLEAN_CORE_BUILDER_H_
 
-#include <memory>
 #include <optional>
 
 #include "analysis/feasibility.h"
-#include "common/parallel.h"
 #include "common/result.h"
 #include "constraints/constraint_set.h"
 #include "core/ct_graph.h"
@@ -24,11 +22,11 @@ struct CleanOptions {
   /// per-tick lists. Sound — the output graph is byte-identical either way
   /// (docs/ALGORITHM.md §11); turn off only to measure the difference.
   bool preflight = true;
-  /// Fork-join lanes for intra-tag layer parallelism in the forward phase
-  /// (caller included; see ForwardEngine::SetThreadPool). 1 = fully
-  /// sequential, no worker thread is ever created. The produced graph is
-  /// byte-identical for every value — only successor generation runs
-  /// concurrently; interning and append order stay sequential.
+  /// Read by nothing: the forward phase is one sequential sweep. It stays
+  /// declared only because e2ebench/e2e_bench.cc assigns it, CI's
+  /// "End-to-end benchmark tests" step compiles e2ebench against this
+  /// library, and e2ebench changes only with the benchmark itself. Delete
+  /// it with the next e2ebench change (ROADMAP item 7).
   int forward_threads = 1;
 };
 
@@ -121,12 +119,6 @@ class CtGraphBuilder {
  private:
   SuccessorGenerator successors_;
   std::optional<FeasibilityOracle> oracle_;
-  /// Present iff CleanOptions::forward_threads > 1. Build() is const and
-  /// reentrant per builder *instance*; the pool serializes one job at a
-  /// time, so a builder with a pool must not run concurrent Builds (the
-  /// batch runtime shares one builder with forward_threads == 1 and hands
-  /// each worker's own pool to CleanSequence).
-  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace rfidclean

@@ -6,17 +6,6 @@
 
 namespace rfidclean::internal_core {
 
-namespace {
-
-// Frontiers narrower than this expand sequentially even with a pool
-// attached: below ~64 nodes the fork-join handoff costs more than the
-// constraint checks it parallelizes.
-constexpr std::int32_t kParallelLayerThreshold = 64;
-// Dynamic-chunk grain for ParallelFor over frontier nodes.
-constexpr std::size_t kParallelChunk = 16;
-
-}  // namespace
-
 ForwardEngine::ForwardEngine(std::size_t num_locations)
     : num_locations_(num_locations) {
   prob_of_location_.assign(num_locations, 0.0);
@@ -134,67 +123,6 @@ bool ForwardEngine::AdvanceLayer(
   std::uint64_t stats_memo_hits = 0;
 #endif
 
-  // Phase A (optional, parallel): run successor generation — constraint
-  // checks, key construction, hashing; the dominant forward-phase cost —
-  // for every frontier node across the pool's lanes, recording each node's
-  // expansion in per-lane scratch. Everything Phase A touches is read-only
-  // during the phase (nodes, arena, memo entries — the memo is only written
-  // in Phase B) and each NodeExpansion slot is written by exactly one lane.
-  const std::int32_t width = frontier_end - frontier_begin;
-  const bool layer_parallel = pool_ != nullptr && pool_->lanes() > 1 &&
-                              width >= kParallelLayerThreshold;
-  if (layer_parallel) {
-    const std::size_t n = static_cast<std::size_t>(width);
-    if (expansions_.size() < n) expansions_.resize(n);
-    if (lane_scratch_.size() < static_cast<std::size_t>(pool_->lanes())) {
-      lane_scratch_.resize(static_cast<std::size_t>(pool_->lanes()));
-    }
-    for (LaneScratch& scratch : lane_scratch_) scratch.used = 0;
-    pool_->ParallelFor(
-        n, kParallelChunk,
-        [&](std::size_t chunk_begin, std::size_t chunk_end, int lane) {
-          LaneScratch& scratch = lane_scratch_[static_cast<std::size_t>(lane)];
-          for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
-            const std::size_t idx =
-                static_cast<std::size_t>(frontier_begin) + i;
-            const std::int32_t parent_key = work_.nodes[idx].key_id;
-            NodeExpansion& expansion = expansions_[i];
-            if (memo_[static_cast<std::size_t>(parent_key)].epoch ==
-                candidate_epoch_) {
-              expansion.lane = -1;  // Phase B replays the memo.
-              continue;
-            }
-            // No interning happens in Phase A, so the arena reference
-            // stays valid through the whole expansion.
-            const NodeKey& parent = work_.keys.key(parent_key);
-            expansion.lane = lane;
-            expansion.begin = static_cast<std::int32_t>(scratch.used);
-            expansion.count = 0;
-            expansion.parent_tl_empty = parent.departures.size() == 0;
-            expansion.results_tl_empty = true;
-            successors.ForEachSuccessor(
-                t, parent, next_candidates, &scratch.successor_scratch,
-                [&scratch, &expansion](const NodeKey& key) {
-                  if (key.departures.size() != 0) {
-                    expansion.results_tl_empty = false;
-                  }
-                  if (scratch.used == scratch.keys.size()) {
-                    scratch.keys.push_back(key);
-                    scratch.hashes.push_back(NodeKeyHash()(key));
-                  } else {
-                    scratch.keys[scratch.used] = key;
-                    scratch.hashes[scratch.used] = NodeKeyHash()(key);
-                  }
-                  ++scratch.used;
-                  ++expansion.count;
-                });
-          }
-        });
-  }
-
-  // Phase B (sequential, node order): intern, memoize, dedup, and append —
-  // identical to the fully sequential path in every observable way (id
-  // assignment order, memo layout, counters, graph bytes).
   for (std::int32_t id = frontier_begin; id < frontier_end; ++id) {
     const std::size_t idx = static_cast<std::size_t>(id);
     work_.nodes[idx].edge_begin = static_cast<std::int32_t>(work_.edges.size());
@@ -203,38 +131,12 @@ bool ForwardEngine::AdvanceLayer(
     scratch_ids_.clear();
     const MemoEntry memo = memo_[static_cast<std::size_t>(parent_key)];
     if (memo.epoch == candidate_epoch_) {
-      // Possibly fresher than Phase A's view: a duplicate parent key
-      // earlier in this layer (undeduplicated sources) may have stored the
-      // memo since. Preferring it — and discarding that node's Phase A
-      // record, which is addressed by begin/count and never compacted —
-      // keeps hit counters identical to the sequential build.
+      // Stored by an earlier tick of this epoch, or by a duplicate parent
+      // key earlier in this layer (sources are not deduplicated).
       RFID_STATS(++stats_memo_hits);
       for (std::int32_t k = 0; k < memo.count; ++k) {
         scratch_ids_.push_back(
             memo_pool_[static_cast<std::size_t>(memo.begin + k)]);
-      }
-    } else if (layer_parallel) {
-      // A Phase A memo hit implies a Phase B hit (entries never go stale
-      // within a layer), so a miss here always has a recorded expansion.
-      const NodeExpansion& expansion =
-          expansions_[static_cast<std::size_t>(id - frontier_begin)];
-      RFID_CHECK_GE(expansion.lane, 0);
-      LaneScratch& scratch =
-          lane_scratch_[static_cast<std::size_t>(expansion.lane)];
-      for (std::int32_t k = 0; k < expansion.count; ++k) {
-        const std::size_t slot =
-            static_cast<std::size_t>(expansion.begin + k);
-        scratch_ids_.push_back(work_.keys.Intern(
-            scratch.keys[slot], stamp_, scratch.hashes[slot]));
-      }
-      EnsureKeyCapacity(work_.keys.size());
-      if (expansion.parent_tl_empty && expansion.results_tl_empty) {
-        MemoEntry& slot = memo_[static_cast<std::size_t>(parent_key)];
-        slot.epoch = candidate_epoch_;
-        slot.begin = static_cast<std::int32_t>(memo_pool_.size());
-        slot.count = static_cast<std::int32_t>(scratch_ids_.size());
-        memo_pool_.insert(memo_pool_.end(), scratch_ids_.begin(),
-                          scratch_ids_.end());
       }
     } else {
       // Copy the parent key out of the arena: interning the successors can

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/parallel.h"
 #include "core/key_arena.h"
 #include "core/location_node.h"
 #include "core/successor.h"
@@ -44,16 +43,6 @@ class ForwardEngine {
   /// allocation hint; results are bit-identical with or without it.
   void ReserveCapacity(std::size_t nodes, std::size_t edges, Timestamp ticks,
                        std::size_t keys);
-
-  /// Attaches a fork-join pool for intra-tag layer parallelism: wide
-  /// frontiers split successor *generation* (constraint checks, key
-  /// construction, hashing — the pure, allocation-heavy part) across the
-  /// pool's lanes, while interning, dedup, and node/edge append stay
-  /// sequential in node order — so the produced graph, the interned id
-  /// space, and every stats counter are identical to the sequential build.
-  /// Pass nullptr (or a 1-lane pool) to stay fully sequential. The pool
-  /// must outlive the engine and must not be shared by concurrent builds.
-  void SetThreadPool(ThreadPool* pool) { pool_ = pool; }
 
   /// Creates the source layer (Algorithm 1, lines 1-4): one node per
   /// candidate — sources are intentionally not deduplicated, matching
@@ -134,31 +123,6 @@ class ForwardEngine {
   // consume loop reads one int32 instead of chasing the arena's key record
   // (SmallVector-bearing, 2+ cache lines) per edge.
   std::vector<LocationId> location_of_key_;
-
-  // Layer-parallel expansion (engaged when pool_ has >1 lane and the
-  // frontier is at least kParallelLayerThreshold nodes wide). Phase A runs
-  // successor generation for every frontier node concurrently, recording
-  // each node's expansion in its lane's scratch; Phase B (the sequential
-  // consume loop) interns the recorded keys with their precomputed hashes
-  // in node order. Lane buffers recycle element capacity across layers
-  // (`used` high-water cursor, never clear()), so steady state does no
-  // allocation.
-  struct LaneScratch {
-    std::vector<NodeKey> keys;
-    std::vector<std::size_t> hashes;  // parallel to keys
-    std::size_t used = 0;
-    NodeKey successor_scratch;
-  };
-  struct NodeExpansion {
-    std::int32_t lane = -1;  // -1 = memo hit in Phase A (nothing recorded)
-    std::int32_t begin = 0;  // first recorded key in lane scratch
-    std::int32_t count = 0;
-    bool parent_tl_empty = false;
-    bool results_tl_empty = false;
-  };
-  ThreadPool* pool_ = nullptr;
-  std::vector<LaneScratch> lane_scratch_;
-  std::vector<NodeExpansion> expansions_;
 };
 
 }  // namespace rfidclean::internal_core

@@ -22,11 +22,7 @@ std::int32_t NodeKeyArena::Append(const NodeKey& key, std::size_t hash) {
 }
 
 std::int32_t NodeKeyArena::Intern(const NodeKey& key, std::uint32_t scope) {
-  return Intern(key, scope, NodeKeyHash()(key));
-}
-
-std::int32_t NodeKeyArena::Intern(const NodeKey& key, std::uint32_t scope,
-                                  std::size_t hash) {
+  const std::size_t hash = NodeKeyHash()(key);
   // `steps` counts slot inspections for this call (>= 1 by construction —
   // CheckInvariants relies on probe_steps >= intern_calls). The batched
   // probe below preserves the position-based count: steps stays the number

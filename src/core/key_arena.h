@@ -47,12 +47,6 @@ class NodeKeyArena {
   /// if it must outlive them.
   std::int32_t Intern(const NodeKey& key, std::uint32_t scope);
 
-  /// As above with the key's NodeKeyHash precomputed by the caller (the
-  /// forward engine's layer-parallel phase hashes off the critical path).
-  /// `hash` must equal NodeKeyHash()(key).
-  std::int32_t Intern(const NodeKey& key, std::uint32_t scope,
-                      std::size_t hash);
-
   /// The canonical key of `id`. Valid while no further Intern runs.
   const NodeKey& key(std::int32_t id) const {
     return keys_[static_cast<std::size_t>(id)];

@@ -307,7 +307,7 @@ namespace internal_core {
 
 Result<CtGraph> CleanSequence(
     const CtGraphBuilder& builder, const LSequence& sequence,
-    ThreadPool* pool, BuildStats* stats,
+    BuildStats* stats,
     const std::function<void(StreamingCleaner&)>& prepare,
     const std::function<void(Timestamp)>& after_tick) {
   // Finish's conditioning summarizes every clean that reaches it; this
@@ -353,7 +353,6 @@ Result<CtGraph> CleanSequence(
   }
 
   StreamingCleaner cleaner(builder.successors());
-  cleaner.SetThreadPool(pool);
   if (prepare) prepare(cleaner);
   if (plan.has_value()) cleaner.SetPreflightPlan(&*plan);
   const Stopwatch forward_watch;

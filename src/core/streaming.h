@@ -73,12 +73,6 @@ class StreamingCleaner {
   /// first Push; pass nullptr to detach.
   void SetPreflightPlan(const PreflightPlan* plan);
 
-  /// Attaches a fork-join pool for intra-tag layer parallelism in the
-  /// forward engine (see ForwardEngine::SetThreadPool — successor
-  /// generation only; results are byte-identical with or without it). The
-  /// pool must outlive the cleaner; pass nullptr to detach.
-  void SetThreadPool(ThreadPool* pool) { engine_.SetThreadPool(pool); }
-
   /// Appends the candidate interpretation of the next tick (location,
   /// probability pairs summing to 1, as produced by AprioriModel /
   /// LSequence). Fails with InvalidArgument, leaving the cleaner as it was,
@@ -147,9 +141,9 @@ namespace internal_core {
 ///  2. preflight, when `builder` has an oracle: a statically doomed
 ///     sequence fails fast with Finish's infeasibility status, and a plan
 ///     that prunes anything is attached to the cleaner;
-///  3. a StreamingCleaner over `builder`'s successor generator, on `pool`,
-///     is handed to `prepare` (capacity hints) and then Pushed every tick,
-///     with `after_tick(t)` run after each;
+///  3. a StreamingCleaner over `builder`'s successor generator is handed
+///     to `prepare` (capacity hints) and then Pushed every tick, with
+///     `after_tick(t)` run after each;
 ///  4. Finish conditions and compacts.
 /// `stats` (optional) receives every phase timing and count. While an
 /// explain session is armed, a clean that dies before Finish records its
@@ -159,7 +153,7 @@ namespace internal_core {
 /// failure records the status alone. Finish records its own.
 Result<CtGraph> CleanSequence(
     const CtGraphBuilder& builder, const LSequence& sequence,
-    ThreadPool* pool, BuildStats* stats,
+    BuildStats* stats,
     const std::function<void(StreamingCleaner&)>& prepare = nullptr,
     const std::function<void(Timestamp)>& after_tick = nullptr);
 

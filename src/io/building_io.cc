@@ -121,6 +121,7 @@ Result<Building> ReadBuilding(std::istream& is) {
             "expected 'location <name> <kind> <floor> <minx> <miny> <maxx> "
             "<maxy>'");
       }
+      if (floor < 0) return error("location floor must be non-negative");
       std::optional<LocationKind> location_kind = ParseKind(tokens[2]);
       if (!location_kind.has_value()) return error("unknown location kind");
       if (by_name.count(tokens[1]) > 0) return error("duplicate location");

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <exception>
-#include <memory>
 #include <optional>
 #include <utility>
 
@@ -37,14 +36,14 @@ obs::Counter OutcomeCounter(const Result<CtGraph>& graph) {
 }
 #endif
 
-/// Cleans one workload with its lane's pool and recycled capacity hints,
-/// through the same routine as CtGraphBuilder::Build. All error messages
+/// Cleans one workload with its lane's recycled capacity hints, through
+/// the same routine as CtGraphBuilder::Build. All error messages
 /// are deterministic functions of the workload, so outcomes compare
 /// bit-identical across job counts and runs.
 TagOutcome CleanOne(const CtGraphBuilder& builder,
                     const TagWorkload& workload, const BatchOptions& options,
                     std::size_t index, runtime::WorkerArena* arena,
-                    ThreadPool* pool, std::uint64_t constraint_digest) {
+                    std::uint64_t constraint_digest) {
   obs::PhaseTimer phase_timer(obs::Phase::kTagClean);
   RFID_STATS(const Stopwatch tag_watch);
   // Every explain summary recorded while this workload cleans — by the
@@ -53,7 +52,7 @@ TagOutcome CleanOne(const CtGraphBuilder& builder,
   obs::SetExplainTag(static_cast<long long>(workload.tag));
   BuildStats stats;
   Result<CtGraph> graph = internal_core::CleanSequence(
-      builder, workload.sequence, pool, &stats,
+      builder, workload.sequence, &stats,
       [arena, &workload](StreamingCleaner& cleaner) {
         arena->Prepare(&cleaner, workload.sequence.length());
       },
@@ -88,9 +87,8 @@ TagOutcome CleanOne(const CtGraphBuilder& builder,
 BatchCleaner::BatchCleaner(const ConstraintSet& constraints,
                            BatchOptions options)
     : options_(std::move(options)),
-      builder_(constraints, CleanOptions{options_.successor,
-                                         options_.preflight,
-                                         /*forward_threads=*/1}),
+      builder_(constraints,
+               CleanOptions{options_.successor, options_.preflight}),
       constraint_digest_(constraints.Digest()) {
   if (options_.jobs < 1) options_.jobs = 1;
 }
@@ -104,74 +102,59 @@ std::vector<TagOutcome> BatchCleaner::CleanAll(
     const std::size_t lanes =
         std::min(static_cast<std::size_t>(options_.jobs), workloads.size());
     RFID_TRACE(batch_span.AddArg("workers", lanes));
-    // A lane is held by one thread at a time, so lane-indexed arenas and
-    // forward pools need no synchronization. Byte-identity across
-    // forward_threads values rests on the engine's Phase A/B split, so a
-    // forward pool's only observable effect is wall-clock.
+    // A lane is held by one thread at a time, so lane-indexed arenas need
+    // no synchronization.
     std::vector<runtime::WorkerArena> arenas(lanes);
-    std::vector<std::unique_ptr<ThreadPool>> forward_pools(lanes);
-    if (options_.forward_threads > 1) {
-      for (std::unique_ptr<ThreadPool>& pool : forward_pools) {
-        pool = std::make_unique<ThreadPool>(options_.forward_threads);
-      }
-    }
     // Each tag writes only its own slot, so the order in which lanes
     // finish never shows in the result.
-    const auto clean_tags = [&](std::size_t begin, std::size_t end,
-                                int lane) {
+    const auto clean_tag = [&](std::size_t index, int lane) {
       RFID_TRACE(obs::SetTraceThreadName(StrFormat("worker-%d", lane)));
       runtime::WorkerArena& arena = arenas[static_cast<std::size_t>(lane)];
-      ThreadPool* forward_pool =
-          forward_pools[static_cast<std::size_t>(lane)].get();
-      for (std::size_t index = begin; index < end; ++index) {
-        const TagWorkload& workload = workloads[index];
-        std::optional<TagOutcome>& slot = slots[index];
-        // Counted per tag (not inside CleanOne) so that every tag gets
-        // exactly one provision count and one outcome count, whichever
-        // path — success, error status, or throw — it takes.
-        RFID_STATS(obs::Add(arena.tick_hint() > 0
-                                ? obs::Counter::kBatchArenaReuses
-                                : obs::Counter::kBatchArenaColdStarts));
-        // Outside the tag span: whether this lane's arena had hints is a
-        // scheduling artifact, and tag_clean subtrees must stay identical
-        // across job counts (tests/obs_trace_test.cc).
-        RFID_TRACE(obs::TraceInstant(
-            "batch", "arena_prepare", "reused",
-            static_cast<std::uint64_t>(arena.tick_hint() > 0)));
-        RFID_TRACE_SPAN(tag_span, "batch", "tag_clean");
-        RFID_TRACE(
-            tag_span.AddArg("tag", static_cast<std::uint64_t>(workload.tag)));
-        try {
-          if (options_.before_tag) options_.before_tag(index);
-          slot.emplace(CleanOne(builder_, workload, options_, index, &arena,
-                                forward_pool, constraint_digest_));
-        } catch (const std::exception& e) {
-          RFID_STATS(obs::Add(obs::Counter::kBatchTagsInternalError));
-          slot.emplace(TagOutcome{
-              workload.tag,
-              InternalError(StrFormat(
-                  "uncaught exception while cleaning tag %lld: %s",
-                  static_cast<long long>(workload.tag), e.what())),
-              BuildStats{}});
-        } catch (...) {
-          RFID_STATS(obs::Add(obs::Counter::kBatchTagsInternalError));
-          slot.emplace(TagOutcome{
-              workload.tag,
-              InternalError(
-                  StrFormat("uncaught exception while cleaning tag %lld",
-                            static_cast<long long>(workload.tag))),
-              BuildStats{}});
-        }
-        RFID_TRACE(tag_span.AddArg(
-            "ok", static_cast<std::uint64_t>(slot->graph.ok())));
+      const TagWorkload& workload = workloads[index];
+      std::optional<TagOutcome>& slot = slots[index];
+      // Counted per tag (not inside CleanOne) so that every tag gets
+      // exactly one provision count and one outcome count, whichever
+      // path — success, error status, or throw — it takes.
+      RFID_STATS(obs::Add(arena.tick_hint() > 0
+                              ? obs::Counter::kBatchArenaReuses
+                              : obs::Counter::kBatchArenaColdStarts));
+      // Outside the tag span: whether this lane's arena had hints is a
+      // scheduling artifact, and tag_clean subtrees must stay identical
+      // across job counts (tests/obs_trace_test.cc).
+      RFID_TRACE(obs::TraceInstant(
+          "batch", "arena_prepare", "reused",
+          static_cast<std::uint64_t>(arena.tick_hint() > 0)));
+      RFID_TRACE_SPAN(tag_span, "batch", "tag_clean");
+      RFID_TRACE(
+          tag_span.AddArg("tag", static_cast<std::uint64_t>(workload.tag)));
+      try {
+        if (options_.before_tag) options_.before_tag(index);
+        slot.emplace(CleanOne(builder_, workload, options_, index, &arena,
+                              constraint_digest_));
+      } catch (const std::exception& e) {
+        RFID_STATS(obs::Add(obs::Counter::kBatchTagsInternalError));
+        slot.emplace(TagOutcome{
+            workload.tag,
+            InternalError(StrFormat(
+                "uncaught exception while cleaning tag %lld: %s",
+                static_cast<long long>(workload.tag), e.what())),
+            BuildStats{}});
+      } catch (...) {
+        RFID_STATS(obs::Add(obs::Counter::kBatchTagsInternalError));
+        slot.emplace(TagOutcome{
+            workload.tag,
+            InternalError(
+                StrFormat("uncaught exception while cleaning tag %lld",
+                          static_cast<long long>(workload.tag))),
+            BuildStats{}});
       }
+      RFID_TRACE(tag_span.AddArg(
+          "ok", static_cast<std::uint64_t>(slot->graph.ok())));
     };
-    // The pool's cursor hands out every tag exactly once, in input order.
-    // Destroying the pools joins their threads, which folds every lane's
-    // metric sinks before anything below reads them.
-    ThreadPool(static_cast<int>(lanes))
-        .ParallelFor(workloads.size(), /*chunk=*/1, clean_tags);
-    forward_pools.clear();
+    // The cursor hands out every tag exactly once, in input order.
+    // ParallelFor joins its threads before returning, which folds every
+    // lane's metric sinks before anything below reads them.
+    ParallelFor(static_cast<int>(lanes), workloads.size(), clean_tag);
     // Sampled once, with every worker joined: a capture taken while other
     // lanes still write their sinks would race them.
     RFID_TRACE(obs::TraceSampleCounterTracks());

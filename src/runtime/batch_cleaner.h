@@ -34,7 +34,7 @@ struct TagOutcome {
 };
 
 struct BatchOptions {
-  /// Lanes of the batch's thread pool, the calling thread included.
+  /// Lanes of the batch's ParallelFor, the calling thread included.
   /// Values < 1 are clamped to 1; jobs == 1 cleans on the calling thread
   /// without spawning. More jobs than tags is fine — CleanAll starts at
   /// most one lane per tag.
@@ -45,14 +45,6 @@ struct BatchOptions {
   /// candidates are dropped before the engine sees them. Output graphs and
   /// statuses are byte-identical either way.
   bool preflight = true;
-  /// Intra-tag layer parallelism (see CleanOptions::forward_threads): each
-  /// lane owns a private fork-join pool of this many lanes and splits
-  /// successor generation over wide layers across them. 1 = off (the
-  /// default — across-tag parallelism via `jobs` is almost always the
-  /// better first lever; this helps batches of few very wide tags). Output
-  /// is byte-identical for every value. Total thread count is roughly
-  /// jobs × forward_threads; tune the product to the machine.
-  int forward_threads = 1;
   /// Instrumentation/test hook run on the cleaning thread right before the
   /// workload at position `index` is cleaned. Must be thread-safe; an
   /// exception it throws is converted into an Internal outcome for that
@@ -66,11 +58,12 @@ struct BatchOptions {
   std::function<void(std::size_t index, Timestamp t)> after_tick;
 };
 
-/// Cleans N independent tag streams concurrently on a ThreadPool
+/// Cleans N independent tag streams concurrently: one ParallelFor
 /// (common/parallel.h) of min(jobs, N) lanes, the calling thread being
-/// lane 0: the pool's atomic cursor hands out tags one at a time in input
+/// lane 0, whose atomic cursor hands out tags one at a time in input
 /// order, so a lane that finishes early takes the next tag and skewed
-/// batches keep every lane busy. Each lane recycles its allocation
+/// batches keep every lane busy. The forward phase inside each tag stays
+/// one sequential sweep. Each lane recycles its allocation
 /// high-water marks across the tags it cleans (runtime/arena.h), and every
 /// outcome lands in the slot of its workload, so the result order — and
 /// every byte of every result — is independent of scheduling. Per tag the
@@ -98,8 +91,8 @@ class BatchCleaner {
                         BatchOptions options = BatchOptions());
 
   /// Cleans every workload; outcomes are returned in workload order
-  /// regardless of jobs and scheduling. The pool lives for this call only;
-  /// its threads are joined before it returns. An empty batch returns an
+  /// regardless of jobs and scheduling. The lanes' threads live for this
+  /// call only and are joined before it returns. An empty batch returns an
   /// empty vector without spawning threads.
   std::vector<TagOutcome> CleanAll(
       const std::vector<TagWorkload>& workloads) const;
@@ -108,9 +101,9 @@ class BatchCleaner {
 
  private:
   BatchOptions options_;
-  /// Shared by every lane (forward_threads 1: each lane brings its own
-  /// pool): its successor generator and preflight oracle are const after
-  /// construction, and each tag runs its one cleaning routine.
+  /// Shared by every lane: its successor generator and preflight oracle
+  /// are const after construction, and each tag runs its one cleaning
+  /// routine.
   CtGraphBuilder builder_;
   /// Computed once at construction; stamped into every tag's trace
   /// provenance record (constraint sets are immutable and shared).

@@ -197,4 +197,67 @@ expect_fail("${mismatch}" ${CLI} sample --dir ${small})
 expect_fail("${mismatch}" ${CLI} report --dir ${small})
 expect_fail("${mismatch}" ${CLI} pattern --dir ${small} --pattern "?")
 
+# Input the deployment cannot interpret must fail naming the cause, never
+# abort: a negative floor in building.map names its line, and a reader id
+# past the deployment's reader count names the time (and the tag, in a
+# multi-tag file), the id and the reader count, on every path that cleans.
+set(bad_floor ${WORK_DIR}/bad_floor)
+file(MAKE_DIRECTORY ${bad_floor})
+run_step(${CLI} generate --floors 2 --duration 30 --seed 1 --out ${bad_floor})
+file(READ ${bad_floor}/building.map map_text)
+string(FIND "${map_text}" "location F0.RoomA room 0 " room_at)
+if(room_at EQUAL -1)
+  message(FATAL_ERROR "building.map has no F0.RoomA line:\n${map_text}")
+endif()
+string(SUBSTRING "${map_text}" 0 ${room_at} map_before)
+string(REGEX MATCHALL "\n" map_newlines "${map_before}")
+list(LENGTH map_newlines room_line)
+math(EXPR room_line "${room_line} + 1")
+string(REPLACE "location F0.RoomA room 0 " "location F0.RoomA room -1 "
+       map_text "${map_text}")
+file(WRITE ${bad_floor}/building.map "${map_text}")
+expect_fail("line ${room_line}: location floor must be non-negative"
+            ${CLI} clean --dir ${bad_floor})
+
+set(bad_reader ${WORK_DIR}/bad_reader)
+file(MAKE_DIRECTORY ${bad_reader})
+run_step(${CLI} generate --floors 2 --duration 30 --seed 1 --out ${bad_reader})
+file(READ ${bad_reader}/readings.csv readings_text)
+string(REGEX REPLACE "\n3,[^\n]*\n" "\n3,9999\n" readings_text
+       "${readings_text}")
+file(WRITE ${bad_reader}/readings.csv "${readings_text}")
+set(single_reader_error "time 3 names reader 9999, but the deployment has")
+expect_fail("${single_reader_error}" ${CLI} clean --dir ${bad_reader})
+
+set(bad_tag_reader ${WORK_DIR}/bad_tag_reader)
+file(MAKE_DIRECTORY ${bad_tag_reader})
+run_step(${CLI} generate --floors 2 --duration 30 --seed 1 --tags 2
+         --out ${bad_tag_reader})
+file(READ ${bad_tag_reader}/readings.csv readings_text)
+string(REGEX REPLACE "\n1,3,[^\n]*\n" "\n1,3,9999\n" readings_text
+       "${readings_text}")
+file(WRITE ${bad_tag_reader}/readings.csv "${readings_text}")
+set(multi_reader_error
+    "tag 1 at time 3 names reader 9999, but the deployment has")
+expect_fail("${multi_reader_error}"
+            ${CLI} clean --dir ${bad_tag_reader} --jobs 2)
+if(EXPLAIN_ENABLED)
+  expect_fail("${single_reader_error}" ${CLI} explain --dir ${bad_reader})
+  expect_fail("${multi_reader_error}"
+              ${CLI} explain --dir ${bad_tag_reader} --tag 0)
+endif()
+
+# A flag the command does not read fails before anything runs or is
+# written: a misspelt or retired flag must not silently do nothing.
+expect_fail("unknown flag --forward-threads for 'clean'"
+            ${CLI} clean --dir ${WORK_DIR} --forward-threads 2
+            --stats=${WORK_DIR}/unknown_flag_stats.json)
+if(EXISTS ${WORK_DIR}/unknown_flag_stats.json)
+  message(FATAL_ERROR "a rejected flag left a stats file behind")
+endif()
+expect_fail("unknown flag --tiem for 'stay'"
+            ${CLI} stay --dir ${WORK_DIR} --tiem 45)
+expect_fail("unknown flag --tga for 'store ls'"
+            ${CLI} store ls --store ${big}/graphs.cts --tga 0)
+
 message(STATUS "cli smoke test passed")

@@ -416,48 +416,46 @@ TEST(StopwatchTest, ElapsedIsMonotonic) {
   EXPECT_GE(stopwatch.ElapsedMillis(), 0.0);
 }
 
-// --- ThreadPool --------------------------------------------------------------
+// --- ParallelFor -------------------------------------------------------------
 
-TEST(ThreadPoolTest, EveryIndexRunsExactlyOnce) {
-  // One pool per lane count runs every (n, chunk) job back to back; an
-  // empty range makes no call at all.
+TEST(ParallelForTest, EveryIndexRunsExactlyOnce) {
+  // An empty range makes no call at all, and fewer indices than lanes
+  // (n < lanes) still run each index once on a lane in [0, lanes).
   for (int lanes = 1; lanes <= 8; ++lanes) {
-    ThreadPool pool(lanes);
-    ASSERT_EQ(pool.lanes(), lanes);
     for (std::size_t n = 0; n <= 64; ++n) {
-      for (std::size_t chunk = 1; chunk <= n + 1; ++chunk) {
-        std::vector<std::atomic<int>> runs(n);
-        std::atomic<int> calls{0};
-        pool.ParallelFor(n, chunk,
-                         [&](std::size_t begin, std::size_t end, int) {
-                           calls.fetch_add(1, std::memory_order_relaxed);
-                           for (std::size_t i = begin; i < end; ++i) {
-                             runs[i].fetch_add(1, std::memory_order_relaxed);
-                           }
-                         });
-        if (n == 0) {
-          ASSERT_EQ(calls.load(), 0) << "lanes " << lanes;
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(runs[i].load(), 1) << "lanes " << lanes << ", n " << n
-                                       << ", chunk " << chunk << ", i " << i;
-        }
+      std::vector<std::atomic<int>> runs(n);
+      std::atomic<int> calls{0};
+      std::atomic<int> out_of_range{0};
+      ParallelFor(lanes, n, [&](std::size_t index, int lane) {
+        calls.fetch_add(1, std::memory_order_relaxed);
+        if (lane < 0 || lane >= lanes) out_of_range.fetch_add(1);
+        runs[index].fetch_add(1, std::memory_order_relaxed);
+      });
+      ASSERT_EQ(calls.load(), static_cast<int>(n))
+          << "lanes " << lanes << ", n " << n;
+      ASSERT_EQ(out_of_range.load(), 0) << "lanes " << lanes << ", n " << n;
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(runs[i].load(), 1)
+            << "lanes " << lanes << ", n " << n << ", i " << i;
       }
     }
   }
 }
 
-TEST(ThreadPoolTest, LanesAreExclusiveAndLaneZeroIsTheCaller) {
+TEST(ParallelForTest, LanesAreExclusiveAndLaneZeroIsTheCaller) {
   constexpr int kLanes = 4;
-  ThreadPool pool(kLanes);
   const std::thread::id caller = std::this_thread::get_id();
   std::atomic<int> busy[kLanes] = {};
   std::atomic<int> out_of_range{0};
   std::atomic<int> overlaps{0};
   std::atomic<int> lane_zero_elsewhere{0};
+  // One cursor hands indices out in increasing order, so each lane sees
+  // its own indices increase.
+  std::atomic<long long> last_index[kLanes];
+  for (std::atomic<long long>& last : last_index) last.store(-1);
+  std::atomic<int> out_of_order{0};
   std::atomic<std::uint64_t> sum{0};
-  pool.ParallelFor(4000, 1, [&](std::size_t begin, std::size_t end,
-                                int lane) {
+  ParallelFor(kLanes, 4000, [&](std::size_t index, int lane) {
     if (lane < 0 || lane >= kLanes) {
       out_of_range.fetch_add(1);
       return;
@@ -466,30 +464,32 @@ TEST(ThreadPoolTest, LanesAreExclusiveAndLaneZeroIsTheCaller) {
     if (lane == 0 && std::this_thread::get_id() != caller) {
       lane_zero_elsewhere.fetch_add(1);
     }
-    for (std::size_t i = begin; i < end; ++i) sum.fetch_add(i);
+    const long long current = static_cast<long long>(index);
+    if (last_index[lane].exchange(current) >= current) {
+      out_of_order.fetch_add(1);
+    }
+    sum.fetch_add(index);
     busy[lane].store(0);
   });
   EXPECT_EQ(out_of_range.load(), 0);
   EXPECT_EQ(overlaps.load(), 0);
   EXPECT_EQ(lane_zero_elsewhere.load(), 0);
+  EXPECT_EQ(out_of_order.load(), 0);
   EXPECT_EQ(sum.load(), 4000u * 3999u / 2);
 }
 
-TEST(ThreadPoolTest, OneLaneOrFewerRunsOnTheCaller) {
+TEST(ParallelForTest, OneLaneOrFewerRunsOnTheCallerInIndexOrder) {
   const std::thread::id caller = std::this_thread::get_id();
   for (int lanes : {-3, 0, 1}) {
-    ThreadPool pool(lanes);
-    EXPECT_EQ(pool.lanes(), 1) << "lanes " << lanes;
-    std::vector<std::pair<std::size_t, std::size_t>> calls;
+    std::vector<std::size_t> order;
     bool elsewhere = false;
-    pool.ParallelFor(10, 3, [&](std::size_t begin, std::size_t end, int lane) {
+    ParallelFor(lanes, 10, [&](std::size_t index, int lane) {
       EXPECT_EQ(lane, 0);
       elsewhere |= std::this_thread::get_id() != caller;
-      calls.emplace_back(begin, end);
+      order.push_back(index);
     });
     EXPECT_FALSE(elsewhere) << "lanes " << lanes;
-    EXPECT_EQ(calls, (std::vector<std::pair<std::size_t, std::size_t>>{
-                         {0, 10}}))
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}))
         << "lanes " << lanes;
   }
 }

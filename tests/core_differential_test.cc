@@ -159,6 +159,42 @@ TEST_P(CoreDifferentialTest, RewrittenCoreEqualsFrozenOracleBitForBit) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CoreDifferentialTest,
                          ::testing::Range(0, 25));
 
+/// The widest frontiers any test builds: 96 candidate locations per tick,
+/// with latency (delta-bearing keys) and traveling-time constraints
+/// (TL-bearing keys, which disable memoization), keep every layer over 64
+/// nodes wide. The core must still match the oracle byte for byte.
+TEST_F(CoreDifferentialTest, WideFrontiersMatchTheOracle) {
+  constexpr LocationId kLocations = 96;
+  ConstraintSet constraints(static_cast<std::size_t>(kLocations));
+  for (LocationId l = 0; l < kLocations; l += 3) {
+    constraints.AddLatency(l, 3);
+  }
+  for (LocationId l = 0; l + 1 < kLocations; l += 7) {
+    constraints.AddTravelingTime(l, l + 1, 3);
+  }
+  std::vector<std::vector<Candidate>> spec;
+  for (int t = 0; t < 6; ++t) {
+    std::vector<Candidate> at_t;
+    for (LocationId l = 0; l < kLocations; ++l) {
+      at_t.push_back(Candidate{l, 1.0 / static_cast<double>(kLocations)});
+    }
+    spec.push_back(std::move(at_t));
+  }
+  Result<LSequence> sequence = LSequence::Create(std::move(spec));
+  ASSERT_TRUE(sequence.ok());
+
+  Result<CtGraph> expected =
+      oracle::BuildCtGraph(constraints, sequence.value());
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  BuildStats stats;
+  Result<CtGraph> built =
+      CtGraphBuilder(constraints).Build(sequence.value(), &stats);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  EXPECT_GE(stats.peak_nodes / 6, 64u);  // the frontiers really are wide
+  EXPECT_EQ(Serialize(built.value()), Serialize(expected.value()));
+  EXPECT_EQ(built.value().Digest(), expected.value().Digest());
+}
+
 /// One answer per input, from every path. The dead-end feed (the
 /// constraints forbid the only move) gets both oracles' status from Build,
 /// a hand-driven StreamingCleaner and BatchCleaner, preflight on and off.
@@ -298,84 +334,8 @@ TEST_P(SimdDifferentialTest, ScalarAndVectorBuildsAreByteIdentical) {
   }
 }
 
-TEST_P(SimdDifferentialTest, ForwardThreadsDoNotChangeOneByte) {
-  // Intra-tag layer parallelism moves successor generation off the
-  // critical thread but must leave every emitted byte alone (the Phase A/B
-  // contract in forward.h). The 64-node engagement threshold means small
-  // random workloads exercise mostly the handoff boundary; the wide real
-  // workload below crosses it.
-  Rng rng(static_cast<std::uint64_t>(GetParam()), /*stream=*/4097);
-  for (int round = 0; round < 4; ++round) {
-    SCOPED_TRACE(::testing::Message()
-                 << "seed=" << GetParam() << " round=" << round);
-    const std::size_t num_locations =
-        static_cast<std::size_t>(rng.UniformInt(3, 5));
-    ConstraintSet constraints = MakeRandomConstraints(num_locations, rng);
-    LSequence sequence = MakeRandomSequence(num_locations, rng);
-
-    CleanOptions sequential;
-    CtGraphBuilder sequential_builder(constraints, sequential);
-    CleanOptions threaded;
-    threaded.forward_threads = 3;
-    CtGraphBuilder threaded_builder(constraints, threaded);
-
-    Result<CtGraph> a = sequential_builder.Build(sequence);
-    Result<CtGraph> b = threaded_builder.Build(sequence);
-    ASSERT_EQ(a.ok(), b.ok());
-    if (a.ok()) {
-      EXPECT_EQ(Serialize(a.value()), Serialize(b.value()));
-    } else {
-      EXPECT_EQ(a.status(), b.status());
-    }
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, SimdDifferentialTest,
                          ::testing::Range(0, 10));
-
-TEST(ForwardThreadsWideLayerTest, WideFrontiersCrossTheParallelThreshold) {
-  // 96 candidate locations per tick with latency (delta-bearing keys) and
-  // traveling-time (TL-bearing keys, which disable memoization) constraints
-  // keep every layer far wider than the 64-node engagement threshold, so
-  // Phase A demonstrably runs — and the output must still not move a byte.
-  constexpr LocationId kLocations = 96;
-  ConstraintSet constraints(static_cast<std::size_t>(kLocations));
-  for (LocationId l = 0; l < kLocations; l += 3) {
-    constraints.AddLatency(l, 3);
-  }
-  for (LocationId l = 0; l + 1 < kLocations; l += 7) {
-    constraints.AddTravelingTime(l, l + 1, 3);
-  }
-  std::vector<std::vector<Candidate>> spec;
-  for (int t = 0; t < 6; ++t) {
-    std::vector<Candidate> at_t;
-    for (LocationId l = 0; l < kLocations; ++l) {
-      at_t.push_back(Candidate{l, 1.0 / static_cast<double>(kLocations)});
-    }
-    spec.push_back(std::move(at_t));
-  }
-  Result<LSequence> sequence = LSequence::Create(std::move(spec));
-  ASSERT_TRUE(sequence.ok());
-
-  CtGraphBuilder sequential_builder(constraints);
-  CleanOptions threaded;
-  threaded.forward_threads = 4;
-  CtGraphBuilder threaded_builder(constraints, threaded);
-  Result<CtGraph> a = sequential_builder.Build(sequence.value());
-  Result<CtGraph> b = threaded_builder.Build(sequence.value());
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  BuildStats stats;
-  Result<CtGraph> c = threaded_builder.Build(sequence.value(), &stats);
-  ASSERT_TRUE(c.ok());
-  EXPECT_GE(stats.peak_nodes / 6, 64u);  // threshold genuinely crossed
-  std::ostringstream want, got;
-  WriteCtGraph(a.value(), want);
-  WriteCtGraph(b.value(), got);
-  EXPECT_EQ(got.str(), want.str());
-  EXPECT_EQ(a.value().Digest(), b.value().Digest());
-  EXPECT_EQ(b.value().Digest(), c.value().Digest());
-}
 
 /// The paper's running example (Examples 10-12): both cores must agree
 /// bit-for-bit AND reproduce the published golden trace — the unique valid

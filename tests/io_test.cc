@@ -216,6 +216,20 @@ TEST(BuildingIoTest, RejectsMalformedInput) {
   }
 }
 
+TEST(BuildingIoTest, NegativeFloorIsALineErrorNotAnAbort) {
+  std::istringstream is(
+      "building 1 0 0 10 10\n"
+      "location A room 0 0 0 4 4\n"
+      "location B room -1 5 0 9 4\n");
+  Result<Building> parsed = ReadBuilding(is);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parsed.status().message().find("line 3:"), std::string::npos)
+      << parsed.status().ToString();
+  EXPECT_NE(parsed.status().message().find("floor"), std::string::npos)
+      << parsed.status().ToString();
+}
+
 // --- DOT export ------------------------------------------------------------------
 
 TEST(DotExportTest, EmitsNodesEdgesAndProbabilities) {

@@ -17,8 +17,8 @@ examples/):
     guard name as a comment.
 
  3. `std::thread` may appear only in src/common/parallel.{h,cc} (over src/
-    and tools/): every other parallel loop runs on its ThreadPool, so the
-    program keeps one scheduler.
+    and tools/): every other parallel loop runs through its ParallelFor,
+    so the program keeps one scheduler.
 
 Exit status 0 when clean, 1 with one "file:line: message" per finding
 otherwise. Run from anywhere: paths are resolved against the repo root
@@ -77,7 +77,7 @@ def check_threads(relpath: Path, lines) -> list:
         return []
     return [
         f"{relpath}:{lineno}: std::thread is allowed only in "
-        "src/common/parallel.{h,cc}; run parallel work on its ThreadPool"
+        "src/common/parallel.{h,cc}; run parallel work through ParallelFor"
         for lineno, line in enumerate(lines, start=1)
         if THREAD_RE.search(strip_noncode(line))]
 

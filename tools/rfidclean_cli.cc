@@ -9,7 +9,6 @@
 //
 //   rfidclean_cli clean --dir DIR [--families DU|DU+LT|DU+LT+TT]
 //                       [--seed 1] [--dot graph.dot] [--jobs N]
-//                       [--forward-threads N]
 //                       [--store FILE]
 //       Cleans DIR/readings.csv against DIR/building.map and writes
 //       DIR/graph.ctg (plus an optional GraphViz rendering). A multi-tag
@@ -51,6 +50,7 @@
 // Calibrator), matching what `generate` used; a production deployment would
 // load its own calibrated coverage instead.
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <cstring>
@@ -149,6 +149,17 @@ class Args {
     auto it = values_.find(key);
     if (it == values_.end()) return fallback;
     return it->second != "0" && it->second != "false";
+  }
+  /// The first flag (in name order) that is not a word of `accepted`, a
+  /// space-separated list of flag names without their "--".
+  std::optional<std::string> FirstUnknown(std::string_view accepted) const {
+    const std::vector<std::string> names = StrSplit(accepted, ' ');
+    for (const auto& entry : values_) {
+      if (std::find(names.begin(), names.end(), entry.first) == names.end()) {
+        return entry.first;
+      }
+    }
+    return std::nullopt;
   }
 
  private:
@@ -463,6 +474,64 @@ bool HasMultiTagReadings(const std::string& dir) {
          StripWhitespace(line) == kMultiTagReadingsHeader;
 }
 
+/// DIR/readings.csv interpreted under the deployment's calibrated a-priori
+/// model: one workload per tag, or one tagged 0 for a single-tag file.
+struct CliReadings {
+  bool multi_tag = false;
+  std::vector<TagWorkload> workloads;
+};
+
+/// The one way `clean` and `explain` read their input. The interpretation
+/// indexes the coverage matrix by reader id, so an id the deployment does
+/// not have fails first, naming the tag (multi-tag files only), the time,
+/// the id and the reader count.
+Result<CliReadings> LoadCliReadings(const std::string& dir,
+                                    const Building& building,
+                                    const Deployment& deployment) {
+  CliReadings loaded;
+  loaded.multi_tag = HasMultiTagReadings(dir);
+  std::vector<TagReadings> tags;
+  if (loaded.multi_tag) {
+    std::ifstream is(dir + "/readings.csv");
+    if (!is) return NotFoundError("cannot open " + dir + "/readings.csv");
+    Result<std::vector<TagReadings>> parsed = ReadMultiTagReadingsCsv(is);
+    if (!parsed.ok()) return parsed.status();
+    tags = std::move(parsed).value();
+  } else {
+    Result<RSequence> readings = LoadReadings(dir);
+    if (!readings.ok()) return readings.status();
+    tags.push_back(TagReadings{0, std::move(readings).value()});
+  }
+  const int num_readers = deployment.calibrated.num_readers();
+  for (const TagReadings& tag : tags) {
+    for (Timestamp t = 0; t < tag.readings.length(); ++t) {
+      for (const ReaderId reader : tag.readings.ReadersAt(t)) {
+        if (reader >= 0 && reader < num_readers) continue;
+        const std::string where =
+            loaded.multi_tag
+                ? StrFormat("tag %lld at time %d",
+                            static_cast<long long>(tag.tag), t)
+                : StrFormat("time %d", t);
+        return InvalidArgumentError(StrFormat(
+            "%s/readings.csv: %s names reader %d, but the deployment has "
+            "%d readers (ids 0-%d)",
+            dir.c_str(), where.c_str(), reader, num_readers,
+            num_readers - 1));
+      }
+    }
+  }
+  // The a-priori interpretation stays sequential: AprioriModel memoizes per
+  // reader set behind a non-synchronized cache. The conditioning dominates
+  // anyway and is what the batch engine parallelizes.
+  AprioriModel apriori(building, deployment.grid, deployment.calibrated);
+  loaded.workloads.reserve(tags.size());
+  for (const TagReadings& tag : tags) {
+    loaded.workloads.push_back(TagWorkload{
+        tag.tag, LSequence::FromReadings(tag.readings, apriori)});
+  }
+  return loaded;
+}
+
 Result<ConstraintSet> MakeCliConstraints(const Args& args,
                                          const Building& building,
                                          const Deployment& deployment,
@@ -488,9 +557,6 @@ Result<ConstraintSet> MakeCliConstraints(const Args& args,
 struct CleanFlags {
   int seed = 1;
   int jobs = 1;
-  /// Intra-tag lanes (CleanOptions::forward_threads); output is
-  /// byte-identical for every value, so this is purely a wall-clock knob.
-  int forward_threads = 1;
 };
 
 /// Persists every per-tag explain summary of the active session into the
@@ -510,30 +576,13 @@ Status PersistExplainSummaries(store::CtStoreWriter* writer) {
 /// --jobs workers; one graph_<tag>.ctg per successfully cleaned tag, or —
 /// with `store_path` — every cleaned graph appended to one binary
 /// ct-store container instead.
-int CleanBatch(const std::string& dir, const Building& building,
-               const Deployment& deployment, const ConstraintSet& constraints,
-               ConstraintFamilies families, bool audit, bool preflight,
-               const CleanFlags& flags, const std::string& store_path,
-               CleanReports* reports) {
-  std::ifstream is(dir + "/readings.csv");
-  if (!is) return Fail("cannot open readings.csv");
-  Result<std::vector<TagReadings>> tags = ReadMultiTagReadingsCsv(is);
-  if (!tags.ok()) return Fail(tags.status());
-
-  // The a-priori interpretation stays sequential: AprioriModel memoizes per
-  // reader set behind a non-synchronized cache. The conditioning dominates
-  // anyway and is what the batch engine parallelizes.
-  AprioriModel apriori(building, deployment.grid, deployment.calibrated);
-  std::vector<TagWorkload> workloads;
-  workloads.reserve(tags.value().size());
-  for (const TagReadings& tag : tags.value()) {
-    workloads.push_back(TagWorkload{
-        tag.tag, LSequence::FromReadings(tag.readings, apriori)});
-  }
-
+int CleanBatch(const std::string& dir,
+               const std::vector<TagWorkload>& workloads,
+               const ConstraintSet& constraints, ConstraintFamilies families,
+               bool audit, bool preflight, const CleanFlags& flags,
+               const std::string& store_path, CleanReports* reports) {
   BatchOptions options;
   options.jobs = flags.jobs;
-  options.forward_threads = flags.forward_threads;
   options.preflight = preflight;
   BatchCleaner cleaner(constraints, options);
   Stopwatch watch;
@@ -630,20 +679,17 @@ int CleanImpl(const Args& args, const std::string& dir,
   }
 
   const std::string store_path = args.Get("store", "");
-  if (HasMultiTagReadings(dir)) {
-    return CleanBatch(dir, building.value(), deployment, constraints.value(),
+  Result<CliReadings> readings =
+      LoadCliReadings(dir, building.value(), deployment);
+  if (!readings.ok()) return Fail(readings.status());
+  if (readings.value().multi_tag) {
+    return CleanBatch(dir, readings.value().workloads, constraints.value(),
                       families, audit, preflight, flags, store_path, reports);
   }
-
-  Result<RSequence> readings = LoadReadings(dir);
-  if (!readings.ok()) return Fail(readings.status());
-  AprioriModel apriori(building.value(), deployment.grid,
-                       deployment.calibrated);
-  LSequence sequence = LSequence::FromReadings(readings.value(), apriori);
+  const LSequence& sequence = readings.value().workloads.front().sequence;
 
   CleanOptions build_options;
   build_options.preflight = preflight;
-  build_options.forward_threads = flags.forward_threads;
   CtGraphBuilder builder(constraints.value(), build_options);
   BuildStats stats;
   Result<CtGraph> graph = builder.Build(sequence, &stats);
@@ -717,8 +763,7 @@ int Clean(const Args& args) {
 
   CleanFlags flags;
   if (!ReadIntFlag(args, "seed", 0, &flags.seed) ||
-      !ReadIntFlag(args, "jobs", 1, &flags.jobs) ||
-      !ReadIntFlag(args, "forward-threads", 1, &flags.forward_threads)) {
+      !ReadIntFlag(args, "jobs", 1, &flags.jobs)) {
     return 1;
   }
   obs::TraceOptions trace;
@@ -1190,34 +1235,21 @@ int Explain(const Args& args) {
   int top_edges = static_cast<int>(options.top_edges);
   if (!ReadIntFlag(args, "explain-top-edges", 1, &top_edges)) return 1;
   options.top_edges = static_cast<std::size_t>(top_edges);
-  obs::StartExplain(options);
+  Result<CliReadings> readings = LoadCliReadings(dir, *building, deployment);
+  if (!readings.ok()) return Fail(readings.status());
 
-  AprioriModel apriori(*building, deployment.grid, deployment.calibrated);
-  if (HasMultiTagReadings(dir)) {
-    std::ifstream is(dir + "/readings.csv");
-    if (!is) return Fail("cannot open readings.csv");
-    Result<std::vector<TagReadings>> tags = ReadMultiTagReadingsCsv(is);
-    if (!tags.ok()) return Fail(tags.status());
-    std::vector<TagWorkload> workloads;
-    workloads.reserve(tags.value().size());
-    for (const TagReadings& tag : tags.value()) {
-      workloads.push_back(TagWorkload{
-          tag.tag, LSequence::FromReadings(tag.readings, apriori)});
-    }
+  obs::StartExplain(options);
+  if (readings.value().multi_tag) {
     BatchOptions batch;
     batch.jobs = jobs;
     batch.preflight = preflight;
     BatchCleaner cleaner(constraints.value(), batch);
-    (void)cleaner.CleanAll(workloads);
+    (void)cleaner.CleanAll(readings.value().workloads);
   } else {
-    Result<RSequence> readings = LoadReadings(dir);
-    if (!readings.ok()) return Fail(readings.status());
-    LSequence sequence =
-        LSequence::FromReadings(readings.value(), apriori);
     CleanOptions build_options;
     build_options.preflight = preflight;
     CtGraphBuilder builder(constraints.value(), build_options);
-    (void)builder.Build(sequence);
+    (void)builder.Build(readings.value().workloads.front().sequence);
   }
 
   const obs::ExplainCollection collection = obs::CollectExplain();
@@ -1363,7 +1395,7 @@ int Usage() {
       "store> [--key value ...]\n"
       "  generate --floors N --duration T --seed S --out DIR [--tags N]\n"
       "  clean    --dir DIR [--families DU|DU+LT|DU+LT+TT] [--dot F] "
-      "[--audit] [--no-preflight] [--jobs N] [--forward-threads N]\n"
+      "[--audit] [--no-preflight] [--jobs N]\n"
       "           [--store FILE] [--stats[=FILE]] [--trace[=FILE]] "
       "[--trace-buffer-events N]\n"
       "           [--explain[=FILE]] [--explain-top-edges N]\n"
@@ -1386,11 +1418,58 @@ int Usage() {
   return 2;
 }
 
+/// Every flag each command reads ("store VERB" for the store verbs). A
+/// command given any other flag fails before it runs, so a misspelt or
+/// retired flag cannot silently do nothing.
+struct CommandFlags {
+  const char* command;
+  const char* flags;  // space-separated, without "--"
+};
+constexpr CommandFlags kCommandFlags[] = {
+    {"generate", "floors duration seed tags out"},
+    {"clean",
+     "dir families seed dot audit no-preflight jobs store stats trace "
+     "trace-buffer-events explain explain-top-edges"},
+    {"explain",
+     "dir store tag time location families seed jobs no-preflight json "
+     "explain-top-edges"},
+    {"check-constraints", "dir families seed json"},
+    {"stay", "dir time store tag"},
+    {"pattern", "dir pattern"},
+    {"sample", "dir count seed"},
+    {"report", "dir audit"},
+    {"store ls", "store"},
+    {"store get", "store tag out raw"},
+    {"store put", "store tag in"},
+    {"store compact", "store"},
+    {"store verify", "store"},
+};
+
+/// Fails with "unknown flag --X for 'COMMAND'" when `args` holds a flag
+/// `command` does not read; 0 otherwise, and for commands the table does
+/// not list (their own dispatch reports them).
+int CheckFlags(const std::string& command, const Args& args) {
+  for (const CommandFlags& entry : kCommandFlags) {
+    if (command != entry.command) continue;
+    const std::optional<std::string> unknown = args.FirstUnknown(entry.flags);
+    if (!unknown.has_value()) return 0;
+    return Fail("unknown flag --" + *unknown + " for '" + command + "'");
+  }
+  return 0;
+}
+
 int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
   std::string command = argv[1];
-  if (command == "store") return StoreCmd(argc, argv);
+  if (command == "store") {
+    if (argc >= 3 &&
+        CheckFlags(command + " " + argv[2], Args(argc, argv, 3)) != 0) {
+      return 1;
+    }
+    return StoreCmd(argc, argv);
+  }
   Args args(argc, argv, 2);
+  if (CheckFlags(command, args) != 0) return 1;
   if (command == "generate") return Generate(args);
   if (command == "clean") return Clean(args);
   if (command == "explain") return Explain(args);
