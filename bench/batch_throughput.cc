@@ -8,11 +8,13 @@
 //
 //   batch_throughput [--tags N] [--ticks T] [--seed S]
 //                    [--jobs 1,2,4,8] [--out BENCH_batch.json] [--paper]
+//
+// --tags, --ticks and each --jobs entry must be positive integers and
+// --seed a non-negative one; any other value exits 1 before any work.
 
+#include <climits>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -64,32 +66,19 @@ std::uint64_t DigestOutcomes(const std::vector<TagOutcome>& outcomes) {
   return hash;
 }
 
-const char* FlagValue(int argc, char** argv, const char* name) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return nullptr;
-}
-
 int Main(int argc, char** argv) {
   const BenchScale scale = BenchScale::FromArgs(argc, argv);
-  const char* tags_arg = FlagValue(argc, argv, "--tags");
-  const char* ticks_arg = FlagValue(argc, argv, "--ticks");
-  const char* seed_arg = FlagValue(argc, argv, "--seed");
-  const char* jobs_arg = FlagValue(argc, argv, "--jobs");
   const char* out_arg = FlagValue(argc, argv, "--out");
-  const int num_tags =
-      tags_arg != nullptr ? std::atoi(tags_arg) : (scale.paper ? 128 : 32);
+  constexpr const char* kBench = "batch_throughput";
+  const int num_tags = static_cast<int>(
+      IntFlag(kBench, argc, argv, "--tags", 1, scale.paper ? 128 : 32));
   const Timestamp ticks = static_cast<Timestamp>(
-      ticks_arg != nullptr ? std::atoi(ticks_arg) : (scale.paper ? 600 : 120));
+      IntFlag(kBench, argc, argv, "--ticks", 1, scale.paper ? 600 : 120));
   const std::uint64_t seed = static_cast<std::uint64_t>(
-      seed_arg != nullptr ? std::atoll(seed_arg) : 1);
+      IntFlag(kBench, argc, argv, "--seed", 0, 1, LLONG_MAX));
   const std::string out = out_arg != nullptr ? out_arg : "BENCH_batch.json";
-  std::vector<int> job_counts;
-  for (const std::string& token :
-       StrSplit(jobs_arg != nullptr ? jobs_arg : "1,2,4,8", ',')) {
-    if (!token.empty()) job_counts.push_back(std::atoi(token.c_str()));
-  }
+  const std::vector<int> job_counts =
+      IntListFlag(kBench, argc, argv, "--jobs", "1,2,4,8");
 
   PrintHeader("batch_throughput",
               "Multi-tag batch cleaning: tags/sec and peak RSS vs jobs",

@@ -1,8 +1,11 @@
 #ifndef RFIDCLEAN_BENCH_BENCH_UTIL_H_
 #define RFIDCLEAN_BENCH_BENCH_UTIL_H_
 
+#include <charconv>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <fstream>
@@ -22,6 +25,62 @@
 #include "gen/dataset.h"
 
 namespace rfidclean::bench {
+
+/// The value after `name` on the command line, or nullptr when absent.
+inline const char* FlagValue(int argc, char** argv, const char* name) {
+  for (int i = 1; i + 1 < argc; ++i) {
+    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
+  }
+  return nullptr;
+}
+
+inline bool HasFlag(int argc, char** argv, const char* name) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], name) == 0) return true;
+  }
+  return false;
+}
+
+/// All of `text`, the value of integer flag `flag` of bench `bench`, as
+/// one base-10 integer in [min, max]. Anything else (empty, trailing
+/// characters, out of range) prints "<bench>: <flag> must be a positive
+/// integer, got '<text>'" (non-negative when `min` is 0) and exits 1.
+/// Benches read their flags before doing any work, so nothing has run.
+inline long long StrictInt(const char* bench, const char* flag,
+                           const std::string& text, long long min,
+                           long long max) {
+  long long value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value < min || value > max) {
+    std::fprintf(stderr, "%s: %s must be a %s integer, got '%s'\n", bench,
+                 flag, min > 0 ? "positive" : "non-negative", text.c_str());
+    std::exit(1);
+  }
+  return value;
+}
+
+/// Integer flag `flag` read by StrictInt, or `fallback` when it is absent.
+inline long long IntFlag(const char* bench, int argc, char** argv,
+                         const char* flag, long long min, long long fallback,
+                         long long max = INT_MAX) {
+  const char* text = FlagValue(argc, argv, flag);
+  return text != nullptr ? StrictInt(bench, flag, text, min, max) : fallback;
+}
+
+/// A comma-separated list of positive integers (--ticks 100,1000), each
+/// entry read by StrictInt; `fallback` when the flag is absent.
+inline std::vector<int> IntListFlag(const char* bench, int argc, char** argv,
+                                    const char* flag, const char* fallback) {
+  const char* text = FlagValue(argc, argv, flag);
+  std::vector<int> values;
+  for (const std::string& token :
+       StrSplit(text != nullptr ? text : fallback, ',')) {
+    values.push_back(static_cast<int>(StrictInt(bench, flag, token, 1,
+                                                INT_MAX)));
+  }
+  return values;
+}
 
 /// Workload scale of a figure bench. Quick mode (the default) keeps the
 /// paper's durations (10/60/90/120 min) but averages over 2 trajectories

@@ -20,6 +20,9 @@
 //              [--out BENCH_core.json] [--trace FILE] [--explain FILE]
 //              [--paper] [--force-scalar]
 //
+// Tick counts and --reps must be positive integers and --seed a
+// non-negative one; any other value exits 1 before anything is built.
+//
 // With --sparse the workload switches to sparse feeds (one exact anchor
 // every 8 ticks, ghost-branch distractor walks in between) and every point is
 // built twice — preflight on and off — digest-checking the two graphs
@@ -27,10 +30,9 @@
 // (fields ns_per_timestamp, ns_per_timestamp_no_preflight, nodes_pruned).
 
 #include <algorithm>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -60,20 +62,6 @@ std::uint64_t Fnv1a(std::uint64_t hash, const std::string& text) {
     hash *= 0x100000001b3ULL;
   }
   return hash;
-}
-
-const char* FlagValue(int argc, char** argv, const char* name) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return nullptr;
-}
-
-bool HasFlag(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
-  }
-  return false;
 }
 
 /// Sparse-feed variant of an item's l-sequence: an exact ground-truth
@@ -149,8 +137,7 @@ LSequence MakeSparseSequence(const Dataset::Item& item,
 /// regression gate (BENCH_core_sparse.json, gated with --direction higher
 /// on nodes_pruned).
 int RunSparse(const BenchScale& scale, const std::vector<Timestamp>& durations,
-              const char* reps_arg, std::uint64_t seed,
-              const std::string& out) {
+              int reps_flag, std::uint64_t seed, const std::string& out) {
   PrintHeader("core_build --sparse",
               "Preflight pruning win on sparse feeds: anchor tick every 8, "
               "3 ghost branches drifting in between (SYN1, DU+LT+TT)",
@@ -184,8 +171,8 @@ int RunSparse(const BenchScale& scale, const std::vector<Timestamp>& durations,
     Rng rng(seed, /*stream=*/0x5BA55E + static_cast<std::uint64_t>(ticks));
     const LSequence sequence = MakeSparseSequence(item, constraints, rng);
 
-    int reps = reps_arg != nullptr
-                   ? std::atoi(reps_arg)
+    int reps = reps_flag > 0
+                   ? reps_flag
                    : std::max(3, static_cast<int>(30000 / std::max<Timestamp>(
                                                               ticks, 1)));
     if (scale.paper) reps *= 3;
@@ -260,9 +247,6 @@ int RunSparse(const BenchScale& scale, const std::vector<Timestamp>& durations,
 
 int Main(int argc, char** argv) {
   const BenchScale scale = BenchScale::FromArgs(argc, argv);
-  const char* ticks_arg = FlagValue(argc, argv, "--ticks");
-  const char* reps_arg = FlagValue(argc, argv, "--reps");
-  const char* seed_arg = FlagValue(argc, argv, "--seed");
   const char* out_arg = FlagValue(argc, argv, "--out");
   const char* trace_arg = FlagValue(argc, argv, "--trace");
   const char* explain_arg = FlagValue(argc, argv, "--explain");
@@ -272,21 +256,20 @@ int Main(int argc, char** argv) {
   if (HasFlag(argc, argv, "--force-scalar")) {
     simd::ForceScalarForTesting(true);
   }
+  constexpr const char* kBench = "core_build";
   const std::uint64_t seed = static_cast<std::uint64_t>(
-      seed_arg != nullptr ? std::atoll(seed_arg) : 1);
+      IntFlag(kBench, argc, argv, "--seed", 0, 1, LLONG_MAX));
+  // 0: no --reps, so each point sizes its own repetition count.
+  const int reps_flag =
+      static_cast<int>(IntFlag(kBench, argc, argv, "--reps", 1, 0));
   const std::string out =
       out_arg != nullptr
           ? out_arg
           : (sparse ? "BENCH_core_sparse.json" : "BENCH_core.json");
-  std::vector<Timestamp> durations;
-  for (const std::string& token :
-       StrSplit(ticks_arg != nullptr ? ticks_arg : "100,1000,10000", ',')) {
-    if (!token.empty()) {
-      durations.push_back(static_cast<Timestamp>(std::atoi(token.c_str())));
-    }
-  }
+  const std::vector<Timestamp> durations =
+      IntListFlag(kBench, argc, argv, "--ticks", "100,1000,10000");
 
-  if (sparse) return RunSparse(scale, durations, reps_arg, seed, out);
+  if (sparse) return RunSparse(scale, durations, reps_flag, seed, out);
 
   PrintHeader("core_build",
               "Single-tag ct-graph construction: median build time and "
@@ -342,8 +325,8 @@ int Main(int argc, char** argv) {
     const Timestamp ticks = item.duration;
     // Repetitions: aim for a fixed time budget per point so short builds
     // average away scheduling noise; --reps overrides, --paper triples.
-    int reps = reps_arg != nullptr
-                   ? std::atoi(reps_arg)
+    int reps = reps_flag > 0
+                   ? reps_flag
                    : std::max(3, static_cast<int>(30000 / std::max<Timestamp>(
                                                               ticks, 1)));
     if (scale.paper) reps *= 3;

@@ -1,9 +1,10 @@
 // Micro-benchmarks of the library's hot paths (google-benchmark):
-// successor generation, node-key hashing, ct-graph construction at several
-// sequence lengths, the graph digest, stay-query evaluation, pattern-query
-// evaluation, trajectory sampling, and the dispatched kernels — SIMD,
-// CRC-32 and the bulk varint decoder (scalar vs vector, selected by the
-// benchmark arg: 0 = forced scalar, 1 = runtime dispatch).
+// successor generation, node-key hashing and interning, ct-graph
+// construction at several sequence lengths, the graph digest, stay-query
+// evaluation, pattern-query evaluation, trajectory sampling, and the
+// dispatched kernels — SIMD, CRC-32 and the bulk varint decoder (scalar vs
+// vector, selected by the benchmark arg: 0 = forced scalar, 1 = runtime
+// dispatch).
 
 #include <cstdint>
 #include <memory>
@@ -17,6 +18,7 @@
 #include "common/simd.h"
 #include "common/varint.h"
 #include "core/builder.h"
+#include "core/key_arena.h"
 #include "core/location_node.h"
 #include "core/successor.h"
 #include "eval/workload.h"
@@ -94,6 +96,48 @@ void BM_NodeKeyHash(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NodeKeyHash);
+
+/// NodeKeyArena::Intern on its own, apart from successor generation: 100
+/// scopes (forward layers) of 256 TL-bearing keys with 1-9 departures
+/// each, so a fifth of the keys spill past the TL's inline slots. Each
+/// scope interns every key twice, a fresh insert and then a hit, as a
+/// layer's duplicate successors do; every iteration starts a fresh arena,
+/// so the record array and the TL pool grow as in one build.
+void BM_KeyArenaIntern(benchmark::State& state) {
+  constexpr std::uint32_t kScopes = 100;
+  constexpr std::size_t kKeysPerScope = 256;
+  std::vector<NodeKey> keys;
+  keys.reserve(kScopes * kKeysPerScope);
+  for (std::uint32_t scope = 0; scope < kScopes; ++scope) {
+    for (std::size_t k = 0; k < kKeysPerScope; ++k) {
+      NodeKey key;
+      key.location = static_cast<LocationId>(k % 64);
+      key.delta = k % 3 == 0 ? 1 : kDeltaBottom;
+      const std::size_t tl_size = 1 + (k / 64 + k) % 9;
+      for (std::size_t i = 0; i < tl_size; ++i) {
+        key.departures.push_back(
+            Departure{static_cast<Timestamp>(scope + i),
+                      static_cast<LocationId>(64 + i)});
+      }
+      keys.push_back(std::move(key));
+    }
+  }
+  for (auto _ : state) {
+    internal_core::NodeKeyArena arena;
+    for (std::uint32_t scope = 0; scope < kScopes; ++scope) {
+      const NodeKey* layer = keys.data() + scope * kKeysPerScope;
+      for (int pass = 0; pass < 2; ++pass) {
+        for (std::size_t k = 0; k < kKeysPerScope; ++k) {
+          benchmark::DoNotOptimize(arena.Intern(layer[k], scope + 1));
+        }
+      }
+    }
+    benchmark::DoNotOptimize(arena.size());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 *
+                          static_cast<std::int64_t>(keys.size()));
+}
+BENCHMARK(BM_KeyArenaIntern)->Unit(benchmark::kMicrosecond);
 
 void BM_BuildCtGraph(benchmark::State& state) {
   const Timestamp length = static_cast<Timestamp>(state.range(0));

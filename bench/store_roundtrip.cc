@@ -20,12 +20,14 @@
 //   store_roundtrip [--ticks 100,1000,10000] [--reps N] [--seed S]
 //                   [--out BENCH_store.json] [--work FILE.cts] [--paper]
 //                   [--force-scalar]
+//
+// Tick counts and --reps must be positive integers and --seed a
+// non-negative one; any other value exits 1 before anything is built.
 
 #include <algorithm>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -49,20 +51,6 @@
 namespace rfidclean::bench {
 namespace {
 
-const char* FlagValue(int argc, char** argv, const char* name) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return nullptr;
-}
-
-bool HasFlag(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
-  }
-  return false;
-}
-
 int Main(int argc, char** argv) {
   const BenchScale scale = BenchScale::FromArgs(argc, argv);
   // Routes Crc32, the varint decoder and every other dispatched kernel to
@@ -70,23 +58,19 @@ int Main(int argc, char** argv) {
   if (HasFlag(argc, argv, "--force-scalar")) {
     simd::ForceScalarForTesting(true);
   }
-  const char* ticks_arg = FlagValue(argc, argv, "--ticks");
-  const char* reps_arg = FlagValue(argc, argv, "--reps");
-  const char* seed_arg = FlagValue(argc, argv, "--seed");
   const char* out_arg = FlagValue(argc, argv, "--out");
   const char* work_arg = FlagValue(argc, argv, "--work");
+  constexpr const char* kBench = "store_roundtrip";
   const std::uint64_t seed = static_cast<std::uint64_t>(
-      seed_arg != nullptr ? std::atoll(seed_arg) : 1);
+      IntFlag(kBench, argc, argv, "--seed", 0, 1, LLONG_MAX));
+  // 0: no --reps, so each point sizes its own repetition count.
+  const int reps_flag =
+      static_cast<int>(IntFlag(kBench, argc, argv, "--reps", 1, 0));
   const std::string out = out_arg != nullptr ? out_arg : "BENCH_store.json";
   const std::string work =
       work_arg != nullptr ? work_arg : "BENCH_store_work.cts";
-  std::vector<Timestamp> durations;
-  for (const std::string& token :
-       StrSplit(ticks_arg != nullptr ? ticks_arg : "100,1000,10000", ',')) {
-    if (!token.empty()) {
-      durations.push_back(static_cast<Timestamp>(std::atoi(token.c_str())));
-    }
-  }
+  const std::vector<Timestamp> durations =
+      IntListFlag(kBench, argc, argv, "--ticks", "100,1000,10000");
 
   PrintHeader("store_roundtrip",
               "Binary ct-store economics: blob-vs-text bytes and mmap "
@@ -116,8 +100,8 @@ int Main(int argc, char** argv) {
                "digest"});
   for (const Dataset::Item& item : dataset->items()) {
     const Timestamp ticks = item.duration;
-    int reps = reps_arg != nullptr
-                   ? std::atoi(reps_arg)
+    int reps = reps_flag > 0
+                   ? reps_flag
                    : std::max(3, static_cast<int>(30000 / std::max<Timestamp>(
                                                               ticks, 1)));
     if (scale.paper) reps *= 3;

@@ -45,13 +45,23 @@ void ForwardEngine::EnsureKeyCapacity(std::size_t num_keys) {
   // here before the ids are consumed.
   for (std::size_t k = location_of_key_.size(); k < work_.keys.size(); ++k) {
     location_of_key_.push_back(
-        work_.keys.key(static_cast<std::int32_t>(k)).location);
+        work_.keys.location(static_cast<std::int32_t>(k)));
   }
   if (key_stamp_.size() >= num_keys) return;
   key_stamp_.resize(num_keys, 0);
   node_of_key_.resize(num_keys, kInvalidNode);
   memo_.resize(num_keys);
   location_of_key_.reserve(num_keys);
+}
+
+WorkGraph ForwardEngine::TakeWork() {
+  std::vector<std::uint32_t>().swap(key_stamp_);
+  std::vector<NodeId>().swap(node_of_key_);
+  std::vector<MemoEntry>().swap(memo_);
+  std::vector<std::int32_t>().swap(memo_pool_);
+  std::vector<LocationId>().swap(location_of_key_);
+  work_.keys.ReleaseInternState();
+  return std::move(work_);
 }
 
 void ForwardEngine::BeginSources(const SuccessorGenerator& successors,
@@ -140,8 +150,8 @@ bool ForwardEngine::AdvanceLayer(
       }
     } else {
       // Copy the parent key out of the arena: interning the successors can
-      // reallocate the key store under a live reference.
-      parent_scratch_ = work_.keys.key(parent_key);
+      // grow the TL pool under a live view.
+      work_.keys.key(parent_key).CopyTo(&parent_scratch_);
       const bool parent_tl_empty = parent_scratch_.departures.size() == 0;
       bool results_tl_empty = true;
       successors.ForEachSuccessor(

@@ -69,9 +69,11 @@ class ForwardEngine {
   /// Distinct keys interned so far (capacity-recycling diagnostic).
   std::size_t num_keys() const { return work_.keys.size(); }
 
-  /// Surrenders the work graph to ConditionAndCompact. The engine must not
-  /// be used afterwards.
-  WorkGraph&& TakeWork() { return std::move(work_); }
+  /// Surrenders the work graph to ConditionAndCompact, first freeing what
+  /// only the forward phase reads: the key-indexed dedup, memo and
+  /// location scratch, and the arena's intern tables (the keys stay). The
+  /// engine must not be used afterwards.
+  WorkGraph TakeWork();
 
  private:
   /// Writes each candidate's probability into the dense per-location table.
@@ -113,15 +115,15 @@ class ForwardEngine {
   std::vector<LocationId> prev_locations_;
 
   // Expansion scratch. parent_scratch_ holds a stable copy of the frontier
-  // node's key: arena references invalidate when expansion interns new
-  // keys. successor_scratch_ is the generator's in-place key buffer.
+  // node's key: an arena view's TL slice invalidates when expansion interns
+  // new keys. successor_scratch_ is the generator's in-place key buffer.
   NodeKey parent_scratch_;
   NodeKey successor_scratch_;
   std::vector<std::int32_t> scratch_ids_;
 
   // Dense key-id → location cache, filled by EnsureKeyCapacity: the edge
-  // consume loop reads one int32 instead of chasing the arena's key record
-  // (SmallVector-bearing, 2+ cache lines) per edge.
+  // consume loop reads one int32 per edge, sequentially in key-id order,
+  // instead of a 16-byte arena record.
   std::vector<LocationId> location_of_key_;
 };
 

@@ -1,6 +1,7 @@
 #include "core/key_arena.h"
 
 #include <bit>
+#include <limits>
 
 #include "common/check.h"
 #include "common/simd.h"
@@ -11,17 +12,39 @@ namespace {
 
 constexpr std::int32_t kEmptySlot = -1;
 constexpr std::size_t kInitialSlots = 64;
+// KeyRecord addresses the pool with 32-bit offsets, like CtGraph's.
+constexpr std::size_t kMaxPoolEntries =
+    std::numeric_limits<std::uint32_t>::max();
 
 }  // namespace
 
+bool NodeKeyArena::Matches(std::int32_t id, const NodeKey& key) const {
+  const KeyRecord& record = records_[static_cast<std::size_t>(id)];
+  if (record.location != key.location || record.delta != key.delta ||
+      record.tl_size != key.departures.size()) {
+    return false;
+  }
+  const Departure* stored = pool_.data() + record.tl_begin;
+  for (std::size_t i = 0; i < record.tl_size; ++i) {
+    if (!(stored[i] == key.departures[i])) return false;
+  }
+  return true;
+}
+
 std::int32_t NodeKeyArena::Append(const NodeKey& key, std::size_t hash) {
-  const std::int32_t id = static_cast<std::int32_t>(keys_.size());
-  keys_.push_back(key);
+  const std::size_t tl_size = key.departures.size();
+  RFID_CHECK_LE(tl_size, kMaxPoolEntries - pool_.size());
+  const std::int32_t id = static_cast<std::int32_t>(records_.size());
+  records_.push_back(KeyRecord{key.location, key.delta,
+                               static_cast<std::uint32_t>(pool_.size()),
+                               static_cast<std::uint32_t>(tl_size)});
+  key.departures.ForEach([this](const Departure& d) { pool_.push_back(d); });
   hashes_.push_back(hash);
   return id;
 }
 
 std::int32_t NodeKeyArena::Intern(const NodeKey& key, std::uint32_t scope) {
+  RFID_CHECK(!released_);
   const std::size_t hash = NodeKeyHash()(key);
   // `steps` counts slot inspections for this call (>= 1 by construction —
   // CheckInvariants relies on probe_steps >= intern_calls). The batched
@@ -51,7 +74,7 @@ std::int32_t NodeKeyArena::Intern(const NodeKey& key, std::uint32_t scope) {
         return fresh;
       }
       if (hashes_[static_cast<std::size_t>(id)] == hash &&
-          keys_[static_cast<std::size_t>(id)] == key) {
+          Matches(id, key)) {
         RFID_STATS(RecordProbe(steps));
         return id;
       }
@@ -81,7 +104,7 @@ std::int32_t NodeKeyArena::Intern(const NodeKey& key, std::uint32_t scope) {
             return fresh;
           }
           const std::int32_t id = persistent_slots_[slot + j];
-          if (keys_[static_cast<std::size_t>(id)] == key) {
+          if (Matches(id, key)) {
             RFID_STATS(steps += j);
             RFID_STATS(RecordProbe(steps));
             return id;
@@ -102,7 +125,7 @@ std::int32_t NodeKeyArena::Intern(const NodeKey& key, std::uint32_t scope) {
         return fresh;
       }
       if (hashes_[static_cast<std::size_t>(id)] == hash &&
-          keys_[static_cast<std::size_t>(id)] == key) {
+          Matches(id, key)) {
         RFID_STATS(RecordProbe(steps));
         return id;
       }
@@ -123,8 +146,7 @@ std::int32_t NodeKeyArena::Intern(const NodeKey& key, std::uint32_t scope) {
   while (scoped_slots_[slot].id != kEmptySlot &&
          scoped_slots_[slot].scope == scope) {
     const std::int32_t id = scoped_slots_[slot].id;
-    if (hashes_[static_cast<std::size_t>(id)] == hash &&
-        keys_[static_cast<std::size_t>(id)] == key) {
+    if (hashes_[static_cast<std::size_t>(id)] == hash && Matches(id, key)) {
       RFID_STATS(RecordProbe(steps));
       return id;
     }
@@ -142,8 +164,16 @@ std::int32_t NodeKeyArena::Intern(const NodeKey& key, std::uint32_t scope) {
 }
 
 void NodeKeyArena::Reserve(std::size_t expected_keys) {
-  keys_.reserve(expected_keys);
+  records_.reserve(expected_keys);
   hashes_.reserve(expected_keys);
+}
+
+void NodeKeyArena::ReleaseInternState() {
+  released_ = true;
+  std::vector<ScopedSlot>().swap(scoped_slots_);
+  std::vector<std::size_t>().swap(hashes_);
+  scoped_mask_ = 0;
+  scoped_count_ = 0;
 }
 
 void NodeKeyArena::RehashPersistent(std::size_t capacity) {

@@ -2,6 +2,7 @@
 #define RFIDCLEAN_CORE_KEY_ARENA_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/location_node.h"
@@ -9,12 +10,35 @@
 
 namespace rfidclean::internal_core {
 
+/// Read-only view of one interned key: its location and δ, and its TL as
+/// a slice of the arena's departure pool. Valid until the next Intern,
+/// which can grow the pool under it.
+struct NodeKeyView {
+  LocationId location = kInvalidLocation;
+  Timestamp delta = kDeltaBottom;
+  std::span<const Departure> departures;
+
+  /// Overwrites `out` with this key, reusing its TL storage.
+  void CopyTo(NodeKey* out) const {
+    out->location = location;
+    out->delta = delta;
+    out->departures.clear();
+    for (const Departure& d : departures) out->departures.push_back(d);
+  }
+};
+
 /// Per-build interning arena for NodeKeys. Keys materialized during one
 /// ct-graph construction are stored once per interning scope and addressed
 /// by a dense 32-bit id, so the forward phase deduplicates and memoizes on
 /// 4-byte ids instead of re-hashing and re-comparing full key tuples: the
 /// per-layer node table becomes a direct array indexed by key id (see
 /// forward.h) and WorkNode shrinks to a flat POD record.
+///
+/// Storage is flat: each key is one 16-byte record {location, δ, TL
+/// offset, TL length} over a single departure pool of 8-byte entries, plus
+/// an 8-byte cached hash while interning is open. Both arrays hold
+/// trivially copyable elements, so a regrowth is one copy, and no key owns
+/// a heap block of its own.
 ///
 /// Two intern tables back the arena, exploiting a structural property of
 /// node keys: a key with traveling-time bookkeeping (non-empty TL) embeds
@@ -32,8 +56,10 @@ namespace rfidclean::internal_core {
 /// per graph node — exactly what storing keys inline in nodes would cost.
 ///
 /// Hashes are computed once per stored key and cached; both tables use
-/// linear probing over power-of-two capacities. Not thread-safe: one arena
-/// per build, confined to its builder or streaming cleaner.
+/// linear probing over power-of-two capacities. Once the forward phase is
+/// over, ReleaseInternState frees the scoped table and the hashes; the
+/// keys stay readable. Not thread-safe: one arena per build, confined to
+/// its builder or streaming cleaner.
 class NodeKeyArena {
  public:
   NodeKeyArena() = default;
@@ -42,23 +68,40 @@ class NodeKeyArena {
   /// caller's current layer (any value; a change of value retires every
   /// TL-bearing entry of the previous scope). Ids are dense, 0-based, and
   /// stable for the arena's lifetime; equal keys get equal ids within one
-  /// scope. The reference returned by key() may be invalidated by later
-  /// Intern calls (vector growth) — copy the key before interning others
-  /// if it must outlive them.
+  /// scope. Fails an RFID_CHECK after ReleaseInternState, or when the TL
+  /// pool would outgrow its 32-bit offsets.
   std::int32_t Intern(const NodeKey& key, std::uint32_t scope);
 
-  /// The canonical key of `id`. Valid while no further Intern runs.
-  const NodeKey& key(std::int32_t id) const {
-    return keys_[static_cast<std::size_t>(id)];
+  /// The canonical key of `id`. The view's TL slice points into the pool,
+  /// so it is valid only while no further Intern runs — copy the key
+  /// (NodeKeyView::CopyTo) before interning others if it must outlive them.
+  NodeKeyView key(std::int32_t id) const {
+    const KeyRecord& record = records_[static_cast<std::size_t>(id)];
+    return {record.location, record.delta,
+            std::span<const Departure>(pool_.data() + record.tl_begin,
+                                       record.tl_size)};
+  }
+
+  /// The location of key `id`.
+  LocationId location(std::int32_t id) const {
+    return records_[static_cast<std::size_t>(id)].location;
   }
 
   /// Number of keys stored so far (the id space; capacity-recycling hint).
-  std::size_t size() const { return keys_.size(); }
+  std::size_t size() const { return records_.size(); }
 
-  /// Pre-sizes the key store for `expected_keys` entries. Purely an
-  /// allocation hint (batch mode recycles the high-water marks of previous
-  /// builds through this).
+  /// Pre-sizes the key records (and their cached hashes) for
+  /// `expected_keys` entries. Purely an allocation hint (batch mode
+  /// recycles the high-water marks of previous builds through this); the
+  /// TL pool grows on demand.
   void Reserve(std::size_t expected_keys);
+
+  /// Ends interning: frees the scoped table and the cached hashes, which
+  /// only Intern reads. key(), location(), size() and intern_stats() keep
+  /// answering as before (the small persistent table stays, so the
+  /// occupancy it reports is unchanged); a later Intern fails an
+  /// RFID_CHECK.
+  void ReleaseInternState();
 
   /// Lifetime interning statistics of this arena (obs feed). The counters
   /// are all-zero when stats are compiled out; the table shape fields are
@@ -69,7 +112,6 @@ class NodeKeyArena {
     std::uint64_t probe_max = 0;     ///< longest single probe chain
     std::size_t persistent_entries = 0;
     std::size_t persistent_capacity = 0;
-    std::size_t scoped_capacity = 0;
   };
   InternStats intern_stats() const {
     InternStats stats;
@@ -78,17 +120,28 @@ class NodeKeyArena {
     RFID_STATS(stats.probe_max = probe_max_);
     stats.persistent_entries = persistent_count_;
     stats.persistent_capacity = persistent_slots_.size();
-    stats.scoped_capacity = scoped_slots_.size();
     return stats;
   }
 
  private:
+  /// One stored key: the TL is pool_[tl_begin, tl_begin + tl_size).
+  struct KeyRecord {
+    LocationId location = kInvalidLocation;
+    Timestamp delta = kDeltaBottom;
+    std::uint32_t tl_begin = 0;
+    std::uint32_t tl_size = 0;
+  };
+  static_assert(sizeof(KeyRecord) == 16);
+
   /// Entry of the scoped table; `id` < 0 means never used, a stale `scope`
   /// means expired (treated as empty for both lookup and insertion).
   struct ScopedSlot {
     std::uint32_t scope = 0;
     std::int32_t id = -1;
   };
+
+  /// Whether stored key `id` equals `key` (hashes already matched).
+  bool Matches(std::int32_t id, const NodeKey& key) const;
 
   /// Appends `key` to the store and returns its id.
   std::int32_t Append(const NodeKey& key, std::size_t hash);
@@ -100,8 +153,10 @@ class NodeKeyArena {
   /// Grows the scoped table, reinserting only live (current-scope) entries.
   void GrowScoped(std::uint32_t scope);
 
-  std::vector<NodeKey> keys_;
-  std::vector<std::size_t> hashes_;  // parallel to keys_
+  std::vector<KeyRecord> records_;
+  std::vector<Departure> pool_;      // every stored key's TL, back to back
+  std::vector<std::size_t> hashes_;  // parallel to records_ until released
+  bool released_ = false;
 
   // Persistent table (empty-TL keys): id per slot, -1 = empty.
   std::vector<std::int32_t> persistent_slots_;

@@ -266,8 +266,7 @@ StreamingCleaner::CurrentDistribution() const {
   std::vector<LocationId> order;
   for (std::int32_t id = frontier_begin; id < frontier_end; ++id) {
     const LocationId location =
-        work.keys.key(work.nodes[static_cast<std::size_t>(id)].key_id)
-            .location;
+        work.keys.location(work.nodes[static_cast<std::size_t>(id)].key_id);
     const std::size_t l = static_cast<std::size_t>(location);
     if (dist_seen_[l] == 0) {
       dist_seen_[l] = 1;
@@ -294,6 +293,8 @@ Result<CtGraph> StreamingCleaner::Finish(BuildStats* stats) && {
     stats->peak_edges = engine_.work().edges.size();
     stats->peak_keys = engine_.num_keys();
   }
+  // TakeWork frees the forward-only state (dedup, memo, intern tables)
+  // before conditioning allocates the compacted graph.
   Result<CtGraph> graph = internal_core::ConditionAndCompact(
       engine_.TakeWork(), stats,
       obs::ExplainArmed() ? &explain_ctx_ : nullptr);

@@ -108,15 +108,15 @@ std::unique_ptr<obs::ExplainTagSummary> RunExplainAttribution(
   // node -> key-arena indirection there costs more than this sequential
   // prefetch-friendly pass over the whole graph.
   // Key projections (location, δ = ⊥?), resolved per key id first and per
-  // node id second. Fetching full NodeKeys in node order is a random read
-  // of a fat struct per node — a cache miss each; streaming the arena once
-  // in key-id order and indirecting through the resulting 4-byte tables
-  // keeps every access either sequential or L2-resident.
+  // node id second. Fetching key records in node order is a random read
+  // per node — a cache miss each; streaming the arena once in key-id order
+  // and indirecting through the resulting 4-byte tables keeps every access
+  // either sequential or L2-resident.
   const std::size_t num_keys = work.keys.size();
   std::vector<LocationId> key_location(num_keys);
   std::vector<char> key_delta_bottom(num_keys);
   for (std::size_t kid = 0; kid < num_keys; ++kid) {
-    const NodeKey& key = work.keys.key(static_cast<std::int32_t>(kid));
+    const NodeKeyView key = work.keys.key(static_cast<std::int32_t>(kid));
     key_location[kid] = key.location;
     key_delta_bottom[kid] = key.delta == kDeltaBottom ? 1 : 0;
   }
@@ -867,12 +867,11 @@ Result<CtGraph> ConditionAndCompact(WorkGraph&& work, BuildStats* stats,
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     if (remap[i] == kInvalidNode) continue;
     const WorkNode& node = nodes[i];
-    const NodeKey& key = work.keys.key(node.key_id);
+    const NodeKeyView key = work.keys.key(node.key_id);
     compact.AddNode(node.time, key.location, key.delta,
                     node.time == 0 ? node.source_probability / source_mass
                                    : 0.0);
-    key.departures.ForEach(
-        [&compact](const Departure& d) { compact.AddDeparture(d); });
+    for (const Departure& d : key.departures) compact.AddDeparture(d);
     const WorkEdge* out =
         edges.data() + static_cast<std::size_t>(node.edge_begin);
     for (std::int32_t k = 0; k < node.edge_count; ++k) {

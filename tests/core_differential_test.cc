@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -193,6 +194,48 @@ TEST_F(CoreDifferentialTest, WideFrontiersMatchTheOracle) {
   EXPECT_GE(stats.peak_nodes / 6, 64u);  // the frontiers really are wide
   EXPECT_EQ(Serialize(built.value()), Serialize(expected.value()));
   EXPECT_EQ(built.value().Digest(), expected.value().Digest());
+}
+
+/// Keys whose TL outgrows DepartureList's four inline slots: with no
+/// unreachability, every one of locations 0..6 keeps a traveling-time
+/// entry towards 7 for 12 ticks after it is left, and the candidates walk
+/// 0 → 6 one step per tick, so a path that moves every tick carries up to
+/// six departures. The arena stores them in its pool; the graph must still
+/// match the oracle byte for byte.
+TEST_F(CoreDifferentialTest, TlListsPastTheInlineSlotsMatchTheOracle) {
+  constexpr LocationId kLocations = 8;
+  ConstraintSet constraints(static_cast<std::size_t>(kLocations));
+  for (LocationId l = 0; l + 1 < kLocations; ++l) {
+    constraints.AddTravelingTime(l, kLocations - 1, 12);
+  }
+  constraints.AddLatency(3, 2);
+  std::vector<std::vector<Candidate>> spec;
+  for (LocationId t = 0; t < 9; ++t) {
+    spec.push_back({Candidate{t % 7, 0.5}, Candidate{(t + 1) % 7, 0.5}});
+  }
+  Result<LSequence> sequence = LSequence::Create(std::move(spec));
+  ASSERT_TRUE(sequence.ok());
+
+  Result<CtGraph> expected =
+      oracle::BuildCtGraph(constraints, sequence.value());
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  Result<CtGraph> built = CtGraphBuilder(constraints).Build(sequence.value());
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  std::size_t longest_tl = 0;
+  for (NodeId id = 0; id < static_cast<NodeId>(built.value().NumNodes());
+       ++id) {
+    longest_tl = std::max(longest_tl, built.value().DeparturesOf(id).size());
+  }
+  EXPECT_GT(longest_tl, 4u);
+  ExpectBitIdentical(built.value(), expected.value());
+
+  StreamingCleaner cleaner(constraints);
+  for (Timestamp t = 0; t < sequence.value().length(); ++t) {
+    ASSERT_TRUE(cleaner.Push(sequence.value().CandidatesAt(t)).ok());
+  }
+  Result<CtGraph> streamed = std::move(cleaner).Finish();
+  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+  ExpectBitIdentical(streamed.value(), expected.value());
 }
 
 /// One answer per input, from every path. The dead-end feed (the
