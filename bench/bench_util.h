@@ -10,6 +10,7 @@
 #include <deque>
 #include <fstream>
 #include <ostream>
+#include <streambuf>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,6 +19,7 @@
 #include <sys/resource.h>
 #endif
 
+#include "common/fnv.h"
 #include "common/strings.h"
 #include "common/table.h"
 #include "constraints/inference.h"
@@ -148,6 +150,54 @@ inline std::vector<ConstraintFamilies> AllFamilies() {
   return {ConstraintFamilies::Du(), ConstraintFamilies::DuLt(),
           ConstraintFamilies::DuLtTt()};
 }
+
+/// An output sink that FNV-1a-hashes (common/fnv.h) the bytes written
+/// through it and keeps none of them, so a bench digests a text
+/// serialization of any size in constant memory:
+///
+///   FnvSink sink;
+///   std::ostream os(&sink);
+///   WriteCtGraph(graph, os);
+///   const std::uint64_t digest = sink.Digest();
+///
+/// The digest is the one of the whole text, byte for byte.
+class FnvSink : public std::streambuf {
+ public:
+  FnvSink() { setp(buffer_, buffer_ + sizeof(buffer_)); }
+  // The put area points into buffer_, so a copy would write into ours.
+  FnvSink(const FnvSink&) = delete;
+  FnvSink& operator=(const FnvSink&) = delete;
+
+  /// The digest of every byte written so far.
+  std::uint64_t Digest() {
+    Drain();
+    return fnv_.Digest();
+  }
+
+ protected:
+  int_type overflow(int_type ch) override {
+    Drain();
+    if (!traits_type::eq_int_type(ch, traits_type::eof())) {
+      sputc(traits_type::to_char_type(ch));
+    }
+    return traits_type::not_eof(ch);
+  }
+
+  int sync() override {
+    Drain();
+    return 0;
+  }
+
+ private:
+  /// Mixes the buffered bytes and empties the buffer.
+  void Drain() {
+    fnv_.Mix(pbase(), static_cast<std::size_t>(pptr() - pbase()));
+    setp(buffer_, buffer_ + sizeof(buffer_));
+  }
+
+  Fnv64 fnv_;
+  char buffer_[4096];
+};
 
 /// Process-wide peak resident set in bytes (VmHWM on Linux, ru_maxrss
 /// elsewhere). Monotone over the process lifetime: values sampled after a

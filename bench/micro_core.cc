@@ -1,6 +1,7 @@
 // Micro-benchmarks of the library's hot paths (google-benchmark):
 // successor generation, node-key hashing and interning, ct-graph
-// construction at several sequence lengths, the graph digest, stay-query
+// construction at several sequence lengths, the graph digest over a blob,
+// assembling a graph (which folds its digest), blob encoding, stay-query
 // evaluation, pattern-query evaluation, trajectory sampling, and the
 // dispatched kernels — SIMD, CRC-32 and the bulk varint decoder (scalar vs
 // vector, selected by the benchmark arg: 0 = forced scalar, 1 = runtime
@@ -28,6 +29,7 @@
 #include "query/stay_query.h"
 #include "query/trajectory_query.h"
 #include "store/blob_layout.h"
+#include "store/ctgraph_view.h"
 #include "store/graph_codec.h"
 
 namespace rfidclean {
@@ -161,17 +163,68 @@ void BM_BuildCtGraph(benchmark::State& state) {
 BENCHMARK(BM_BuildCtGraph)->Arg(60)->Arg(180)->Arg(600)
     ->Unit(benchmark::kMillisecond);
 
-/// The FNV graph digest the blob encoder, the view and trace provenance
-/// share; a serial chain of one xor-multiply per nonzero-range byte.
+/// The FNV graph digest, a serial chain of one xor-multiply per
+/// nonzero-range byte. A CtGraph stores it, folded while its arrays were
+/// filled; the zero-copy view of a blob recomputes it, which is what the
+/// deep verifiers (MapVerify::kFull, `store verify`) pay.
 void BM_GraphDigest(benchmark::State& state) {
   const CtGraph& graph = SharedGraph();
+  const std::string blob = store::EncodeCtGraphBlob(graph, 0);
+  Result<store::CtGraphView> view = store::CtGraphView::Map(
+      reinterpret_cast<const unsigned char*>(blob.data()), blob.size(),
+      store::MapVerify::kStructural);
+  RFID_CHECK(view.ok());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(graph.Digest());
+    benchmark::DoNotOptimize(view.value().Digest());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(graph.NumNodes()));
 }
 BENCHMARK(BM_GraphDigest)->Unit(benchmark::kMicrosecond);
+
+/// Assemble from node records: filling the flat arrays, which folds the
+/// digest node by node, plus the validation every checked graph gets.
+void BM_AssembleCtGraph(benchmark::State& state) {
+  const CtGraph& graph = SharedGraph();
+  std::vector<CtGraph::Node> nodes(graph.NumNodes());
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const NodeId id = static_cast<NodeId>(i);
+    nodes[i].time = graph.TimeOf(id);
+    nodes[i].key.location = graph.LocationOf(id);
+    nodes[i].key.delta = graph.DeltaOf(id);
+    for (const Departure& departure : graph.DeparturesOf(id)) {
+      nodes[i].key.departures.push_back(departure);
+    }
+    nodes[i].source_probability = graph.SourceProbability(id);
+    for (const CtGraph::Edge& edge : graph.OutEdges(id)) {
+      nodes[i].out_edges.push_back(edge);
+    }
+  }
+  for (auto _ : state) {
+    Result<CtGraph> assembled = CtGraph::Assemble(nodes, graph.length());
+    RFID_CHECK(assembled.ok());
+    benchmark::DoNotOptimize(assembled.value().Digest());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(graph.NumNodes()));
+}
+BENCHMARK(BM_AssembleCtGraph)->Unit(benchmark::kMicrosecond);
+
+/// EncodeCtGraphBlob on the T = 180 SYN1 graph: one walk over the nodes
+/// into scratch, then one copy into the exactly sized blob.
+void BM_EncodeCtGraphBlob(benchmark::State& state) {
+  const CtGraph& graph = SharedGraph();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string blob = store::EncodeCtGraphBlob(graph, 0);
+    bytes = blob.size();
+    benchmark::DoNotOptimize(blob.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_EncodeCtGraphBlob)->Unit(benchmark::kMicrosecond);
 
 void BM_StayQueryEvaluatorConstruction(benchmark::State& state) {
   const CtGraph& graph = SharedGraph();

@@ -49,7 +49,7 @@ class Fnv64 {
   /// a prime power each: a small integer costs one or two xor-multiply
   /// steps instead of eight. The result is exactly the byte-at-a-time
   /// digest.
-  void MixU64(std::uint64_t value) {
+  constexpr void MixU64(std::uint64_t value) {
     using internal::kFnvPrimePowers;
     // Most mixed values are small integers; these two paths skip the
     // bit counting below.
@@ -77,14 +77,16 @@ class Fnv64 {
     hash_ = hash * kFnvPrimePowers[1 + high_zeros];
   }
 
-  void MixI64(std::int64_t value) {
+  constexpr void MixI64(std::int64_t value) {
     MixU64(static_cast<std::uint64_t>(value));
   }
 
   /// Mixes the IEEE-754 bit pattern, so digests are exact (no epsilon).
-  void MixDouble(double value) { MixU64(std::bit_cast<std::uint64_t>(value)); }
+  constexpr void MixDouble(double value) {
+    MixU64(std::bit_cast<std::uint64_t>(value));
+  }
 
-  std::uint64_t Digest() const { return hash_; }
+  constexpr std::uint64_t Digest() const { return hash_; }
 
  private:
   std::uint64_t hash_ = kFnvOffsetBasis;

@@ -1,7 +1,6 @@
 #ifndef RFIDCLEAN_COMMON_VARINT_H_
 #define RFIDCLEAN_COMMON_VARINT_H_
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 
@@ -25,14 +24,8 @@
 
 namespace rfidclean {
 
-/// Bytes the LEB128 encoding of `value` takes (1..10).
-inline std::size_t VarintSize(std::uint64_t value) {
-  if (value < 0x80u) return 1;  // the delta-coded common case
-  return (static_cast<std::size_t>(std::bit_width(value)) + 6) / 7;
-}
-
 /// Writes `value` as an LEB128 varint at `out`, which must have room for
-/// VarintSize(value) bytes; returns the byte past it.
+/// its 1 to 10 bytes; returns the byte past it.
 inline unsigned char* WriteVarint(unsigned char* out, std::uint64_t value) {
   while (value >= 0x80u) {
     *out++ = static_cast<unsigned char>((value & 0x7Fu) | 0x80u);

@@ -4,24 +4,22 @@
 #include <limits>
 
 #include "common/float_eq.h"
-#include "common/fnv.h"
 #include "common/strings.h"
-#include "core/graph_digest.h"
 
 namespace rfidclean {
 
 namespace {
 
 /// Converts Assemble's input records into flat arrays, sized exactly.
-CtGraph::Arrays ToArrays(const std::vector<CtGraph::Node>& nodes) {
+CtGraph::Arrays ToArrays(const std::vector<CtGraph::Node>& nodes,
+                         Timestamp length) {
   std::size_t departures = 0;
   std::size_t edges = 0;
   for (const CtGraph::Node& node : nodes) {
     departures += node.key.departures.size();
     edges += node.out_edges.size();
   }
-  CtGraph::Arrays arrays;
-  arrays.Reserve(nodes.size(), departures, edges);
+  CtGraph::Arrays arrays(length, nodes.size(), departures, edges);
   for (const CtGraph::Node& node : nodes) {
     arrays.AddNode(node.time, node.key.location, node.key.delta,
                    node.source_probability);
@@ -34,17 +32,34 @@ CtGraph::Arrays ToArrays(const std::vector<CtGraph::Node>& nodes) {
 
 }  // namespace
 
-void CtGraph::Arrays::Reserve(std::size_t nodes, std::size_t departures,
-                              std::size_t edges) {
+CtGraph::Arrays::Arrays(Timestamp length, std::size_t nodes,
+                        std::size_t departures, std::size_t edges)
+    : length_(length), declared_nodes_(nodes) {
+  MixGraphDigestHeader(&fnv_, length, nodes);
   records_.reserve(nodes + 1);  // + the sentinel Adopt appends
   departures_.reserve(departures);
   edges_.reserve(edges);
   source_probabilities_.reserve(nodes);
 }
 
-Result<CtGraph> CtGraph::Adopt(Arrays arrays, Timestamp length) {
+void CtGraph::Arrays::MixLastNode() {
+  const NodeRecord& record = records_.back();
+  MixGraphDigestNode(
+      &fnv_, record.time, record.location, record.delta,
+      std::span<const Departure>(departures_).subspan(record.tl_begin),
+      source_probabilities_.back(),
+      std::span<const Edge>(edges_).subspan(record.edge_begin));
+}
+
+Result<CtGraph> CtGraph::Adopt(Arrays arrays) {
+  const Timestamp length = arrays.length_;
   if (length <= 0) return InvalidArgumentError("length must be positive");
   const std::size_t num_nodes = arrays.records_.size();
+  if (num_nodes != arrays.declared_nodes_) {
+    return InvalidArgumentError(
+        StrFormat("the fill added %zu nodes to a graph declared with %zu",
+                  num_nodes, arrays.declared_nodes_));
+  }
   if (num_nodes > static_cast<std::size_t>(
                       std::numeric_limits<NodeId>::max()) ||
       arrays.departures_.size() > std::numeric_limits<std::uint32_t>::max() ||
@@ -80,6 +95,8 @@ Result<CtGraph> CtGraph::Adopt(Arrays arrays, Timestamp length) {
         static_cast<std::size_t>(arrays.records_[i].time);
     graph.layer_ids_[cursor[t]++] = static_cast<NodeId>(i);
   }
+  if (num_nodes > 0) arrays.MixLastNode();
+  graph.digest_ = arrays.fnv_.Digest();
   arrays.records_.push_back(NodeRecord{
       0, kInvalidLocation, kDeltaBottom,
       static_cast<std::uint32_t>(arrays.departures_.size()),
@@ -91,9 +108,9 @@ Result<CtGraph> CtGraph::Adopt(Arrays arrays, Timestamp length) {
   return graph;
 }
 
-Result<CtGraph> CtGraph::FromArrays(Arrays arrays, Timestamp length) {
+Result<CtGraph> CtGraph::FromArrays(Arrays arrays) {
   CtGraph graph;
-  RFID_ASSIGN_OR_RETURN(graph, Adopt(std::move(arrays), length));
+  RFID_ASSIGN_OR_RETURN(graph, Adopt(std::move(arrays)));
   const std::size_t num_nodes = graph.NumNodes();
   for (std::size_t i = 0; i < num_nodes; ++i) {
     for (const Edge& edge : graph.OutEdges(static_cast<NodeId>(i))) {
@@ -109,27 +126,14 @@ Result<CtGraph> CtGraph::FromArrays(Arrays arrays, Timestamp length) {
 
 Result<CtGraph> CtGraph::Assemble(const std::vector<Node>& nodes,
                                   Timestamp length) {
-  return FromArrays(ToArrays(nodes), length);
+  return FromArrays(ToArrays(nodes, length));
 }
 
 CtGraph CtGraph::AssembleUnchecked(const std::vector<Node>& nodes,
                                    Timestamp length) {
-  Result<CtGraph> graph = Adopt(ToArrays(nodes), length);
+  Result<CtGraph> graph = Adopt(ToArrays(nodes, length));
   RFID_CHECK(graph.ok());
   return std::move(graph).value();
-}
-
-std::uint64_t CtGraph::Digest() const {
-  Fnv64 fnv;
-  MixGraphDigestHeader(&fnv, length(), NumNodes());
-  for (std::size_t i = 0; i < NumNodes(); ++i) {
-    const NodeId id = static_cast<NodeId>(i);
-    const NodeRecord& record = records_[i];
-    MixGraphDigestNode(&fnv, record.time, record.location, record.delta,
-                       DeparturesOf(id), source_probabilities_[i],
-                       OutEdges(id));
-  }
-  return fnv.Digest();
 }
 
 double CtGraph::TrajectoryProbability(const Trajectory& trajectory) const {

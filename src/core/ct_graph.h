@@ -9,6 +9,7 @@
 #include "common/check.h"
 #include "common/result.h"
 #include "common/status.h"
+#include "core/graph_digest.h"
 #include "core/location_node.h"
 #include "model/trajectory.h"
 
@@ -71,15 +72,25 @@ class CtGraph {
   /// id order: each AddNode is followed by that node's TL entries and
   /// out-edges. Compaction, the blob decoder and Assemble fill one and hand
   /// it to FromArrays.
+  ///
+  /// The fill also computes the graph digest (core/graph_digest.h): the
+  /// constructor mixes the header, each AddNode mixes the node before it,
+  /// whose TL entries and edges are then complete and still in cache, and
+  /// the graph that adopts the arrays mixes the last one. So the digest
+  /// costs no walk of its own and is paid on the thread that builds the
+  /// graph.
   class Arrays {
    public:
-    /// Sizes every array for exactly this many elements, so a filler that
-    /// knows its counts allocates each array once.
-    void Reserve(std::size_t nodes, std::size_t departures,
-                 std::size_t edges);
+    /// Starts a graph of `length` time points and exactly `nodes` nodes,
+    /// and sizes every array for exactly this many elements, so a filler
+    /// that knows its counts allocates each array once. FromArrays fails
+    /// when the fill adds another number of nodes.
+    Arrays(Timestamp length, std::size_t nodes, std::size_t departures,
+           std::size_t edges);
 
     void AddNode(Timestamp time, LocationId location, Timestamp delta,
                  double source_probability) {
+      if (!records_.empty()) MixLastNode();
       records_.push_back(NodeRecord{
           time, location, delta,
           static_cast<std::uint32_t>(departures_.size()),
@@ -94,6 +105,12 @@ class CtGraph {
    private:
     friend class CtGraph;
 
+    /// Mixes the last added node, which must be complete, into fnv_.
+    void MixLastNode();
+
+    Timestamp length_;
+    std::size_t declared_nodes_;
+    Fnv64 fnv_;
     std::vector<NodeRecord> records_;
     std::vector<Departure> departures_;
     std::vector<Edge> edges_;
@@ -101,10 +118,11 @@ class CtGraph {
   };
 
   /// The validating constructor every checked graph goes through: checks
-  /// node timestamps against [0, length) and edge targets against the node
-  /// count, builds the per-layer index (ids keep their order within each
-  /// layer) and runs CheckConsistency.
-  static Result<CtGraph> FromArrays(Arrays arrays, Timestamp length);
+  /// the node count against the declared one, node timestamps against
+  /// [0, length) and edge targets against the node count, builds the
+  /// per-layer index (ids keep their order within each layer) and runs
+  /// CheckConsistency.
+  static Result<CtGraph> FromArrays(Arrays arrays);
 
   /// Assembles a graph from raw node records spanning `length` time points
   /// (deserialization support). Node ids are the records' positions; every
@@ -126,6 +144,8 @@ class CtGraph {
 
   std::size_t NumNodes() const { return source_probabilities_.size(); }
   std::size_t NumEdges() const { return edges_.size(); }
+  /// TL entries over all nodes.
+  std::size_t NumDepartures() const { return departures_.size(); }
 
   /// Ids of the nodes at time `t`, in ascending id order.
   std::span<const NodeId> NodesAt(Timestamp t) const {
@@ -187,15 +207,17 @@ class CtGraph {
   /// (time, key, source-probability bit pattern) and every edge's
   /// (target, probability bit pattern) in id order. Equal graphs digest
   /// equally across runs, platforms and build configurations; used as the
-  /// graph digest in trace provenance.
-  std::uint64_t Digest() const;
+  /// graph digest in trace provenance and in the blob header. Computed
+  /// while the graph was filled (Arrays), so this reads a stored value.
+  std::uint64_t Digest() const { return digest_; }
 
  private:
-  /// Moves `arrays` in, appends the sentinel record and builds the
-  /// per-layer index. Fails when `length` is not positive, a node's
+  /// Moves `arrays` in, appends the sentinel record, builds the per-layer
+  /// index and stores the digest. Fails when the length is not positive,
+  /// the fill added another number of nodes than it declared, a node's
   /// timestamp lies outside [0, length) or a count outgrows the 32-bit ids
   /// and offsets; checks nothing else.
-  static Result<CtGraph> Adopt(Arrays arrays, Timestamp length);
+  static Result<CtGraph> Adopt(Arrays arrays);
 
   std::size_t CheckedIndex(NodeId id) const {
     RFID_CHECK_GE(id, 0);
@@ -207,6 +229,7 @@ class CtGraph {
   }
 
   Timestamp length_ = 0;
+  std::uint64_t digest_ = kEmptyGraphDigest;
   std::vector<NodeRecord> records_;  // NumNodes() + 1, sentinel last
   std::vector<Departure> departures_;
   std::vector<Edge> edges_;

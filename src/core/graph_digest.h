@@ -9,19 +9,28 @@
 
 /// \file
 /// The one statement of the ct-graph digest's field order
-/// (docs/FORMATS.md, "Graph digest"). CtGraph::Digest, the zero-copy
-/// store::CtGraphView::Digest and the blob encoder, which fuses the digest
-/// into its sizing walk, all stream their fields through these two
-/// helpers, so the three cannot drift apart.
+/// (docs/FORMATS.md, "Graph digest"). CtGraph::Arrays folds the digest
+/// node by node as a graph is built, so CtGraph::Digest returns a stored
+/// value and the blob encoder copies it into the header; the zero-copy
+/// store::CtGraphView::Digest recomputes it from the blob. Both stream
+/// their fields through these two helpers, so they cannot drift apart.
 
 namespace rfidclean {
 
 /// Mixes the digest's graph-level fields: length, then node count.
-inline void MixGraphDigestHeader(Fnv64* fnv, Timestamp length,
-                                 std::size_t num_nodes) {
+constexpr void MixGraphDigestHeader(Fnv64* fnv, Timestamp length,
+                                    std::size_t num_nodes) {
   fnv->MixI64(length);
   fnv->MixU64(static_cast<std::uint64_t>(num_nodes));
 }
+
+/// The digest of a graph of length 0 without nodes: what a default
+/// CtGraph reports.
+inline constexpr std::uint64_t kEmptyGraphDigest = [] {
+  Fnv64 fnv;
+  MixGraphDigestHeader(&fnv, 0, 0);
+  return fnv.Digest();
+}();
 
 /// Mixes one node's fields; call once per node in id order. `departures`
 /// (elements with .time and .location) and `edges` (elements with .to and

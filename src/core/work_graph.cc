@@ -792,7 +792,8 @@ Result<CtGraph> ConditionAndCompact(WorkGraph&& work, BuildStats* stats,
   // Every edge points into the next layer, so one pass in id order settles
   // each node's reachability before the node is visited: it numbers the
   // survivors in id order and counts their TL entries and live edges, and
-  // the write pass fills arrays of exactly that size.
+  // the write pass fills arrays of exactly that size, which folds the graph
+  // digest node by node (CtGraph::Arrays).
   RFID_TRACE_SPAN(compact_span, "backward", "compact");
   // kInvalidNode: not reached (yet); kReached: reached, not yet numbered.
   constexpr NodeId kReached = std::numeric_limits<NodeId>::max();
@@ -862,8 +863,7 @@ Result<CtGraph> ConditionAndCompact(WorkGraph&& work, BuildStats* stats,
   RFID_STATS(
       obs::ObserveValue(obs::Dist::kMassLostCompactionPpb, compaction_ppb));
 
-  CtGraph::Arrays compact;
-  compact.Reserve(survivors, departures, live_edges);
+  CtGraph::Arrays compact(length, survivors, departures, live_edges);
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     if (remap[i] == kInvalidNode) continue;
     const WorkNode& node = nodes[i];
@@ -885,7 +885,7 @@ Result<CtGraph> ConditionAndCompact(WorkGraph&& work, BuildStats* stats,
       compact_span.AddArg("nodes", static_cast<std::uint64_t>(survivors)));
   RFID_TRACE(compact_span.AddArg(
       "edges", static_cast<std::uint64_t>(live_edges)));
-  Result<CtGraph> graph = CtGraph::FromArrays(std::move(compact), length);
+  Result<CtGraph> graph = CtGraph::FromArrays(std::move(compact));
   RFID_CHECK(graph.ok());  // Construction invariants guarantee validity.
   if (stats != nullptr) {
     stats->backward_millis = stopwatch.ElapsedMillis();

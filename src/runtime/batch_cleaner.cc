@@ -67,8 +67,9 @@ TagOutcome CleanOne(const CtGraphBuilder& builder,
       static_cast<std::uint64_t>(tag_watch.ElapsedMillis() * 1000.0));
 #endif
   if (obs::TraceActive()) {
-    // Graph digesting is a full structural walk — only worth it when a
-    // trace session is recording the provenance.
+    // Provenance is recorded only while a trace session is active. The
+    // graph digest is stored in the graph (folded as it was built); the
+    // input digest still walks the l-sequence.
     obs::TagProvenance provenance;
     provenance.tag = static_cast<long long>(workload.tag);
     provenance.input_digest = workload.sequence.Digest();

@@ -1,15 +1,14 @@
 #include "store/graph_codec.h"
 
 #include <cstring>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "common/crc32.h"
-#include "common/fnv.h"
 #include "common/strings.h"
 #include "common/varint.h"
-#include "core/graph_digest.h"
 #include "core/self_audit.h"
 #include "obs/metrics.h"
 #include "store/blob_layout.h"
@@ -52,150 +51,167 @@ CtGraph Canonicalize(const CtGraph& graph) {
   return CtGraph::AssembleUnchecked(nodes, graph.length());
 }
 
-/// Everything the write pass needs to know before it allocates: the
-/// exact size and offset of every section, the blob size, and the graph
-/// digest for the header.
-struct BlobPlan {
-  std::uint64_t section_bytes[kNumSections] = {};
-  std::uint64_t section_offset[kNumSections] = {};
-  std::uint64_t blob_bytes = 0;
-  std::uint64_t num_edges = 0;
-  std::uint64_t digest = 0;
+/// LEB128 bytes of the largest value a varint section holds. Each value
+/// is a 32-bit count, or the zigzag map of a 32-bit value or of the
+/// difference of two, so it stays below 2^34: five 7-bit groups.
+constexpr std::uint64_t kMaxVarintBytes = 5;
 
-  std::uint64_t Bytes(SectionId id) const {
-    return section_bytes[static_cast<std::uint32_t>(id) - 1];
+/// The six section payloads of a blob, written by one walk over a graph's
+/// nodes into one scratch buffer that is never zero-filled. A fixed-width
+/// section gets a region of exactly its size, a varint section (KEYS,
+/// EDGETGT) one of kMaxVarintBytes per value, so nothing has to be sized
+/// before the walk.
+class SectionScratch {
+ public:
+  /// Sizes the regions for `graph`. Write takes `graph` or a graph with
+  /// the same counts, such as its canonical renumbering.
+  explicit SectionScratch(const CtGraph& graph) {
+    const std::uint64_t nodes = graph.NumNodes();
+    const std::uint64_t edges = graph.NumEdges();
+    // In SectionId order: LAYERS, KEYS, SRCPROB, EDGEROWS, EDGETGT, EDGEPROB.
+    const std::uint64_t capacity[kNumSections] = {
+        4 * (static_cast<std::uint64_t>(graph.length()) + 1),
+        kMaxVarintBytes * (3 * nodes + 2 * graph.NumDepartures()),
+        8 * static_cast<std::uint64_t>(graph.SourceNodes().size()),
+        4 * (nodes + 1),
+        kMaxVarintBytes * edges,
+        8 * edges,
+    };
+    std::uint64_t total = 0;
+    for (const std::uint64_t bytes : capacity) total += bytes;
+    scratch_ = std::make_unique_for_overwrite<unsigned char[]>(
+        static_cast<std::size_t>(total));
+    unsigned char* region = scratch_.get();
+    for (std::uint32_t i = 0; i < kNumSections; ++i) {
+      begin_[i] = region;
+      capacity_[i] = capacity[i];
+      region += capacity[i];
+    }
   }
-  std::uint64_t Offset(SectionId id) const {
-    return section_offset[static_cast<std::uint32_t>(id) - 1];
+
+  /// Writes all six sections from `graph`'s nodes in id order. Returns
+  /// false as soon as a node's time falls below its predecessor's, i.e.
+  /// when the ids are not in layer order (the blob stores nodes in layer
+  /// order).
+  bool Write(const CtGraph& graph) {
+    unsigned char* layers = Begin(SectionId::kLayers);
+    unsigned char* keys = Begin(SectionId::kKeys);
+    unsigned char* source_prob = Begin(SectionId::kSourceProb);
+    unsigned char* edge_rows = Begin(SectionId::kEdgeRows);
+    unsigned char* edge_targets = Begin(SectionId::kEdgeTargets);
+    unsigned char* edge_prob = Begin(SectionId::kEdgeProb);
+    const std::size_t num_nodes = graph.NumNodes();
+    Timestamp prev_time = 0;
+    Timestamp layer = 0;  // the first layer whose offset is not written yet
+    std::int64_t prev_location = 0;
+    std::int64_t prev_target = 0;
+    std::uint32_t edge_cursor = 0;
+    StoreU32(edge_rows, 0);
+    edge_rows += 4;
+    for (std::size_t i = 0; i < num_nodes; ++i) {
+      const NodeId id = static_cast<NodeId>(i);
+      const Timestamp time = graph.TimeOf(id);
+      if (time < prev_time) return false;
+      prev_time = time;
+      // Every layer up to this node's begins here: the ids before it are
+      // exactly the nodes of the earlier layers.
+      for (; layer <= time; ++layer) {
+        StoreU32(layers, static_cast<std::uint32_t>(i));
+        layers += 4;
+      }
+      const LocationId location = graph.LocationOf(id);
+      keys = WriteZigzag(keys, location - prev_location);
+      prev_location = location;
+      keys = WriteZigzag(keys, graph.DeltaOf(id));
+      const std::span<const Departure> departures = graph.DeparturesOf(id);
+      keys = WriteVarint(keys, departures.size());
+      std::int64_t prev_tl_location = 0;
+      for (const Departure& departure : departures) {
+        keys = WriteZigzag(keys, departure.time);
+        keys = WriteZigzag(keys, departure.location - prev_tl_location);
+        prev_tl_location = departure.location;
+      }
+      if (time == 0) {
+        StoreDouble(source_prob, graph.SourceProbability(id));
+        source_prob += 8;
+      }
+      const std::span<const CtGraph::Edge> out_edges = graph.OutEdges(id);
+      edge_cursor += static_cast<std::uint32_t>(out_edges.size());
+      StoreU32(edge_rows, edge_cursor);
+      edge_rows += 4;
+      for (const CtGraph::Edge& edge : out_edges) {
+        edge_targets = WriteZigzag(edge_targets, edge.to - prev_target);
+        prev_target = edge.to;
+        StoreDouble(edge_prob, edge.probability);
+        edge_prob += 8;
+      }
+    }
+    for (; layer <= graph.length(); ++layer) {
+      StoreU32(layers, static_cast<std::uint32_t>(num_nodes));
+      layers += 4;
+    }
+    const unsigned char* const ends[kNumSections] = {
+        layers, keys, source_prob, edge_rows, edge_targets, edge_prob};
+    for (std::uint32_t i = 0; i < kNumSections; ++i) {
+      bytes_[i] = static_cast<std::uint64_t>(ends[i] - begin_[i]);
+    }
+    // A fixed-width section fills its region exactly; a varint section
+    // stays within its bound.
+    for (const SectionId id : {SectionId::kLayers, SectionId::kSourceProb,
+                               SectionId::kEdgeRows, SectionId::kEdgeProb}) {
+      RFID_CHECK_EQ(Bytes(id), Capacity(id));
+    }
+    RFID_CHECK_LE(Bytes(SectionId::kKeys), Capacity(SectionId::kKeys));
+    RFID_CHECK_LE(Bytes(SectionId::kEdgeTargets),
+                  Capacity(SectionId::kEdgeTargets));
+    return true;
   }
+
+  /// The payload bytes of the last complete Write, in SectionId order.
+  std::span<const unsigned char> Payload(std::uint32_t index) const {
+    return {begin_[index], static_cast<std::size_t>(bytes_[index])};
+  }
+
+ private:
+  static std::uint32_t Index(SectionId id) {
+    return static_cast<std::uint32_t>(id) - 1;
+  }
+  unsigned char* Begin(SectionId id) { return begin_[Index(id)]; }
+  std::uint64_t Capacity(SectionId id) const { return capacity_[Index(id)]; }
+  std::uint64_t Bytes(SectionId id) const { return bytes_[Index(id)]; }
+
+  std::unique_ptr<unsigned char[]> scratch_;
+  unsigned char* begin_[kNumSections] = {};
+  std::uint64_t capacity_[kNumSections] = {};
+  std::uint64_t bytes_[kNumSections] = {};
 };
 
-/// Pass 1: one walk over the nodes in id order that sizes both varint
-/// sections, counts the edges and mixes the graph digest. Returns false
-/// as soon as a node's time falls below its predecessor's, i.e. when the
-/// ids are not in layer order (the blob stores nodes in layer order).
-bool PlanBlob(const CtGraph& graph, BlobPlan* plan) {
-  const std::size_t num_nodes = graph.NumNodes();
-  Fnv64 fnv;
-  MixGraphDigestHeader(&fnv, graph.length(), num_nodes);
-  std::uint64_t key_bytes = 0;
-  std::uint64_t target_bytes = 0;
-  std::uint64_t num_edges = 0;
-  Timestamp prev_time = 0;
-  std::int64_t prev_location = 0;
-  std::int64_t prev_target = 0;
-  for (std::size_t i = 0; i < num_nodes; ++i) {
-    const NodeId id = static_cast<NodeId>(i);
-    const Timestamp time = graph.TimeOf(id);
-    if (time < prev_time) return false;
-    prev_time = time;
-    const LocationId location = graph.LocationOf(id);
-    const Timestamp delta = graph.DeltaOf(id);
-    const std::span<const Departure> departures = graph.DeparturesOf(id);
-    key_bytes += VarintSize(ZigzagEncode(location - prev_location)) +
-                 VarintSize(ZigzagEncode(delta)) +
-                 VarintSize(departures.size());
-    prev_location = location;
-    std::int64_t prev_tl_location = 0;
-    for (const Departure& departure : departures) {
-      key_bytes += VarintSize(ZigzagEncode(departure.time)) +
-                   VarintSize(
-                       ZigzagEncode(departure.location - prev_tl_location));
-      prev_tl_location = departure.location;
-    }
-    const std::span<const CtGraph::Edge> out_edges = graph.OutEdges(id);
-    for (const CtGraph::Edge& edge : out_edges) {
-      target_bytes += VarintSize(ZigzagEncode(edge.to - prev_target));
-      prev_target = edge.to;
-    }
-    num_edges += out_edges.size();
-    MixGraphDigestNode(&fnv, time, location, delta, departures,
-                       graph.SourceProbability(id), out_edges);
-  }
-
-  // In SectionId order: LAYERS, KEYS, SRCPROB, EDGEROWS, EDGETGT, EDGEPROB.
-  const std::uint64_t sizes[kNumSections] = {
-      4 * (static_cast<std::uint64_t>(graph.length()) + 1),
-      key_bytes,
-      8 * static_cast<std::uint64_t>(graph.SourceNodes().size()),
-      4 * (static_cast<std::uint64_t>(num_nodes) + 1),
-      target_bytes,
-      8 * num_edges,
-  };
-  std::uint64_t offset = kBlobPreludeBytes;
+/// Allocates the blob once at its exact size (zero-filled, which covers
+/// every reserved field and padding byte), copies the six payloads to
+/// their 8-aligned offsets and writes the header and the section table.
+/// `graph` is the graph the payloads were written from.
+std::string AssembleBlob(const CtGraph& graph, const SectionScratch& sections,
+                         std::int64_t tag,
+                         const GraphProvenance& provenance) {
+  std::uint64_t offsets[kNumSections] = {};
+  std::uint64_t blob_bytes = kBlobPreludeBytes;
   for (std::uint32_t i = 0; i < kNumSections; ++i) {
-    plan->section_bytes[i] = sizes[i];
-    plan->section_offset[i] = offset;
-    offset = AlignUp(offset + sizes[i]);
+    offsets[i] = blob_bytes;
+    blob_bytes = AlignUp(blob_bytes + sections.Payload(i).size());
   }
-  plan->blob_bytes = offset;
-  plan->num_edges = num_edges;
-  plan->digest = fnv.Digest();
-  return true;
-}
-
-/// Pass 2: allocates the blob once at its final size (zero-filled, which
-/// covers every reserved field and padding byte) and writes the header,
-/// the section table and all six payloads in place.
-std::string WriteBlob(const CtGraph& graph, const BlobPlan& plan,
-                      std::int64_t tag, const GraphProvenance& provenance) {
-  std::string blob(static_cast<std::size_t>(plan.blob_bytes), '\0');
+  std::string blob(static_cast<std::size_t>(blob_bytes), '\0');
   unsigned char* const base = reinterpret_cast<unsigned char*>(blob.data());
-  auto section = [&](SectionId id) { return base + plan.Offset(id); };
-
-  unsigned char* layers = section(SectionId::kLayers);
-  std::uint32_t running = 0;
-  for (Timestamp t = 0; t < graph.length(); ++t) {
-    StoreU32(layers, running);
-    layers += 4;
-    running += static_cast<std::uint32_t>(graph.NodesAt(t).size());
+  for (std::uint32_t i = 0; i < kNumSections; ++i) {
+    const std::span<const unsigned char> payload = sections.Payload(i);
+    unsigned char* const at = base + offsets[i];
+    if (!payload.empty()) std::memcpy(at, payload.data(), payload.size());
+    unsigned char* const entry =
+        base + kBlobHeaderBytes + std::size_t{kSectionEntryBytes} * i;
+    StoreU32(entry, i + 1);
+    StoreU32(entry + 4, Crc32(at, payload.size()));
+    StoreU64(entry + 8, offsets[i]);
+    StoreU64(entry + 16, payload.size());
   }
-  StoreU32(layers, running);
-
-  unsigned char* keys = section(SectionId::kKeys);
-  unsigned char* source_prob = section(SectionId::kSourceProb);
-  unsigned char* edge_rows = section(SectionId::kEdgeRows);
-  unsigned char* edge_targets = section(SectionId::kEdgeTargets);
-  unsigned char* edge_prob = section(SectionId::kEdgeProb);
-  std::int64_t prev_location = 0;
-  std::int64_t prev_target = 0;
-  std::uint32_t edge_cursor = 0;
-  StoreU32(edge_rows, 0);
-  edge_rows += 4;
-  for (std::size_t i = 0; i < graph.NumNodes(); ++i) {
-    const NodeId id = static_cast<NodeId>(i);
-    const LocationId location = graph.LocationOf(id);
-    keys = WriteZigzag(keys, location - prev_location);
-    prev_location = location;
-    keys = WriteZigzag(keys, graph.DeltaOf(id));
-    const std::span<const Departure> departures = graph.DeparturesOf(id);
-    keys = WriteVarint(keys, departures.size());
-    std::int64_t prev_tl_location = 0;
-    for (const Departure& departure : departures) {
-      keys = WriteZigzag(keys, departure.time);
-      keys = WriteZigzag(keys, departure.location - prev_tl_location);
-      prev_tl_location = departure.location;
-    }
-    if (graph.TimeOf(id) == 0) {
-      StoreDouble(source_prob, graph.SourceProbability(id));
-      source_prob += 8;
-    }
-    const std::span<const CtGraph::Edge> out_edges = graph.OutEdges(id);
-    edge_cursor += static_cast<std::uint32_t>(out_edges.size());
-    StoreU32(edge_rows, edge_cursor);
-    edge_rows += 4;
-    for (const CtGraph::Edge& edge : out_edges) {
-      edge_targets = WriteZigzag(edge_targets, edge.to - prev_target);
-      prev_target = edge.to;
-      StoreDouble(edge_prob, edge.probability);
-      edge_prob += 8;
-    }
-  }
-  // The sizing pass and this one must agree byte for byte.
-  RFID_CHECK(keys ==
-             section(SectionId::kKeys) + plan.Bytes(SectionId::kKeys));
-  RFID_CHECK(edge_targets == section(SectionId::kEdgeTargets) +
-                                 plan.Bytes(SectionId::kEdgeTargets));
 
   // Header fields at their docs/FORMATS.md offsets; flags and reserved
   // fields stay zero.
@@ -204,20 +220,10 @@ std::string WriteBlob(const CtGraph& graph, const BlobPlan& plan,
   StoreU64(base + 16, static_cast<std::uint64_t>(tag));
   StoreU32(base + 24, static_cast<std::uint32_t>(graph.length()));
   StoreU64(base + 32, graph.NumNodes());
-  StoreU64(base + 40, plan.num_edges);
+  StoreU64(base + 40, graph.NumEdges());
   StoreU64(base + 48, provenance.input_digest);
   StoreU64(base + 56, provenance.constraint_digest);
-  StoreU64(base + 64, plan.digest);
-  for (std::uint32_t i = 0; i < kNumSections; ++i) {
-    unsigned char* entry =
-        base + kBlobHeaderBytes + std::size_t{kSectionEntryBytes} * i;
-    const unsigned char* payload = base + plan.section_offset[i];
-    StoreU32(entry, i + 1);
-    StoreU32(entry + 4,
-             Crc32(payload, static_cast<std::size_t>(plan.section_bytes[i])));
-    StoreU64(entry + 8, plan.section_offset[i]);
-    StoreU64(entry + 16, plan.section_bytes[i]);
-  }
+  StoreU64(base + 64, graph.Digest());
   StoreU32(base + kBlobHeaderBytes - 4,
            Crc32(base + kBlobHeaderBytes, kBlobTableBytes,
                  Crc32(base, kBlobHeaderBytes - 4)));
@@ -230,14 +236,15 @@ std::string EncodeCtGraphBlob(const CtGraph& graph, std::int64_t tag,
                               const GraphProvenance& provenance) {
   RFID_STATS(obs::PhaseTimer timer(obs::Phase::kStoreEncode));
   RFID_CHECK_GT(graph.length(), 0);
-  BlobPlan plan;
+  SectionScratch sections(graph);
   std::string blob;
-  if (PlanBlob(graph, &plan)) {
-    blob = WriteBlob(graph, plan, tag, provenance);
+  if (sections.Write(graph)) {
+    blob = AssembleBlob(graph, sections, tag, provenance);
   } else {
+    // The renumbered graph has the same counts, so the same regions fit.
     const CtGraph canonical = Canonicalize(graph);
-    RFID_CHECK(PlanBlob(canonical, &plan));
-    blob = WriteBlob(canonical, plan, tag, provenance);
+    RFID_CHECK(sections.Write(canonical));
+    blob = AssembleBlob(canonical, sections, tag, provenance);
   }
   RFID_STATS(obs::Add(obs::Counter::kStoreBlobsEncoded));
   RFID_STATS(obs::Add(obs::Counter::kStoreBytesEncoded, blob.size()));
@@ -250,10 +257,12 @@ Result<CtGraph> DecodeCtGraphBlob(const unsigned char* data,
   RFID_ASSIGN_OR_RETURN(contents, ParseBlobContents(data, size));
   const BlobHeader& header = contents.parsed.header;
 
-  CtGraph::Arrays arrays;
-  arrays.Reserve(static_cast<std::size_t>(header.num_nodes),
-                 static_cast<std::size_t>(contents.num_departures),
-                 static_cast<std::size_t>(header.num_edges));
+  // The fill folds the graph digest that is checked against the header
+  // below (CtGraph::Arrays).
+  CtGraph::Arrays arrays(header.length,
+                         static_cast<std::size_t>(header.num_nodes),
+                         static_cast<std::size_t>(contents.num_departures),
+                         static_cast<std::size_t>(header.num_edges));
   const std::uint32_t num_sources = contents.LayerBegin(1);
   Timestamp t = 0;
   RFID_RETURN_IF_ERROR(WalkKeys(
@@ -272,8 +281,7 @@ Result<CtGraph> DecodeCtGraphBlob(const unsigned char* data,
         }
       }));
 
-  Result<CtGraph> graph =
-      CtGraph::FromArrays(std::move(arrays), header.length);
+  Result<CtGraph> graph = CtGraph::FromArrays(std::move(arrays));
   if (!graph.ok()) {
     return InvalidArgumentError(StrFormat(
         "ct-graph blob: decoded graph fails invariants: %s",

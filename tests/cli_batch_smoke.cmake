@@ -1,6 +1,7 @@
 # Smoke test of the multi-tag CLI workflow: generate --tags writes the
 # tag,time,readers readings file plus per-tag truths, and clean --jobs
-# sniffs the format, runs the batch engine and writes one graph per tag.
+# sniffs the format, runs the batch engine and writes one graph per tag, or
+# one .cts store.
 # Invoked by ctest as
 #   cmake -DCLI=<path-to-binary> -DWORK_DIR=<scratch> -P cli_batch_smoke.cmake
 
@@ -48,5 +49,20 @@ foreach(tag 0 1 2 3)
     message(FATAL_ERROR "graph_${tag}.ctg differs between --jobs 4 and --jobs 1")
   endif()
 endforeach()
+
+# So must their stores: clean --store appends the blobs in input order
+# whichever lane finishes first, so the .cts bytes are the same at every
+# job count.
+foreach(jobs 1 4)
+  file(REMOVE ${WORK_DIR}/jobs_${jobs}.cts)
+  run_step(${CLI} clean --dir ${WORK_DIR} --seed 5 --jobs ${jobs}
+           --store ${WORK_DIR}/jobs_${jobs}.cts)
+endforeach()
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                ${WORK_DIR}/jobs_1.cts ${WORK_DIR}/jobs_4.cts
+                RESULT_VARIABLE stores_differ)
+if(NOT stores_differ EQUAL 0)
+  message(FATAL_ERROR "clean --store wrote different .cts bytes at --jobs 4 and --jobs 1")
+endif()
 
 message(STATUS "cli batch smoke test passed")

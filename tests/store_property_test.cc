@@ -17,6 +17,7 @@
 #include "common/simd.h"
 #include "constraints/constraint_set.h"
 #include "core/builder.h"
+#include "gen/dataset.h"
 #include "io/ctgraph_io.h"
 #include "model/lsequence.h"
 #include "query/marginals.h"
@@ -719,11 +720,11 @@ TEST(BlobDecodeDifferentialTest, EveryVarintLengthDecodesAlikeOnBothPaths) {
   ExpectSameVerdictsUnderCorruption(blob, 509);
 }
 
-/// The offset and value of every varint of a blob's KEYS section.
-std::vector<std::pair<std::size_t, std::uint64_t>> KeyVarints(
-    const ParsedBlob& blob) {
-  const unsigned char* begin = blob.SectionData(SectionId::kKeys);
-  const unsigned char* end = begin + blob.SectionSize(SectionId::kKeys);
+/// The offset and value of every varint of one section of `blob`.
+std::vector<std::pair<std::size_t, std::uint64_t>> SectionVarints(
+    const ParsedBlob& blob, SectionId id) {
+  const unsigned char* begin = blob.SectionData(id);
+  const unsigned char* end = begin + blob.SectionSize(id);
   std::vector<std::pair<std::size_t, std::uint64_t>> varints;
   for (const unsigned char* cursor = begin; cursor != end;) {
     const std::size_t at = static_cast<std::size_t>(cursor - begin);
@@ -742,7 +743,7 @@ TEST(BlobDecodeDifferentialTest, RangeBreaksOnlyTheBoundsCatchAgree) {
   const CtGraph graph = WideVarintGraph();
   const std::string pristine = EncodeCtGraphBlob(graph, /*tag=*/11);
   const ParsedBlob parsed = ParsedOf(pristine);
-  const auto varints = KeyVarints(parsed);
+  const auto varints = SectionVarints(parsed, SectionId::kKeys);
   // Index of the first varint of each node's key.
   std::vector<std::size_t> key_begin;
   for (std::size_t v = 0; v < varints.size();
@@ -756,8 +757,7 @@ TEST(BlobDecodeDifferentialTest, RangeBreaksOnlyTheBoundsCatchAgree) {
                         parsed.Section(SectionId::kKeys).offset +
                         varints[varint].first;
     RFID_CHECK_EQ(varints[varint + 1].first - varints[varint].first, 5u);
-    RFID_CHECK_EQ(VarintSize(value), 5u);
-    WriteVarint(at, value);
+    RFID_CHECK_EQ(WriteVarint(at, value) - at, 5);
     Reseal(&edited);
     return edited;
   };
@@ -782,6 +782,175 @@ TEST(BlobDecodeDifferentialTest, RangeBreaksOnlyTheBoundsCatchAgree) {
     EXPECT_NE(contents.status().message().find(c.message), std::string::npos)
         << contents.status().ToString();
   }
+}
+
+// --- One-read encoder ------------------------------------------------------
+
+/// A graph only AssembleUnchecked takes: its edges dangle to both ends of
+/// the NodeId range, so its EDGETGT deltas need 5-byte varints, which no
+/// valid graph has the nodes for. Its locations, deltas and TL entries
+/// sit at the ends of the 32-bit range too, so KEYS holds the largest
+/// values a varint section can: zigzag maps of differences of 2^32 - 1.
+CtGraph FiveByteVarintGraph() {
+  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
+  std::vector<CtGraph::Node> nodes(3);
+  nodes[0].time = 0;
+  nodes[0].key.location = kMax;
+  nodes[0].key.delta = kMin;
+  nodes[0].key.departures.push_back(Departure{kMax, kMin});
+  nodes[0].key.departures.push_back(Departure{kMin, kMax});
+  nodes[0].source_probability = 1.0;
+  nodes[0].out_edges = {{kMax, 0.25}, {kMin, 0.25}, {2, 0.5}};
+  nodes[1].time = 0;
+  nodes[1].key.location = kMin;
+  nodes[1].key.delta = kMax;
+  nodes[1].out_edges = {{kMin, 1.0}};
+  nodes[2].time = 1;
+  return CtGraph::AssembleUnchecked(nodes, 2);
+}
+
+TEST(OneReadEncoderTest, FiveByteVarintsMatchTheTwoPassEncoder) {
+  const CtGraph graph = FiveByteVarintGraph();
+  const std::string blob = EncodeCtGraphBlob(graph, /*tag=*/13);
+  // As the two-pass encoder (sizing pass, then write pass) wrote it.
+  EXPECT_EQ(blob.size(), 448u);
+  EXPECT_EQ(BlobFnv(blob), 0x19ed0bb44430a0f4ULL);
+  const ParsedBlob parsed = ParsedOf(blob);
+  EXPECT_EQ(parsed.header.graph_digest, graph.Digest());
+  EXPECT_EQ(VarintLengthsIn(parsed, SectionId::kKeys), 0b100010u);
+  EXPECT_EQ(VarintLengthsIn(parsed, SectionId::kEdgeTargets), 0b100000u);
+
+  // Both varint sections decode back to the graph's values.
+  const auto values_of = [&parsed](SectionId id) {
+    std::vector<std::uint64_t> values;
+    for (const auto& [at, value] : SectionVarints(parsed, id)) {
+      values.push_back(value);
+    }
+    return values;
+  };
+  std::vector<std::uint64_t> keys;
+  std::int64_t prev_location = 0;
+  for (std::size_t i = 0; i < graph.NumNodes(); ++i) {
+    const NodeId id = static_cast<NodeId>(i);
+    keys.push_back(ZigzagEncode(graph.LocationOf(id) - prev_location));
+    prev_location = graph.LocationOf(id);
+    keys.push_back(ZigzagEncode(graph.DeltaOf(id)));
+    keys.push_back(graph.DeparturesOf(id).size());
+    std::int64_t prev_tl_location = 0;
+    for (const Departure& departure : graph.DeparturesOf(id)) {
+      keys.push_back(ZigzagEncode(departure.time));
+      keys.push_back(ZigzagEncode(departure.location - prev_tl_location));
+      prev_tl_location = departure.location;
+    }
+  }
+  EXPECT_EQ(values_of(SectionId::kKeys), keys);
+  std::vector<NodeId> targets;
+  std::int64_t target = 0;
+  for (const std::uint64_t delta : values_of(SectionId::kEdgeTargets)) {
+    target += ZigzagDecode(delta);
+    targets.push_back(static_cast<NodeId>(target));
+  }
+  std::vector<NodeId> expected_targets;
+  for (std::size_t i = 0; i < graph.NumNodes(); ++i) {
+    for (const CtGraph::Edge& edge : graph.OutEdges(static_cast<NodeId>(i))) {
+      expected_targets.push_back(edge.to);
+    }
+  }
+  EXPECT_EQ(targets, expected_targets);
+  // The dangling edges keep the blob from decoding into a graph.
+  const Result<CtGraph> decoded = DecodeCtGraphBlob(blob);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+
+  // The wide graph is valid: its 5-byte KEYS varints round-trip through
+  // the decoder.
+  const CtGraph wide = WideVarintGraph();
+  const std::string wide_blob = EncodeCtGraphBlob(wide, /*tag=*/11);
+  EXPECT_EQ(wide_blob.size(), 213696u);
+  EXPECT_EQ(BlobFnv(wide_blob), 0xea19985e27d86a36ULL);
+  const Result<CtGraph> wide_decoded = DecodeCtGraphBlob(wide_blob);
+  ASSERT_TRUE(wide_decoded.ok()) << wide_decoded.status().ToString();
+  ExpectSameAccessors(wide, wide_decoded.value());
+  EXPECT_EQ(wide_decoded.value().Digest(), wide.Digest());
+  EXPECT_EQ(EncodeCtGraphBlob(wide_decoded.value(), /*tag=*/11), wide_blob);
+}
+
+TEST(OneReadEncoderTest, LateOutOfLayerOrderIdFallsBackToTheCanonicalBlob) {
+  DatasetOptions options = DatasetOptions::Syn1();
+  options.durations_ticks = {60};
+  options.trajectories_per_duration = 1;
+  std::unique_ptr<Dataset> dataset = Dataset::Build(options);
+  const ConstraintSet constraints =
+      dataset->MakeConstraints(ConstraintFamilies::DuLtTt());
+  Result<CtGraph> built =
+      CtGraphBuilder(constraints).Build(dataset->items()[0].lsequence);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const CtGraph& graph = built.value();
+  const Timestamp last = graph.length() - 1;
+
+  // Layer order, except that the last layer's ids come before those of
+  // the layer before it: the first id out of layer order follows every
+  // node but the last two layers', once most of the scratch is written.
+  std::vector<NodeId> new_id(graph.NumNodes(), kInvalidNode);
+  NodeId next = 0;
+  for (Timestamp t = 0; t < last - 1; ++t) {
+    for (NodeId id : graph.NodesAt(t)) {
+      new_id[static_cast<std::size_t>(id)] = next++;
+    }
+  }
+  for (const Timestamp t : {last, last - 1}) {
+    for (NodeId id : graph.NodesAt(t)) {
+      new_id[static_cast<std::size_t>(id)] = next++;
+    }
+  }
+  const std::size_t first_out_of_order =
+      graph.NumNodes() - graph.NodesAt(last - 1).size();
+  EXPECT_GT(first_out_of_order, 9 * graph.NumNodes() / 10);
+  const std::vector<CtGraph::Node> records = RecordsOf(graph);
+  std::vector<CtGraph::Node> reordered(records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    CtGraph::Node node = records[i];
+    for (CtGraph::Edge& edge : node.out_edges) {
+      edge.to = new_id[static_cast<std::size_t>(edge.to)];
+    }
+    reordered[static_cast<std::size_t>(new_id[i])] = std::move(node);
+  }
+  Result<CtGraph> assembled = CtGraph::Assemble(reordered, graph.length());
+  ASSERT_TRUE(assembled.ok()) << assembled.status().ToString();
+  std::istringstream text(TextOf(assembled.value()));
+  Result<CtGraph> read = ReadCtGraph(text);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  ASSERT_EQ(read.value().TimeOf(static_cast<NodeId>(first_out_of_order)),
+            last - 1);
+  ASSERT_EQ(read.value().TimeOf(static_cast<NodeId>(first_out_of_order - 1)),
+            last);
+  EXPECT_NE(read.value().Digest(), graph.Digest());
+
+  const std::string blob = EncodeCtGraphBlob(read.value(), /*tag=*/7);
+  EXPECT_EQ(blob, EncodeCtGraphBlob(graph, /*tag=*/7));
+  EXPECT_EQ(ParsedOf(blob).header.graph_digest, graph.Digest());
+}
+
+TEST(OneReadEncoderTest, SingleTickGraphHasNoEdgeSections) {
+  ConstraintSet constraints(6);
+  Result<CtGraph> graph = CtGraphBuilder(constraints).Build(
+      ::rfidclean::testing::MakeLSequence({{{1, 0.25}, {2, 0.75}}}));
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  ASSERT_EQ(graph.value().length(), 1);
+  ASSERT_EQ(graph.value().NumEdges(), 0u);
+  const std::string blob = EncodeCtGraphBlob(graph.value(), /*tag=*/5);
+  // As the two-pass encoder wrote it.
+  EXPECT_EQ(blob.size(), 336u);
+  EXPECT_EQ(BlobFnv(blob), 0x3849161797522642ULL);
+  const ParsedBlob parsed = ParsedOf(blob);
+  EXPECT_EQ(parsed.SectionSize(SectionId::kEdgeTargets), 0u);
+  EXPECT_EQ(parsed.SectionSize(SectionId::kEdgeProb), 0u);
+  Result<CtGraph> decoded = DecodeCtGraphBlob(blob);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ExpectSameAccessors(graph.value(), decoded.value());
+  EXPECT_EQ(decoded.value().Digest(), graph.value().Digest());
+  EXPECT_EQ(EncodeCtGraphBlob(decoded.value(), /*tag=*/5), blob);
 }
 
 /// kStructural leaves the probability sections unchecked, so a view can
