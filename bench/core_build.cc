@@ -2,7 +2,8 @@
 // BatchCleaner worker and every query ultimately pays for): builds the
 // ct-graph of one fig8a-style SYN1 trajectory at T = 100 / 1 000 / 10 000
 // ticks under DU+LT+TT constraints and emits BENCH_core.json with the
-// median build time, ns per timestamp, forward-phase node+edge throughput
+// median build time and the median forward and backward phase times over
+// the repetitions, ns per timestamp, forward-phase node+edge throughput
 // and peak RSS per point, the built graph's size (graph_bytes,
 // CtGraph::ApproximateBytes), plus an FNV digest of the serialized graph so
 // perf runs double as a semantic cross-check (the digest is timing-free
@@ -62,6 +63,13 @@ std::uint64_t Fnv1a(std::uint64_t hash, const std::string& text) {
     hash *= 0x100000001b3ULL;
   }
   return hash;
+}
+
+/// Median of one point's repetitions (the upper one for an even count):
+/// every timing field a point reports is this median over its reps.
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
 }
 
 /// Sparse-feed variant of an item's l-sequence: an exact ground-truth
@@ -181,11 +189,13 @@ int RunSparse(const BenchScale& scale, const std::vector<Timestamp>& durations,
     BuildStats raw_stats;
     std::vector<double> millis;
     std::vector<double> raw_millis;
+    std::vector<double> preflight_millis;
     std::uint64_t digest = 0xcbf29ce484222325ULL;
     for (int r = 0; r < reps; ++r) {
       Stopwatch watch;
       Result<CtGraph> graph = pruned_builder.Build(sequence, &stats);
       millis.push_back(watch.ElapsedMillis());
+      preflight_millis.push_back(stats.preflight_millis);
       RFID_CHECK(graph.ok());
 
       watch = Stopwatch();
@@ -208,10 +218,8 @@ int RunSparse(const BenchScale& scale, const std::vector<Timestamp>& durations,
     // instead of green-lighting a regressed preflight.
     RFID_CHECK_GT(stats.preflight_candidates_pruned, 0u);
 
-    std::sort(millis.begin(), millis.end());
-    std::sort(raw_millis.begin(), raw_millis.end());
-    const double median = millis[millis.size() / 2];
-    const double raw_median = raw_millis[raw_millis.size() / 2];
+    const double median = Median(millis);
+    const double raw_median = Median(raw_millis);
     const double ns_per_timestamp = median * 1e6 / static_cast<double>(ticks);
     const double raw_ns_per_timestamp =
         raw_median * 1e6 / static_cast<double>(ticks);
@@ -235,7 +243,7 @@ int RunSparse(const BenchScale& scale, const std::vector<Timestamp>& durations,
         .Add("nodes_pruned", stats.preflight_candidates_pruned)
         .Add("peak_nodes", stats.peak_nodes)
         .Add("peak_nodes_no_preflight", raw_stats.peak_nodes)
-        .Add("preflight_millis", stats.preflight_millis)
+        .Add("preflight_millis", Median(preflight_millis))
         .AddHex64("digest", digest);
   }
   table.Print(std::cout);
@@ -333,7 +341,8 @@ int Main(int argc, char** argv) {
 
     BuildStats stats;
     std::vector<double> millis;
-    millis.reserve(static_cast<std::size_t>(reps));
+    std::vector<double> forward_millis;
+    std::vector<double> backward_millis;
     std::uint64_t digest = 0;
     std::size_t graph_bytes = 0;
     for (int r = 0; r < reps; ++r) {
@@ -353,6 +362,8 @@ int Main(int argc, char** argv) {
       const double elapsed = watch.ElapsedMillis();
       RFID_CHECK(graph.ok());
       millis.push_back(elapsed);
+      forward_millis.push_back(run_stats.forward_millis);
+      backward_millis.push_back(run_stats.backward_millis);
       stats = run_stats;
       if (r == 0) {
         // Hashed as it is written: at T = 10 000 the text is about 600 MB,
@@ -380,12 +391,13 @@ int Main(int argc, char** argv) {
                    violation.c_str());
       return 1;
     }
-    std::sort(millis.begin(), millis.end());
-    const double median = millis[millis.size() / 2];
+    const double median = Median(millis);
+    const double forward_median = Median(forward_millis);
+    const double backward_median = Median(backward_millis);
     // Fastest rep: the overhead gate compares this between two bench
     // processes, and on shared machines the minimum rejects co-tenant
     // stalls far better than the median of a handful of reps.
-    const double best = millis.front();
+    const double best = *std::min_element(millis.begin(), millis.end());
     const double ns_per_timestamp = median * 1e6 / static_cast<double>(ticks);
     const double ns_per_timestamp_min =
         best * 1e6 / static_cast<double>(ticks);
@@ -399,8 +411,8 @@ int Main(int argc, char** argv) {
 
     table.AddRow({StrFormat("%d", ticks), StrFormat("%d", reps),
                   StrFormat("%.2f", median),
-                  StrFormat("%.2f", stats.forward_millis),
-                  StrFormat("%.2f", stats.backward_millis),
+                  StrFormat("%.2f", forward_median),
+                  StrFormat("%.2f", backward_median),
                   StrFormat("%.0f", ns_per_timestamp),
                   StrFormat("%.0f", nodes_edges_per_sec),
                   StrFormat("%zu", stats.peak_nodes),
@@ -413,8 +425,8 @@ int Main(int argc, char** argv) {
         .Add("reps", reps)
         .Add("millis", median)
         .Add("millis_min", best)
-        .Add("forward_millis", stats.forward_millis)
-        .Add("backward_millis", stats.backward_millis)
+        .Add("forward_millis", forward_median)
+        .Add("backward_millis", backward_median)
         .Add("ns_per_timestamp", ns_per_timestamp)
         .Add("ns_per_timestamp_min", ns_per_timestamp_min)
         .Add("nodes_edges_per_sec", nodes_edges_per_sec, 1)

@@ -141,23 +141,6 @@ Status StreamingCleaner::Push(const std::vector<Candidate>& candidates) {
     }
   }
 
-  // Explain capture: the attribution pass needs the *full* tick (with the
-  // plan's pruned flags), not the filtered one the engine sees. Dead code
-  // when explain is compiled out (ExplainArmed() is a compile-time false).
-  if (obs::ExplainArmed()) {
-    explain_ctx_.successors = successors_;
-    const std::size_t t = static_cast<std::size_t>(TicksSeen());
-    std::vector<internal_core::ExplainTickCandidate> tick;
-    tick.reserve(candidates.size());
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      const bool pruned =
-          preflight_plan_ != nullptr && !preflight_plan_->admissible[t][i];
-      tick.push_back(
-          {candidates[i].location, candidates[i].probability, pruned});
-    }
-    explain_ctx_.ticks.push_back(std::move(tick));
-  }
-
   // Static pruning: validation always sees the caller's full tick, then
   // candidates the plan proved dead are dropped before the engine does any
   // work.
@@ -173,7 +156,11 @@ Status StreamingCleaner::Push(const std::vector<Candidate>& candidates) {
 
   if (engine_.num_layers() == 0) {
     // First tick: source nodes, one per candidate, with the candidate
-    // probability as the (unnormalized) filtered mass.
+    // probability as the (unnormalized) filtered mass. Whether this
+    // cleaner captures explain inputs is decided here, once: a context
+    // captured from a later tick would not line up with the layers.
+    // ExplainArmed() is a compile-time false when explain is compiled out.
+    capture_explain_ = obs::ExplainArmed();
     engine_.BeginSources(*successors_, *effective);
     const WorkGraph& work = engine_.work();
     frontier_alpha_.clear();
@@ -182,7 +169,7 @@ Status StreamingCleaner::Push(const std::vector<Candidate>& candidates) {
       frontier_alpha_.push_back(
           work.nodes[static_cast<std::size_t>(id)].source_probability);
     }
-    if (obs::ExplainArmed()) explain_ctx_.alpha_deltas.push_back(0.0);
+    CaptureExplainTick(candidates, 0.0);
     return Status::Ok();
   }
 
@@ -239,11 +226,28 @@ Status StreamingCleaner::Push(const std::vector<Candidate>& candidates) {
   } else {
     delta = 0.0;  // Nothing left to lose.
   }
-  if (obs::ExplainArmed()) {
-    explain_ctx_.alpha_deltas.push_back(delta > 0.0 ? delta : 0.0);
-  }
+  CaptureExplainTick(candidates, delta > 0.0 ? delta : 0.0);
   frontier_alpha_.swap(next_alpha_);
   return Status::Ok();
+}
+
+void StreamingCleaner::CaptureExplainTick(
+    const std::vector<Candidate>& candidates, double alpha_delta) {
+  if (!capture_explain_) return;
+  // The attribution pass needs the *full* tick (with the plan's pruned
+  // flags), not the filtered one the engine sees.
+  const std::size_t t = static_cast<std::size_t>(TicksSeen()) - 1;
+  explain_ctx_.successors = successors_;
+  std::vector<internal_core::ExplainTickCandidate> tick;
+  tick.reserve(candidates.size());
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    const bool pruned =
+        preflight_plan_ != nullptr && !preflight_plan_->admissible[t][i];
+    tick.push_back(
+        {candidates[i].location, candidates[i].probability, pruned});
+  }
+  explain_ctx_.ticks.push_back(std::move(tick));
+  explain_ctx_.alpha_deltas.push_back(alpha_delta);
 }
 
 std::vector<std::pair<LocationId, double>>
@@ -296,8 +300,7 @@ Result<CtGraph> StreamingCleaner::Finish(BuildStats* stats) && {
   // TakeWork frees the forward-only state (dedup, memo, intern tables)
   // before conditioning allocates the compacted graph.
   Result<CtGraph> graph = internal_core::ConditionAndCompact(
-      engine_.TakeWork(), stats,
-      obs::ExplainArmed() ? &explain_ctx_ : nullptr);
+      engine_.TakeWork(), stats, capture_explain_ ? &explain_ctx_ : nullptr);
   if (graph.ok()) {
     RFID_RETURN_IF_ERROR(RunCtGraphAuditHook(graph.value()));
   }

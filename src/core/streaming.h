@@ -104,10 +104,15 @@ class StreamingCleaner {
 
   /// Runs the backward conditioning over everything seen and returns the
   /// exact ct-graph (identical to CtGraphBuilder::Build's). Consumes the
-  /// cleaner. Requires at least one successful Push.
+  /// cleaner. Requires at least one successful Push. Records an explain
+  /// summary when a session is armed now and was armed at the first Push.
   Result<CtGraph> Finish(BuildStats* stats = nullptr) &&;
 
  private:
+  /// Appends one tick that Push accepted to explain_ctx_, when capturing.
+  void CaptureExplainTick(const std::vector<Candidate>& candidates,
+                          double alpha_delta);
+
   std::optional<SuccessorGenerator> owned_successors_;
   const SuccessorGenerator* successors_;
   internal_core::ForwardEngine engine_;
@@ -119,10 +124,13 @@ class StreamingCleaner {
   /// Optional static-pruning plan; scratch holds the filtered tick.
   const PreflightPlan* preflight_plan_ = nullptr;
   std::vector<Candidate> plan_filtered_;
-  /// Explain-session inputs, captured tick by tick only while a session is
-  /// armed (obs/explain.h) and threaded into Finish's conditioning call:
-  /// the full candidate lists (with pruned flags) plus the per-tick
-  /// renormalization deltas of the alpha recursion.
+  /// Explain-session inputs (obs/explain.h), captured for every accepted
+  /// tick when a session was armed at the first Push, and threaded into
+  /// Finish's conditioning call: the full candidate lists (with pruned
+  /// flags) plus the per-tick renormalization deltas of the alpha
+  /// recursion. A cleaner whose first Push ran unarmed never captures, so
+  /// a session armed mid-stream records no summary for it.
+  bool capture_explain_ = false;
   internal_core::ExplainBuildContext explain_ctx_;
   /// CurrentDistribution scratch: per-location mass and first-encounter
   /// marks, reused across calls.

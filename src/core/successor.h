@@ -164,7 +164,8 @@ class SuccessorGenerator {
   /// the successor key. Only the lockstep test
   /// (SuccessorGeneratorTest.ClassifyRejectionLockstepAndGroupClasses)
   /// calls it: it is the per-move reference that the explain attribution
-  /// pass's per-group classification (core/work_graph.cc) must agree with.
+  /// pass's per-group classification (core/explain_attribution.cc) must
+  /// agree with.
   SuccessorReject ClassifyRejection(Timestamp t, const NodeKey& from,
                                     LocationId to) const;
 

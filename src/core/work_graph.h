@@ -67,9 +67,9 @@ struct WorkGraph {
 };
 
 /// One a-priori candidate of one tick, as the explain attribution pass
-/// (obs/explain.h) needs it: the raw location/probability pair plus whether
-/// the preflight plan statically removed it before the forward phase saw
-/// it. Defined in every build mode — the struct is ABI for
+/// (core/explain_attribution.h) needs it: the raw location/probability pair
+/// plus whether the preflight plan statically removed it before the forward
+/// phase saw it. Defined in every build mode — the struct is ABI for
 /// ConditionAndCompact's optional parameter; the pass itself compiles away
 /// with RFIDCLEAN_EXPLAIN=OFF.
 struct ExplainTickCandidate {
@@ -80,11 +80,13 @@ struct ExplainTickCandidate {
 
 /// Side-channel inputs of the explain attribution pass (docs/ALGORITHM.md
 /// §14): the full per-tick candidate lists the build consumed (before
-/// preflight filtering), the per-tick renormalization deltas of the
-/// streaming filter, and the successor generator the build used, so
+/// preflight filtering), which also carry every a-priori label the
+/// backward sweep overwrites; the per-tick renormalization deltas of the
+/// streaming filter; and the successor generator the build used, so
 /// rejected moves can be re-classified against the Definition-3 checks.
-/// StreamingCleaner populates it only while an explain session is armed;
-/// passing it never changes the produced graph.
+/// StreamingCleaner fills it only when a session was armed at its first
+/// Push, so it always holds one entry per layer from layer 0; passing it
+/// never changes the produced graph.
 struct ExplainBuildContext {
   std::vector<std::vector<ExplainTickCandidate>> ticks;
   std::vector<double> alpha_deltas;
@@ -102,9 +104,10 @@ Status InfeasibleSequenceError();
 /// Consumes `graph`. Fills the backward timing and final counts of `stats`
 /// when given. Fails with FailedPrecondition when no interpretation
 /// survives. When `explain` is non-null and an explain session is armed,
-/// runs the attribution pass over the pristine forward-phase labels first
-/// and records one ExplainTagSummary; the returned graph is byte-identical
-/// with or without it.
+/// runs the attribution pass once the sweep and the reachability pass have
+/// decided which nodes die and which survive (or once the sweep has found
+/// the total death) and records one ExplainTagSummary; the returned graph
+/// is byte-identical with or without it.
 Result<CtGraph> ConditionAndCompact(WorkGraph&& graph, BuildStats* stats,
                                     const ExplainBuildContext* explain =
                                         nullptr);

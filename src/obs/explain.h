@@ -24,11 +24,18 @@
 /// mass sum to 1 for every cleaned tag (docs/ALGORITHM.md §14).
 ///
 /// The recorder keeps per-tag summaries only, no per-decision event
-/// stream: the attribution pass (core/work_graph.cc) assembles each tag's
-/// summary in one walk, the cleaning routine (core/streaming.cc) finalizes
-/// it, and RecordTagExplain appends it under the session mutex — one
-/// append per cleaned tag, never per edge. A session is armed and disarmed
-/// by a process-wide relaxed atomic.
+/// stream: the attribution pass (core/explain_attribution.cc) assembles
+/// each tag's summary in one walk over the liveness the backward sweep and
+/// compaction decided, and RecordTagExplain appends it under the session
+/// mutex — one append per cleaned tag, never per edge. A clean that dies
+/// before conditioning records its summary in the cleaning routine
+/// (core/streaming.cc). A session is armed and disarmed by a process-wide
+/// relaxed atomic.
+///
+/// A clean is explained when the session is armed at its first tick: a
+/// StreamingCleaner decides at its first Push whether it captures the
+/// per-tick inputs, and one whose first Push ran unarmed records no
+/// summary, even if a session is armed before it finishes.
 ///
 /// Configure with -DRFIDCLEAN_EXPLAIN=OFF to compile every probe to a
 /// no-op (the build defines RFIDCLEAN_EXPLAIN_OFF): no recorder symbols
@@ -119,7 +126,7 @@ struct ExplainKilledEdge {
 };
 
 /// Everything the explain layer knows about one cleaned tag. Assembled by
-/// the attribution pass (core/work_graph.cc), finalized with status and
+/// the attribution pass (core/explain_attribution.cc) with status and
 /// per-phase ppb splits, and appended via RecordTagExplain. Defined in all
 /// build modes so the store codec (store/explain_codec.h) keeps one ABI.
 struct ExplainTagSummary {
@@ -129,8 +136,9 @@ struct ExplainTagSummary {
   /// sum to the value the stats layer records across Dist::kMassLost*Ppb.
   std::uint64_t mass_lost_backward_ppb = 0;
   std::uint64_t mass_lost_compaction_ppb = 0;
-  /// Unscaled a-priori source mass that survives conditioning, and the
-  /// total root-cause mass attributed to kills: the two sum to ~1.
+  /// A-priori mass of the trajectories conditioning keeps (the forward
+  /// mass summed over the last layer's surviving nodes), and the total
+  /// root-cause mass attributed to kills: the two sum to ~1.
   double surviving_mass = 0.0;
   double attributed_mass = 0.0;
   std::uint64_t phase_kills[kNumExplainPhases] = {};

@@ -17,9 +17,12 @@
 namespace rfidclean::obs {
 
 /// Report schema version (the "explain_format_version" field). Version 2
-/// removed version 1's event-ring overflow count along with the rings; the
+/// removed version 1's event-ring overflow count along with the rings.
+/// Version 3 keeps the schema and takes liveness from the cleaner:
+/// surviving_mass is the forward mass of the last layer's survivors, which
+/// rounds differently, and long tags no longer report phantom kills. The
 /// store blob keeps its own store::kExplainFormatVersion.
-inline constexpr int kExplainFormatVersion = 2;
+inline constexpr int kExplainFormatVersion = 3;
 
 #if RFIDCLEAN_EXPLAIN_ENABLED
 

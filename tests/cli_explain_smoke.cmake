@@ -131,6 +131,21 @@ endif()
 expect_fail("has no explain summary in the store"
             ${CLI} explain --store ${WORK_DIR}/multi/s.cts --tag 77)
 
+# --- A long tag: the a-priori mass of a 2 000-tick suffix underflows a
+# double, yet the report must agree with the graph, which keeps location 17
+# (F2.RoomB) at t=0. The kill list is truncated at later ticks, so the
+# answer for t=0 also shows that a tick whose records were all retained
+# still answers exactly. ---
+file(MAKE_DIRECTORY ${WORK_DIR}/long)
+run_step(${CLI} generate --floors 4 --duration 2000 --seed 1
+         --out ${WORK_DIR}/long)
+expect_output("at t=0 was not killed"
+              ${CLI} explain --dir ${WORK_DIR}/long --time 0 --location 17
+              --json ${WORK_DIR}/long.json)
+if(PYTHON AND CHECKER)
+  run_step(${PYTHON} ${CHECKER} explain ${WORK_DIR}/long.json --min-tags 1)
+endif()
+
 # --- Flag validation: bad values fail before any cleaning work. ---
 expect_fail("--explain-top-edges must be a positive integer"
             ${CLI} clean --dir ${WORK_DIR} --explain --explain-top-edges 0)

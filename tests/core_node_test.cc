@@ -305,10 +305,10 @@ TEST(SuccessorGeneratorTest, SuccessorsRestrictedToCandidates) {
 }
 
 TEST(SuccessorGeneratorTest, ClassifyRejectionLockstepAndGroupClasses) {
-  // The explain attribution pass (core/work_graph.cc) aggregates forward
-  // rejections per (parent location, δ-class) group instead of calling
-  // ClassifyRejection per parent. That is sound only while three facts
-  // about the Definition-3 check order hold:
+  // The explain attribution pass (core/explain_attribution.cc) aggregates
+  // forward rejections per (parent location, δ-class) group instead of
+  // calling ClassifyRejection per parent. That is sound only while three
+  // facts about the Definition-3 check order hold:
   //   (a) ClassifyRejection == kAdmissible  iff  ForEachSuccessor emits;
   //   (b) for a move, unreachability depends on the location pair alone
   //       and precedes every other check, and δ ≠ ⊥ then forces kLatency

@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "core/builder.h"
+#include "core/streaming.h"
 #include "gen/dataset.h"
 #include "io/ctgraph_io.h"
 #include "obs/explain_export.h"
@@ -58,10 +59,12 @@ std::string Serialize(const CtGraph& graph) {
 }
 
 /// Cleans one sequence under a fresh explain session and returns the
-/// (single) recorded summary.
+/// (single) recorded summary; the cleaned graph goes to `graph_out` if
+/// given.
 obs::ExplainTagSummary ExplainOneClean(const ConstraintSet& constraints,
                                        const LSequence& sequence,
-                                       bool preflight = true) {
+                                       bool preflight = true,
+                                       CtGraph* graph_out = nullptr) {
   obs::StartExplain(obs::ExplainOptions());
   CleanOptions clean;
   clean.preflight = preflight;
@@ -71,7 +74,26 @@ obs::ExplainTagSummary ExplainOneClean(const ConstraintSet& constraints,
   obs::ExplainCollection collection = obs::CollectExplain();
   obs::StopExplain();
   RFID_CHECK(collection.tags.size() == 1);
+  if (graph_out != nullptr) *graph_out = std::move(graph).value();
   return std::move(collection.tags[0]);
+}
+
+/// The candidates of `sequence` that `graph` holds no node for.
+std::set<KillKey> AbsentCandidates(const LSequence& sequence,
+                                   const CtGraph& graph) {
+  std::set<KillKey> absent;
+  for (Timestamp t = 0; t < sequence.length(); ++t) {
+    std::set<LocationId> present;
+    for (const NodeId id : graph.NodesAt(t)) {
+      present.insert(graph.LocationOf(id));
+    }
+    for (const Candidate& candidate : sequence.CandidatesAt(t)) {
+      if (present.count(candidate.location) == 0) {
+        absent.insert({t, candidate.location});
+      }
+    }
+  }
+  return absent;
 }
 
 TEST(ExplainTest, DisabledBuildCollectsNothing) {
@@ -133,31 +155,99 @@ TEST(ExplainTest, MassConservesOnGeneratedWorkloads) {
   if (!obs::ExplainCompiledIn()) GTEST_SKIP() << "explain compiled out";
   // On realistic generated data every cleaned tag's attribution must
   // account for the whole a-priori interpretation space: root-cause kill
-  // masses plus surviving source mass sum to 1.
+  // masses plus surviving source mass sum to 1. And the report agrees with
+  // the graph: a candidate is listed as killed exactly when the graph has
+  // no node for it.
   DatasetOptions options = DatasetOptions::Syn1();
   options.num_floors = 2;
   options.durations_ticks = {60};
   options.trajectories_per_duration = 3;
   options.seed = 777;
   auto dataset = Dataset::Build(options);
-  ConstraintSet constraints =
+  const ConstraintSet generated =
       dataset->MakeConstraints(ConstraintFamilies::DuLtTt());
-
+  std::vector<std::pair<const ConstraintSet*, LSequence>> cases;
   for (const Dataset::Item& item : dataset->items()) {
-    const obs::ExplainTagSummary summary =
-        ExplainOneClean(constraints, item.lsequence);
-    EXPECT_EQ(summary.status, "ok");
-    EXPECT_NEAR(summary.surviving_mass + summary.attributed_mass, 1.0, 1e-6);
-    double constraint_mass = 0.0;
-    for (int c = 0; c < obs::kNumExplainConstraints; ++c) {
-      constraint_mass += summary.constraints[c].mass;
-    }
-    EXPECT_NEAR(constraint_mass, summary.attributed_mass, 1e-9);
-    // Top edges are ranked by attributed mass, descending.
-    for (std::size_t i = 1; i < summary.top_edges.size(); ++i) {
-      EXPECT_GE(summary.top_edges[i - 1].mass, summary.top_edges[i].mass);
+    cases.emplace_back(&generated, item.lsequence);
+  }
+  // Two locations that never reach each other, each at 1/2 on every tick:
+  // both stay-put trajectories survive, but an a-priori suffix mass of
+  // 2^-(T-1) underflows long before T = 1 100.
+  ConstraintSet apart(2);
+  apart.AddUnreachable(0, 1);
+  apart.AddUnreachable(1, 0);
+  std::vector<std::vector<std::pair<LocationId, double>>> halves(
+      1100, {{0, 0.5}, {1, 0.5}});
+  cases.emplace_back(&apart, MakeLSequence(halves));
+
+  for (const bool preflight : {true, false}) {
+    for (const auto& [constraints, sequence] : cases) {
+      SCOPED_TRACE(::testing::Message() << "preflight " << preflight
+                                        << ", T = " << sequence.length());
+      CtGraph graph;
+      const obs::ExplainTagSummary summary =
+          ExplainOneClean(*constraints, sequence, preflight, &graph);
+      EXPECT_EQ(summary.status, "ok");
+      EXPECT_NEAR(summary.surviving_mass + summary.attributed_mass, 1.0,
+                  1e-6);
+      double constraint_mass = 0.0;
+      for (int c = 0; c < obs::kNumExplainConstraints; ++c) {
+        constraint_mass += summary.constraints[c].mass;
+      }
+      EXPECT_NEAR(constraint_mass, summary.attributed_mass, 1e-9);
+      // Top edges are ranked by attributed mass, descending.
+      for (std::size_t i = 1; i < summary.top_edges.size(); ++i) {
+        EXPECT_GE(summary.top_edges[i - 1].mass, summary.top_edges[i].mass);
+      }
+      ASSERT_EQ(summary.killed_candidates_truncated, 0u);
+      EXPECT_EQ(KillSet(summary), AbsentCandidates(sequence, graph));
     }
   }
+}
+
+TEST(ExplainTest, SessionArmedMidStreamRecordsNothing) {
+  if (!obs::ExplainCompiledIn()) GTEST_SKIP() << "explain compiled out";
+  // A cleaner decides at its first Push whether it captures explain
+  // inputs. Captured from a later tick, the candidate lists would not line
+  // up with the layers, and the summary would name location 2 killed at
+  // ticks where it was never a candidate.
+  ConstraintSet constraints(3);
+  constraints.AddUnreachable(0, 2);
+  const std::vector<Candidate> inside = {{0, 0.5}, {1, 0.5}};
+  const std::vector<Candidate> exit = {{2, 1.0}};
+  StreamingCleaner cleaner(constraints);
+  ASSERT_TRUE(cleaner.Push(inside).ok());
+  ASSERT_TRUE(cleaner.Push(inside).ok());
+  obs::StartExplain(obs::ExplainOptions());
+  ASSERT_TRUE(cleaner.Push(exit).ok());
+  ASSERT_TRUE(cleaner.Push(exit).ok());
+  Result<CtGraph> graph = std::move(cleaner).Finish();
+  const obs::ExplainCollection collection = obs::CollectExplain();
+  obs::StopExplain();
+  ASSERT_TRUE(graph.ok());
+  EXPECT_TRUE(collection.tags.empty());
+}
+
+TEST(ExplainTest, SummaryCoversTheTicksPushAccepted) {
+  if (!obs::ExplainCompiledIn()) GTEST_SKIP() << "explain compiled out";
+  // A Push that finds a dead end appends no layer, so the captured inputs
+  // must not gain a tick either: Finish explains the one layer it has.
+  ConstraintSet constraints(3);
+  constraints.AddUnreachable(0, 2);
+  obs::StartExplain(obs::ExplainOptions());
+  StreamingCleaner cleaner(constraints);
+  ASSERT_TRUE(cleaner.Push({{0, 1.0}}).ok());
+  EXPECT_FALSE(cleaner.Push({{2, 1.0}}).ok());
+  Result<CtGraph> graph = std::move(cleaner).Finish();
+  const obs::ExplainCollection collection = obs::CollectExplain();
+  obs::StopExplain();
+  ASSERT_TRUE(graph.ok());
+  ASSERT_EQ(collection.tags.size(), 1u);
+  const obs::ExplainTagSummary& summary = collection.tags[0];
+  EXPECT_EQ(summary.status, "ok");
+  ASSERT_EQ(summary.ticks.size(), 1u);
+  EXPECT_EQ(summary.ticks[0].killed, 0u);
+  EXPECT_EQ(summary.surviving_mass, 1.0);
 }
 
 TEST(ExplainTest, ArmedSessionDoesNotPerturbTheGraph) {

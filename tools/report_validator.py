@@ -22,13 +22,14 @@ warnings in that case — drop-oldest loses prefixes, never scrambles order.
         [--require-status TAG=STATUS]...
 
 Explain report JSON from `clean --explain` and `rfidclean explain --json`
-(obs/explain_export.cc), format version 2. Beyond schema shape it enforces
+(obs/explain_export.cc), format version 3. Beyond schema shape it enforces
 the attribution arithmetic the report promises: per tag, the phase-kill
 rollup and the constraint rollup count the same decisions; constraint
 masses sum to the attributed mass; an "ok" tag's attributed plus surviving
-mass covers the whole a-priori space; and the session totals are the
-per-tag sums. A report that passes is safe to aggregate downstream without
-re-deriving anything.
+mass covers the whole a-priori space, and no tick of it lost every
+candidate (a ct-graph has a node in every layer); and the session totals
+are the per-tag sums. A report that passes is safe to aggregate downstream
+without re-deriving anything.
 """
 
 import argparse
@@ -217,7 +218,7 @@ def validate_trace(args):
 
 # --- explain -------------------------------------------------------------
 
-EXPLAIN_FORMAT_VERSION = 2
+EXPLAIN_FORMAT_VERSION = 3
 PHASES = ("preflight", "forward", "backward", "compaction")
 CONSTRAINTS = ("unreachable", "travel_time", "latency", "infeasible",
                "propagated", "stranded", "renormalized")
@@ -265,6 +266,7 @@ def check_rollups(v, tag, where):
 
 def check_records(v, tag, where):
     """Timeline, killed-candidate and top-edge record shapes."""
+    cleaned = tag.get("status") == "ok"
     for index, tick in enumerate(tag.get("timeline", [])):
         at = f"{where}.timeline[{index}]"
         if v.expect_keys(tick, at, ("time", "candidates", "killed",
@@ -272,6 +274,11 @@ def check_records(v, tag, where):
             if tick["killed"] > tick["candidates"]:
                 v.problem(f"{at}: killed {tick['killed']} exceeds "
                           f"candidates {tick['candidates']}")
+            elif cleaned and tick["killed"] == tick["candidates"]:
+                # killed is counted before the kill list is truncated.
+                v.problem(f"{at}: all {tick['candidates']} candidates "
+                          f"killed in an \"ok\" tag, whose ct-graph has a "
+                          f"node at every tick")
     for index, killed in enumerate(tag.get("killed_candidates", [])):
         at = f"{where}.killed_candidates[{index}]"
         if v.expect_keys(killed, at, ("time", "location", "phase",

@@ -1124,14 +1124,16 @@ void PrintExplainSummary(const obs::ExplainTagSummary& summary,
 
 /// Answers "why is location X absent at time t" from one tag's
 /// killed-candidate list. Exits nonzero only when the list was truncated
-/// and cannot prove the answer either way.
+/// within tick t and cannot prove the answer either way.
 int AnswerExplainQuery(const obs::ExplainTagSummary& summary,
                        const Building* building, std::int32_t time,
                        std::int32_t location) {
   const std::string name = ExplainLocationName(building, location);
+  std::uint32_t retained_at_time = 0;
   for (const obs::ExplainKilledCandidate& candidate :
        summary.killed_candidates) {
-    if (candidate.time == time && candidate.location == location) {
+    if (candidate.time != time) continue;
+    if (candidate.location == location) {
       std::printf(
           "tag %lld: %s is absent at t=%d: killed in the %s phase by the "
           "%s check (a-priori mass %.6g removed)\n",
@@ -1140,8 +1142,16 @@ int AnswerExplainQuery(const obs::ExplainTagSummary& summary,
           obs::ExplainConstraintName(candidate.constraint), candidate.mass);
       return 0;
     }
+    ++retained_at_time;
   }
-  if (summary.killed_candidates_truncated > 0) {
+  // Kill records are appended tick by tick and each tick's `killed` counts
+  // them before truncation, so the list still answers exactly for a tick
+  // whose records all made it in.
+  const bool tick_complete =
+      time >= 0 && static_cast<std::size_t>(time) < summary.ticks.size() &&
+      summary.ticks[static_cast<std::size_t>(time)].killed ==
+          retained_at_time;
+  if (summary.killed_candidates_truncated > 0 && !tick_complete) {
     std::fprintf(stderr,
                  "tag %lld: no retained kill record for %s at t=%d, but the "
                  "killed-candidate list was truncated by %llu entries — "
