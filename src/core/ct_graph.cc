@@ -82,6 +82,15 @@ Result<CtGraph> CtGraph::Adopt(Arrays arrays) {
           StrFormat("node %zu has timestamp %d outside [0, %d)", i, time,
                     length));
     }
+    // Only sources carry p_N: the blob keeps layer 0's source
+    // probabilities alone, so any other would change the graph on a store
+    // round trip and break the digest its header carries.
+    if (time > 0 && arrays.source_probabilities_[i] != 0.0) {
+      return InvalidArgumentError(
+          StrFormat("node %zu at t=%d has source probability %.17g; only "
+                    "t = 0 nodes carry one",
+                    i, time, arrays.source_probabilities_[i]));
+    }
     ++graph.layer_begin_[static_cast<std::size_t>(time) + 1];
   }
   for (std::size_t t = 1; t < graph.layer_begin_.size(); ++t) {
@@ -126,6 +135,14 @@ Result<CtGraph> CtGraph::FromArrays(Arrays arrays) {
 
 Result<CtGraph> CtGraph::Assemble(const std::vector<Node>& nodes,
                                   Timestamp length) {
+  // Every layer of a valid graph holds a node, so a longer graph is
+  // rejected before its layer index is sized from `length`.
+  if (length > 0 && static_cast<std::size_t>(length) > nodes.size()) {
+    return InvalidArgumentError(
+        StrFormat("length %d exceeds the %zu nodes; every layer of a "
+                  "ct-graph holds a node",
+                  length, nodes.size()));
+  }
   return FromArrays(ToArrays(nodes, length));
 }
 

@@ -15,6 +15,11 @@
 
 namespace rfidclean {
 
+/// Longest graph a text or blob reader accepts (2^24 time points): far
+/// above anything the cleaner produces, and a bound on what a header may
+/// size before any node is read.
+inline constexpr Timestamp kMaxGraphLength = Timestamp{1} << 24;
+
 /// Identifier of a node within a CtGraph (dense, 0-based).
 using NodeId = std::int32_t;
 inline constexpr NodeId kInvalidNode = -1;
@@ -51,7 +56,7 @@ class CtGraph {
   struct Node {
     Timestamp time = 0;
     NodeKey key;
-    /// p_N for source nodes (time == 0); unused otherwise.
+    /// p_N for source nodes (time == 0); must be 0 otherwise.
     double source_probability = 0.0;
     std::vector<Edge> out_edges;
   };
@@ -126,7 +131,8 @@ class CtGraph {
 
   /// Assembles a graph from raw node records spanning `length` time points
   /// (deserialization support). Node ids are the records' positions; every
-  /// invariant is re-validated by FromArrays.
+  /// invariant is re-validated by FromArrays. A length above the node
+  /// count is rejected before anything is sized from it.
   static Result<CtGraph> Assemble(const std::vector<Node>& nodes,
                                   Timestamp length);
 
@@ -135,7 +141,8 @@ class CtGraph {
   /// auditor (analysis/graph_audit.h) can be exercised against corrupted
   /// graphs that the checked paths refuse to construct; never use it to
   /// build graphs for queries. Node timestamps must still lie in
-  /// [0, length) (RFID_CHECK) so the per-layer index can be built.
+  /// [0, length) and only t = 0 nodes may carry a source probability
+  /// (RFID_CHECK), as every graph's must.
   static CtGraph AssembleUnchecked(const std::vector<Node>& nodes,
                                    Timestamp length);
 
@@ -165,8 +172,8 @@ class CtGraph {
   // query/stay_query.h) run unchanged on either representation.
   Timestamp TimeOf(NodeId id) const { return Record(id).time; }
   LocationId LocationOf(NodeId id) const { return Record(id).location; }
-  /// p_N of a source node; what the node was given otherwise (0 for every
-  /// graph the builder or a decoder produces).
+  /// p_N of a source node; 0 otherwise (the fill rejects any other
+  /// value off layer 0).
   double SourceProbability(NodeId id) const {
     return source_probabilities_[CheckedIndex(id)];
   }
@@ -215,8 +222,9 @@ class CtGraph {
   /// Moves `arrays` in, appends the sentinel record, builds the per-layer
   /// index and stores the digest. Fails when the length is not positive,
   /// the fill added another number of nodes than it declared, a node's
-  /// timestamp lies outside [0, length) or a count outgrows the 32-bit ids
-  /// and offsets; checks nothing else.
+  /// timestamp lies outside [0, length), a node at t > 0 has a non-zero
+  /// source probability or a count outgrows the 32-bit ids and offsets;
+  /// checks nothing else.
   static Result<CtGraph> Adopt(Arrays arrays);
 
   std::size_t CheckedIndex(NodeId id) const {

@@ -1,8 +1,12 @@
 #include "io/ctgraph_io.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <limits>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/strings.h"
@@ -64,9 +68,14 @@ Result<CtGraph> ReadCtGraph(std::istream& is) {
         StrFormat("line %d: %s", line_number, message));
   };
 
+  // Rows are kept in the order read and placed by id at the end, so memory
+  // follows the rows the document holds, never the counts its header
+  // declares.
   Timestamp length = 0;
-  std::vector<CtGraph::Node> nodes;
-  std::vector<bool> node_seen;
+  std::size_t num_nodes = 0;
+  std::vector<CtGraph::Node> rows;
+  std::unordered_map<long, std::size_t> row_of_id;
+  std::vector<std::pair<long, CtGraph::Edge>> edges;
   bool saw_header = false;
   while (std::getline(is, line)) {
     ++line_number;
@@ -75,17 +84,26 @@ Result<CtGraph> ReadCtGraph(std::istream& is) {
     std::vector<std::string> tokens = Tokenize(content);
     if (tokens[0] == "ctgraph") {
       long parsed_length = 0;
-      long num_nodes = 0;
+      long parsed_nodes = 0;
       if (saw_header || tokens.size() != 3 ||
           !ParseLong(tokens[1], &parsed_length) ||
-          !ParseLong(tokens[2], &num_nodes) || parsed_length < 1 ||
-          num_nodes < 1) {
+          !ParseLong(tokens[2], &parsed_nodes) || parsed_length < 1 ||
+          parsed_nodes < 1) {
         return error("expected 'ctgraph <length> <num_nodes>'");
+      }
+      if (parsed_length > kMaxGraphLength) {
+        return InvalidArgumentError(StrFormat(
+            "line %d: length %ld exceeds the maximum of %d", line_number,
+            parsed_length, kMaxGraphLength));
+      }
+      if (parsed_nodes > std::numeric_limits<NodeId>::max()) {
+        return InvalidArgumentError(StrFormat(
+            "line %d: %ld nodes exceed the node id range", line_number,
+            parsed_nodes));
       }
       saw_header = true;
       length = static_cast<Timestamp>(parsed_length);
-      nodes.resize(static_cast<std::size_t>(num_nodes));
-      node_seen.assign(nodes.size(), false);
+      num_nodes = static_cast<std::size_t>(parsed_nodes);
     } else if (tokens[0] == "node") {
       if (!saw_header) return error("'node' before 'ctgraph' header");
       long id = 0, time = 0, location = 0, delta = 0;
@@ -98,22 +116,21 @@ Result<CtGraph> ReadCtGraph(std::istream& is) {
             "expected 'node <id> <time> <location> <delta> <source_prob> "
             "<tl>*'");
       }
-      if (id < 0 || static_cast<std::size_t>(id) >= nodes.size()) {
+      if (id < 0 || static_cast<std::size_t>(id) >= num_nodes) {
         return error("node id out of range");
       }
-      if (node_seen[static_cast<std::size_t>(id)]) {
+      if (!row_of_id.emplace(id, rows.size()).second) {
         // A silent overwrite would drop the first row's TL entries and
         // keep its edges — a mangled graph that may still pass Assemble.
         return InvalidArgumentError(
             StrFormat("line %d: duplicate row for node %ld", line_number, id));
       }
-      node_seen[static_cast<std::size_t>(id)] = true;
       if (!std::isfinite(source_probability)) {
         // std::from_chars accepts "inf"/"nan" spellings; a non-finite mass
         // would poison every conditioned probability downstream.
         return error("non-finite source probability");
       }
-      CtGraph::Node& node = nodes[static_cast<std::size_t>(id)];
+      CtGraph::Node& node = rows.emplace_back();
       node.time = static_cast<Timestamp>(time);
       node.key.location = static_cast<LocationId>(location);
       node.key.delta = static_cast<Timestamp>(delta);
@@ -139,10 +156,10 @@ Result<CtGraph> ReadCtGraph(std::istream& is) {
           !ParseDouble(tokens[3], &probability)) {
         return error("expected 'edge <from> <to> <probability>'");
       }
-      if (from < 0 || static_cast<std::size_t>(from) >= nodes.size()) {
+      if (from < 0 || static_cast<std::size_t>(from) >= num_nodes) {
         return error("edge source out of range");
       }
-      if (to < 0 || static_cast<std::size_t>(to) >= nodes.size()) {
+      if (to < 0 || static_cast<std::size_t>(to) >= num_nodes) {
         // Assemble would reject the dangling target too, but only after the
         // whole document is consumed and without naming the line.
         return error("edge target out of range");
@@ -150,21 +167,39 @@ Result<CtGraph> ReadCtGraph(std::istream& is) {
       if (!std::isfinite(probability)) {
         return error("non-finite edge probability");
       }
-      nodes[static_cast<std::size_t>(from)].out_edges.push_back(
-          CtGraph::Edge{static_cast<NodeId>(to), probability});
+      edges.emplace_back(
+          from, CtGraph::Edge{static_cast<NodeId>(to), probability});
     } else {
       return error("unknown directive");
     }
   }
   if (!saw_header) return InvalidArgumentError("no 'ctgraph' header found");
-  for (std::size_t i = 0; i < node_seen.size(); ++i) {
-    if (!node_seen[i]) {
-      // A missing row leaves a default-constructed node whose rejection by
-      // Assemble ("empty layer", "unreachable node") would obscure the
-      // actual defect: the document never declared the node.
-      return InvalidArgumentError(
-          StrFormat("node %zu declared in header but has no 'node' row", i));
+  if (rows.size() != num_nodes) {
+    // A missing row leaves a node whose rejection by Assemble ("empty
+    // layer", "unreachable node") would obscure the actual defect: the
+    // document never declared the node. Ids are unique and below
+    // num_nodes, so the first gap in their sorted order is the first
+    // missing id.
+    std::vector<long> ids;
+    ids.reserve(row_of_id.size());
+    for (const auto& [id, row] : row_of_id) ids.push_back(id);
+    std::sort(ids.begin(), ids.end());
+    std::size_t missing = 0;
+    while (missing < ids.size() &&
+           ids[missing] == static_cast<long>(missing)) {
+      ++missing;
     }
+    return InvalidArgumentError(StrFormat(
+        "node %zu declared in header but has no 'node' row", missing));
+  }
+  // Every id in [0, num_nodes) has exactly one row, so num_nodes is
+  // bounded by the rows read.
+  std::vector<CtGraph::Node> nodes(num_nodes);
+  for (const auto& [id, row] : row_of_id) {
+    nodes[static_cast<std::size_t>(id)] = std::move(rows[row]);
+  }
+  for (const auto& [from, edge] : edges) {
+    nodes[static_cast<std::size_t>(from)].out_edges.push_back(edge);
   }
   return CtGraph::Assemble(nodes, length);
 }

@@ -25,7 +25,10 @@ void WriteCtGraph(const CtGraph& graph, std::ostream& os);
 /// invariant (CtGraph::Assemble). Document-level defects that Assemble
 /// would only report obliquely — duplicate or missing node rows, edge
 /// targets outside the declared node count, non-finite probabilities — are
-/// rejected at parse time with the offending line number.
+/// rejected at parse time with the offending line number. The header's
+/// length may not exceed kMaxGraphLength (so every readable graph can be
+/// stored) nor its node count the NodeId range, and memory grows with the
+/// rows read, not with the counts the header declares.
 Result<CtGraph> ReadCtGraph(std::istream& is);
 
 }  // namespace rfidclean

@@ -36,7 +36,7 @@ inline constexpr std::uint32_t kBlobPreludeBytes =
 
 /// Sanity ceilings, far above anything the cleaner produces; headers
 /// claiming more are rejected before any allocation is sized from them.
-inline constexpr std::int64_t kMaxBlobLength = std::int64_t{1} << 24;
+inline constexpr std::int64_t kMaxBlobLength = kMaxGraphLength;
 inline constexpr std::uint64_t kMaxBlobNodes = 0x7FFFFFFFu;  // NodeId range
 inline constexpr std::uint64_t kMaxBlobEdges = std::uint64_t{1} << 40;
 

@@ -79,6 +79,19 @@ if(NOT reimported STREQUAL store_graph)
   message(FATAL_ERROR "store put/get round trip changed the graph")
 endif()
 
+# A source probability off layer 0 cannot be stored: the blob keeps layer
+# 0's alone, so the stored digest could not be reproduced. put refuses the
+# graph and the store still verifies.
+file(WRITE ${WORK_DIR}/off_layer_source.ctg
+     "ctgraph 2 2\nnode 0 0 1 -1 1\nnode 1 1 1 -1 0.5\nedge 0 1 1\n")
+run_step_expect_failure(${CLI} store put --store ${STORE} --tag 101
+                        --in ${WORK_DIR}/off_layer_source.ctg)
+run_step(${CLI} store verify --store ${STORE})
+if(NOT step_output MATCHES "5 blobs, 0 explain summaries verified ok")
+  message(FATAL_ERROR "store verify after a refused put is wrong:\n"
+                      "${step_output}")
+endif()
+
 # Compaction keeps every live blob loadable and verifiable.
 run_step(${CLI} store compact --store ${STORE})
 run_step(${CLI} store verify --store ${STORE})

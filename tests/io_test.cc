@@ -1,4 +1,5 @@
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -336,6 +337,72 @@ TEST(CtGraphIoTest, RejectsCorruptInput) {
     std::istringstream is("");
     EXPECT_FALSE(ReadCtGraph(is).ok());
   }
+}
+
+/// The error message of reading `text`, which must fail with
+/// InvalidArgument.
+std::string ReadError(const std::string& text) {
+  std::istringstream is(text);
+  const Result<CtGraph> graph = ReadCtGraph(is);
+  EXPECT_FALSE(graph.ok()) << text;
+  if (graph.ok()) return "";
+  EXPECT_EQ(graph.status().code(), StatusCode::kInvalidArgument);
+  return graph.status().message();
+}
+
+// The blob keeps only layer 0's source probabilities, so a graph with
+// another one would come back from the store with another digest than its
+// header carries. The reader rejects it, naming the node.
+TEST(CtGraphIoTest, RejectsSourceProbabilityOffLayerZero) {
+  EXPECT_EQ(ReadError("ctgraph 2 2\n"
+                      "node 0 0 1 -1 1\n"
+                      "node 1 1 1 -1 0.5\n"
+                      "edge 0 1 1\n"),
+            "node 1 at t=1 has source probability 0.5; only t = 0 nodes "
+            "carry one");
+}
+
+// Header counts are range-checked, and nothing is sized from them before
+// the rows that back them are read.
+TEST(CtGraphIoTest, HeaderCountsSizeNothing) {
+  EXPECT_EQ(ReadError("ctgraph 1 2000000000\nnode 0 0 1 -1 1\n"),
+            "node 1 declared in header but has no 'node' row");
+  EXPECT_EQ(ReadError("ctgraph 1 3\nnode 2 0 1 -1 0.5\n"
+                      "node 0 0 2 -1 0.5\n"),
+            "node 1 declared in header but has no 'node' row");
+  EXPECT_EQ(ReadError("ctgraph 1500000000 1\nnode 0 0 1 -1 1\n"),
+            "line 1: length 1500000000 exceeds the maximum of 16777216");
+  EXPECT_EQ(ReadError("ctgraph 3000000000 1\nnode 0 0 1 -1 1\n"),
+            "line 1: length 3000000000 exceeds the maximum of 16777216");
+  EXPECT_EQ(ReadError("ctgraph 1 3000000000\nnode 0 0 1 -1 1\n"),
+            "line 1: 3000000000 nodes exceed the node id range");
+  // Every layer of a valid graph holds a node.
+  EXPECT_EQ(ReadError("ctgraph 3 1\nnode 0 0 1 -1 1\n"),
+            "length 3 exceeds the 1 nodes; every layer of a ct-graph holds "
+            "a node");
+  // Duplicates are still caught on the line that repeats the id.
+  EXPECT_EQ(ReadError("ctgraph 1 2\nnode 1 0 1 -1 0.5\n"
+                      "node 1 0 2 -1 0.5\n"),
+            "line 3: duplicate row for node 1");
+}
+
+// Rows may come in any id order, with edges before their source's row.
+TEST(CtGraphIoTest, RowsInAnyOrderPlaceByIdAndKeepEdgeOrder) {
+  std::istringstream is(
+      "ctgraph 2 3\n"
+      "edge 0 2 0.25\n"
+      "node 2 1 3 -1 0\n"
+      "edge 0 1 0.75\n"
+      "node 1 1 2 -1 0\n"
+      "node 0 0 1 -1 1\n");
+  const Result<CtGraph> graph = ReadCtGraph(is);
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  EXPECT_EQ(graph.value().LocationOf(0), 1);
+  EXPECT_EQ(graph.value().LocationOf(2), 3);
+  const auto edges = graph.value().OutEdges(0);
+  ASSERT_EQ(edges.size(), 2u);
+  EXPECT_EQ(edges[0].to, 2);
+  EXPECT_EQ(edges[1].to, 1);
 }
 
 }  // namespace

@@ -9,13 +9,16 @@ drift on another as long as both runs cover the same points.
 
     check_bench_regression.py CURRENT BASELINE \
         [--metric ns_per_timestamp] [--key ticks] [--threshold-pct 25]
-        [--direction lower] [--update]
+        [--direction lower|higher|both] [--update]
 
 --direction states which way the metric is supposed to move: "lower"
 (default; a regression is the metric GROWING past the threshold, the right
 sense for times) or "higher" (a regression is the metric SHRINKING past the
 threshold — for counters like nodes_pruned, where a collapse to zero means
-the machinery silently stopped working).
+the machinery silently stopped working) or "both" (a regression is any move
+past the threshold either way — for seeded-deterministic sizes such as
+graph_bytes and blob_bytes, where any change at threshold 0 is a layout or
+format change that must come with a refreshed baseline).
 
 Exit status 0 when every point is within the threshold (improvements always
 pass), 1 on a regression, a point-set mismatch, or a malformed file. Every
@@ -113,11 +116,12 @@ def main():
                         help="field matching result points across files")
     parser.add_argument("--threshold-pct", type=float, default=25.0,
                         help="maximum tolerated regression, in percent")
-    parser.add_argument("--direction", choices=("lower", "higher"),
+    parser.add_argument("--direction", choices=("lower", "higher", "both"),
                         default="lower",
                         help="which way the metric should move: 'lower' "
                              "gates growth (times), 'higher' gates shrinkage "
-                             "(counters)")
+                             "(counters), 'both' gates any change "
+                             "(deterministic sizes)")
     parser.add_argument("--update", action="store_true",
                         help="overwrite the baseline with the current file")
     args = parser.parse_args()
@@ -154,16 +158,19 @@ def main():
         verdict = "ok"
         if args.direction == "lower":
             regressed = change_pct > args.threshold_pct
-        else:
+        elif args.direction == "higher":
             regressed = change_pct < -args.threshold_pct
+        else:
+            # Relative to |base|, so a zero baseline admits only zero.
+            regressed = abs(now - base) > args.threshold_pct / 100.0 * abs(base)
         if regressed:
-            verdict = f"REGRESSION (> {args.threshold_pct:.0f}%)"
+            verdict = f"REGRESSION (> {args.threshold_pct:g}%)"
             failures += 1
         print(f"{args.key}={point}: {args.metric} {base:.1f} -> {now:.1f} "
               f"({change_pct:+.1f}%) {verdict}")
     if failures:
         print(f"{failures} point(s) regressed beyond "
-              f"{args.threshold_pct:.0f}%", file=sys.stderr)
+              f"{args.threshold_pct:g}%", file=sys.stderr)
         return 1
     print("perf gate passed")
     return 0

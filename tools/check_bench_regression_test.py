@@ -148,6 +148,34 @@ class CheckBenchRegressionTest(unittest.TestCase):
         code, _ = self.run_main(current, baseline, "--threshold-pct", "25")
         self.assertEqual(code, 0)
 
+    def gate_both(self, now, base, threshold="0"):
+        current = self.write("current.json", payload(results=[
+            {"ticks": 100, "graph_bytes": now}]))
+        baseline = self.write("baseline.json", payload(results=[
+            {"ticks": 100, "graph_bytes": base}]))
+        code, _ = self.run_main(current, baseline, "--metric", "graph_bytes",
+                                "--direction", "both",
+                                "--threshold-pct", threshold)
+        return code
+
+    def test_direction_both_at_zero_passes_only_equal_values(self):
+        """--direction both at threshold 0 gates an exact value: a size
+        that shrank is flagged as surely as one that grew, so a layout
+        change cannot land without a refreshed baseline."""
+        self.assertEqual(self.gate_both(5446760.0, 5446760.0), 0)
+        self.assertEqual(self.gate_both(5446761.0, 5446760.0), 1)
+        self.assertEqual(self.gate_both(3830000.0, 5446760.0), 1)
+
+    def test_direction_both_tolerates_moves_within_threshold(self):
+        self.assertEqual(self.gate_both(101.0, 100.0, threshold="1"), 0)
+        self.assertEqual(self.gate_both(99.0, 100.0, threshold="1"), 0)
+        self.assertEqual(self.gate_both(102.0, 100.0, threshold="1"), 1)
+        self.assertEqual(self.gate_both(98.0, 100.0, threshold="1"), 1)
+
+    def test_direction_both_zero_baseline_admits_only_zero(self):
+        self.assertEqual(self.gate_both(0.0, 0.0), 0)
+        self.assertEqual(self.gate_both(1.0, 0.0, threshold="50"), 1)
+
     def test_point_set_mismatch_fails(self):
         current = self.write("current.json", payload(results=[
             {"ticks": 100, "ns_per_timestamp": 5.0}]))
