@@ -23,27 +23,33 @@ bool EdgeTargetInRange(const CtGraph& graph, const CtGraph::Edge& edge) {
 /// and advance the timestamp by exactly one.
 void AuditEdges(const CtGraph& graph, const AuditOptions& options,
                 AuditReport* report) {
-  for (std::size_t i = 0; i < graph.NumNodes(); ++i) {
-    const NodeId id = static_cast<NodeId>(i);
-    const Timestamp time = graph.TimeOf(id);
-    for (const CtGraph::Edge& edge : graph.OutEdges(id)) {
-      ++report->edges_checked;
-      if (!EdgeTargetInRange(graph, edge)) {
-        AppendViolation(
-            options, report,
-            AuditViolation{AuditCheck::kEdgeTargetRange, id, time,
-                           StrFormat("edge targets unknown node %d",
-                                     edge.to)});
-        continue;
-      }
-      const Timestamp to_time = graph.TimeOf(edge.to);
-      if (to_time != time + 1) {
-        AppendViolation(
-            options, report,
-            AuditViolation{AuditCheck::kLayering, id, time,
-                           StrFormat("edge to node %d jumps t=%d -> t=%d "
-                                     "instead of advancing by one",
-                                     edge.to, time, to_time)});
+  // Layer by layer: an edge advances time by one exactly when it lands
+  // in the next layer's id interval, so the timestamp search runs only to
+  // name a violation.
+  for (Timestamp time = 0; time < graph.length(); ++time) {
+    const IdRange next = time + 1 < graph.length() ? graph.NodesAt(time + 1)
+                                                   : IdRange();
+    for (const NodeId id : graph.NodesAt(time)) {
+      for (const CtGraph::Edge edge : graph.OutEdges(id)) {
+        ++report->edges_checked;
+        if (!EdgeTargetInRange(graph, edge)) {
+          AppendViolation(
+              options, report,
+              AuditViolation{AuditCheck::kEdgeTargetRange, id, time,
+                             StrFormat("edge targets unknown node %d",
+                                       edge.to)});
+          continue;
+        }
+        if (next.empty() || edge.to < next.front() ||
+            edge.to > next.back()) {
+          AppendViolation(
+              options, report,
+              AuditViolation{AuditCheck::kLayering, id, time,
+                             StrFormat("edge to node %d jumps t=%d -> t=%d "
+                                       "instead of advancing by one",
+                                       edge.to, time,
+                                       graph.TimeOf(edge.to))});
+        }
       }
     }
   }
@@ -110,23 +116,23 @@ void AuditLayers(const CtGraph& graph, const AuditOptions& options,
                                      kInvalidNode, t, "layer has no nodes"});
     }
   }
-  for (std::size_t i = 0; i < graph.NumNodes(); ++i) {
-    const NodeId id = static_cast<NodeId>(i);
-    const Timestamp time = graph.TimeOf(id);
-    const std::size_t out_degree = graph.OutEdges(id).size();
+  for (Timestamp time = 0; time < graph.length(); ++time) {
     const bool is_target = time == graph.length() - 1;
-    if (is_target && out_degree != 0) {
-      AppendViolation(
-          options, report,
-          AuditViolation{AuditCheck::kTermination, id, time,
-                         StrFormat("target node has %zu outgoing edge(s)",
-                                   out_degree)});
-    } else if (!is_target && out_degree == 0) {
-      AppendViolation(
-          options, report,
-          AuditViolation{AuditCheck::kTermination, id, time,
-                         "non-target node has no outgoing edge (dead "
-                         "branch not pruned)"});
+    for (const NodeId id : graph.NodesAt(time)) {
+      const std::size_t out_degree = graph.OutEdges(id).size();
+      if (is_target && out_degree != 0) {
+        AppendViolation(
+            options, report,
+            AuditViolation{AuditCheck::kTermination, id, time,
+                           StrFormat("target node has %zu outgoing edge(s)",
+                                     out_degree)});
+      } else if (!is_target && out_degree == 0) {
+        AppendViolation(
+            options, report,
+            AuditViolation{AuditCheck::kTermination, id, time,
+                           "non-target node has no outgoing edge (dead "
+                           "branch not pruned)"});
+      }
     }
   }
 }

@@ -79,7 +79,7 @@ void AuditNumerics(const CtGraph& graph, const AuditOptions& options,
   for (NodeId id : graph.SourceNodes()) {
     const double probability = graph.SourceProbability(id);
     CheckProbability(probability, AuditCheck::kFiniteProbabilities, id,
-                     graph.TimeOf(id), "source", options, report);
+                     0, "source", options, report);
     source_sum += probability;
   }
   if (!ApproxOne(source_sum, options.epsilon)) {
@@ -90,27 +90,27 @@ void AuditNumerics(const CtGraph& graph, const AuditOptions& options,
                                  source_sum)});
   }
 
-  for (std::size_t i = 0; i < graph.NumNodes(); ++i) {
-    const NodeId id = static_cast<NodeId>(i);
-    const std::span<const CtGraph::Edge> out_edges = graph.OutEdges(id);
-    if (out_edges.empty()) continue;
-    const Timestamp time = graph.TimeOf(id);
-    double out_sum = 0.0;
-    bool finite = true;
-    for (const CtGraph::Edge& edge : out_edges) {
-      finite &= CheckProbability(edge.probability,
-                                 AuditCheck::kFiniteProbabilities, id, time,
-                                 "edge", options, report);
-      out_sum += edge.probability;
-    }
-    // A broken summand already produced a finite-probabilities violation;
-    // reporting the (necessarily broken) sum on top would be noise.
-    if (finite && !ApproxOne(out_sum, options.epsilon)) {
-      AppendViolation(
-          options, report,
-          AuditViolation{AuditCheck::kEdgeNormalization, id, time,
-                         StrFormat("outgoing probabilities sum to %.12f",
-                                   out_sum)});
+  for (Timestamp time = 0; time < graph.length(); ++time) {
+    for (const NodeId id : graph.NodesAt(time)) {
+      const auto out_edges = graph.OutEdges(id);
+      if (out_edges.empty()) continue;
+      double out_sum = 0.0;
+      bool finite = true;
+      for (const CtGraph::Edge edge : out_edges) {
+        finite &= CheckProbability(edge.probability,
+                                   AuditCheck::kFiniteProbabilities, id, time,
+                                   "edge", options, report);
+        out_sum += edge.probability;
+      }
+      // A broken summand already produced a finite-probabilities violation;
+      // reporting the (necessarily broken) sum on top would be noise.
+      if (finite && !ApproxOne(out_sum, options.epsilon)) {
+        AppendViolation(
+            options, report,
+            AuditViolation{AuditCheck::kEdgeNormalization, id, time,
+                           StrFormat("outgoing probabilities sum to %.12f",
+                                     out_sum)});
+      }
     }
   }
 

@@ -277,11 +277,14 @@ Result<CtGraph> ConditionAndCompact(WorkGraph&& work, BuildStats* stats,
   // alive), but sampled honestly so the per-phase split is measured, not
   // asserted.
   double stranded_mass = 0.0;
+  std::size_t sources = 0;
   {
     const auto [begin, end] = layer_range(0);
     for (std::int32_t id = begin; id < end; ++id) {
       const WorkNode& node = nodes[static_cast<std::size_t>(id)];
-      if (node.alive && remap[static_cast<std::size_t>(id)] == kInvalidNode) {
+      if (remap[static_cast<std::size_t>(id)] != kInvalidNode) {
+        ++sources;
+      } else if (node.alive) {
         stranded_mass += node.source_probability;
       }
     }
@@ -299,7 +302,8 @@ Result<CtGraph> ConditionAndCompact(WorkGraph&& work, BuildStats* stats,
                              compaction_ppb);
   }
 
-  CtGraph::Arrays compact(length, survivors, departures, live_edges);
+  CtGraph::Arrays compact(length, survivors, sources, departures,
+                          live_edges);
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     if (remap[i] == kInvalidNode) continue;
     const WorkNode& node = nodes[i];

@@ -43,18 +43,19 @@ bool ParseDouble(const std::string& text, double* out) {
 
 void WriteCtGraph(const CtGraph& graph, std::ostream& os) {
   os << StrFormat("ctgraph %d %zu\n", graph.length(), graph.NumNodes());
-  for (std::size_t i = 0; i < graph.NumNodes(); ++i) {
-    const NodeId id = static_cast<NodeId>(i);
-    os << StrFormat("node %zu %d %d %d %.17g", i, graph.TimeOf(id),
-                    graph.LocationOf(id), graph.DeltaOf(id),
-                    graph.SourceProbability(id));
-    for (const Departure& d : graph.DeparturesOf(id)) {
-      os << StrFormat(" %d,%d", d.time, d.location);
+  // Ids run in layer order, so the layers list every node in id order.
+  for (Timestamp t = 0; t < graph.length(); ++t) {
+    for (const NodeId id : graph.NodesAt(t)) {
+      os << StrFormat("node %d %d %d %d %.17g", id, t, graph.LocationOf(id),
+                      graph.DeltaOf(id), graph.SourceProbability(id));
+      for (const Departure& d : graph.DeparturesOf(id)) {
+        os << StrFormat(" %d,%d", d.time, d.location);
+      }
+      os << '\n';
     }
-    os << '\n';
   }
   for (std::size_t i = 0; i < graph.NumNodes(); ++i) {
-    for (const CtGraph::Edge& edge : graph.OutEdges(static_cast<NodeId>(i))) {
+    for (const CtGraph::Edge edge : graph.OutEdges(static_cast<NodeId>(i))) {
       os << StrFormat("edge %zu %d %.17g\n", i, edge.to, edge.probability);
     }
   }

@@ -1,7 +1,5 @@
 #include "query/sampler.h"
 
-#include <span>
-
 #include "common/check.h"
 
 namespace rfidclean {
@@ -26,17 +24,17 @@ std::size_t Pick(const Container& entries, Prob prob, Rng& rng) {
 TrajectorySampler::TrajectorySampler(const CtGraph& graph) : graph_(&graph) {}
 
 Trajectory TrajectorySampler::Sample(Rng& rng) const {
-  const std::span<const NodeId> sources = graph_->SourceNodes();
+  const auto sources = graph_->SourceNodes();
   std::size_t pick = Pick(
       sources, [this](NodeId id) { return graph_->SourceProbability(id); },
       rng);
   NodeId current = sources[pick];
   Trajectory trajectory;
   trajectory.Append(graph_->LocationOf(current));
-  while (graph_->TimeOf(current) + 1 < graph_->length()) {
-    const std::span<const CtGraph::Edge> edges = graph_->OutEdges(current);
+  for (Timestamp t = 1; t < graph_->length(); ++t) {
+    const auto edges = graph_->OutEdges(current);
     std::size_t e = Pick(
-        edges, [](const CtGraph::Edge& edge) { return edge.probability; },
+        edges, [](const CtGraph::Edge edge) { return edge.probability; },
         rng);
     current = edges[e].to;
     trajectory.Append(graph_->LocationOf(current));

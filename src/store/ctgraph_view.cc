@@ -101,7 +101,7 @@ Status CtGraphView::CheckConsistency(double tolerance) const {
   for (Timestamp t = 0; t < last; ++t) {
     for (NodeId id : NodesAt(t)) {
       double out_sum = 0.0;
-      for (const EdgeRef edge : OutEdges(id)) {
+      for (const GraphEdge edge : OutEdges(id)) {
         if (edge.probability <= 0.0) {
           return InternalError("non-positive edge probability");
         }

@@ -1,6 +1,7 @@
 #ifndef RFIDCLEAN_STORE_CTGRAPH_VIEW_H_
 #define RFIDCLEAN_STORE_CTGRAPH_VIEW_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -32,90 +33,9 @@
 
 namespace rfidclean::store {
 
-/// One out-edge as surfaced by CtGraphView: value type, field-compatible
-/// with CtGraph::Edge.
-struct EdgeRef {
-  NodeId to = kInvalidNode;
-  double probability = 0.0;
-};
-
-/// Random-access range over one node's out-edges, materializing EdgeRef
-/// values from the split target/probability arrays.
-class EdgeRange {
- public:
-  class Iterator {
-   public:
-    Iterator(const NodeId* targets, const unsigned char* prob,
-             std::size_t index)
-        : targets_(targets), prob_(prob), index_(index) {}
-    EdgeRef operator*() const {
-      return EdgeRef{targets_[index_],
-                     LoadDouble(prob_ + std::size_t{8} * index_)};
-    }
-    Iterator& operator++() {
-      ++index_;
-      return *this;
-    }
-    friend bool operator==(const Iterator& a, const Iterator& b) {
-      return a.index_ == b.index_;
-    }
-
-   private:
-    const NodeId* targets_;
-    const unsigned char* prob_;
-    std::size_t index_;
-  };
-
-  EdgeRange(const NodeId* targets, const unsigned char* prob,
-            std::size_t count)
-      : targets_(targets), prob_(prob), count_(count) {}
-
-  Iterator begin() const { return Iterator(targets_, prob_, 0); }
-  Iterator end() const { return Iterator(targets_, prob_, count_); }
-  std::size_t size() const { return count_; }
-  bool empty() const { return count_ == 0; }
-  EdgeRef operator[](std::size_t i) const {
-    return EdgeRef{targets_[i], LoadDouble(prob_ + std::size_t{8} * i)};
-  }
-
- private:
-  const NodeId* targets_;
-  const unsigned char* prob_;
-  std::size_t count_;
-};
-
-/// Contiguous node-id range [first, last): blob node ids are dense in
-/// layer order, so a layer *is* an id interval.
-class IdRange {
- public:
-  class Iterator {
-   public:
-    explicit Iterator(NodeId id) : id_(id) {}
-    NodeId operator*() const { return id_; }
-    Iterator& operator++() {
-      ++id_;
-      return *this;
-    }
-    friend bool operator==(const Iterator&, const Iterator&) = default;
-
-   private:
-    NodeId id_;
-  };
-
-  IdRange(NodeId first, NodeId last) : first_(first), last_(last) {}
-  Iterator begin() const { return Iterator(first_); }
-  Iterator end() const { return Iterator(last_); }
-  std::size_t size() const { return static_cast<std::size_t>(last_ - first_); }
-  bool empty() const { return first_ == last_; }
-  NodeId operator[](std::size_t i) const {
-    return first_ + static_cast<NodeId>(i);
-  }
-  NodeId front() const { return first_; }
-
- private:
-  NodeId first_;
-  NodeId last_;
-};
+/// A blob's out-edge range: its EDGEPROB section is little-endian, so on
+/// little-endian hosts this is CtGraph's EdgeRange (core/ct_graph.h).
+using BlobEdgeRange = BasicEdgeRange<std::endian::little>;
 
 /// How much re-verification Map performs beyond the always-on structural
 /// parse (magic, geometry, per-section CRCs, varint decoding, index-range
@@ -183,13 +103,13 @@ class CtGraphView {
     if (i >= contents_.LayerBegin(1)) return 0.0;
     return LoadDouble(contents_.source_prob + std::size_t{8} * i);
   }
-  EdgeRange OutEdges(NodeId id) const {
+  BlobEdgeRange OutEdges(NodeId id) const {
     const std::size_t i = CheckedIndex(id);
     const std::uint32_t begin = contents_.EdgeRow(i);
     const std::uint32_t end = contents_.EdgeRow(i + 1);
-    return EdgeRange(contents_.edge_targets.data() + begin,
-                     contents_.edge_prob + std::uint64_t{8} * begin,
-                     end - begin);
+    return BlobEdgeRange(contents_.edge_targets.data() + begin,
+                         contents_.edge_prob + std::uint64_t{8} * begin,
+                         end - begin);
   }
   /// Timestamp of `id`, recovered from the layer offsets (binary search).
   Timestamp TimeOf(NodeId id) const;

@@ -1,5 +1,6 @@
 #include "store/graph_codec.h"
 
+#include <bit>
 #include <cstring>
 #include <memory>
 #include <span>
@@ -17,200 +18,134 @@ namespace rfidclean::store {
 
 namespace {
 
-/// Rebuilds `graph` with ids renumbered into layer order (stable within
-/// each layer). The result is equivalent — same nodes, same edges, same
-/// probabilities — but its Digest() reflects the new id order.
-CtGraph Canonicalize(const CtGraph& graph) {
-  std::vector<NodeId> new_id(graph.NumNodes(), kInvalidNode);
-  std::vector<NodeId> old_order;
-  old_order.reserve(graph.NumNodes());
-  for (Timestamp t = 0; t < graph.length(); ++t) {
-    for (NodeId id : graph.NodesAt(t)) {
-      new_id[static_cast<std::size_t>(id)] =
-          static_cast<NodeId>(old_order.size());
-      old_order.push_back(id);
-    }
-  }
-  std::vector<CtGraph::Node> nodes;
-  nodes.reserve(graph.NumNodes());
-  for (NodeId old : old_order) {
-    CtGraph::Node node;
-    node.time = graph.TimeOf(old);
-    node.key.location = graph.LocationOf(old);
-    node.key.delta = graph.DeltaOf(old);
-    for (const Departure& departure : graph.DeparturesOf(old)) {
-      node.key.departures.push_back(departure);
-    }
-    node.source_probability = graph.SourceProbability(old);
-    for (const CtGraph::Edge& edge : graph.OutEdges(old)) {
-      node.out_edges.push_back(CtGraph::Edge{
-          new_id[static_cast<std::size_t>(edge.to)], edge.probability});
-    }
-    nodes.push_back(std::move(node));
-  }
-  return CtGraph::AssembleUnchecked(nodes, graph.length());
-}
-
 /// LEB128 bytes of the largest value a varint section holds. Each value
 /// is a 32-bit count, or the zigzag map of a 32-bit value or of the
 /// difference of two, so it stays below 2^34: five 7-bit groups.
 constexpr std::uint64_t kMaxVarintBytes = 5;
 
-/// The six section payloads of a blob, written by one walk over a graph's
-/// nodes into one scratch buffer that is never zero-filled. A fixed-width
-/// section gets a region of exactly its size, a varint section (KEYS,
-/// EDGETGT) one of kMaxVarintBytes per value, so nothing has to be sized
-/// before the walk.
-class SectionScratch {
- public:
-  /// Sizes the regions for `graph`. Write takes `graph` or a graph with
-  /// the same counts, such as its canonical renumbering.
-  explicit SectionScratch(const CtGraph& graph) {
-    const std::uint64_t nodes = graph.NumNodes();
-    const std::uint64_t edges = graph.NumEdges();
-    // In SectionId order: LAYERS, KEYS, SRCPROB, EDGEROWS, EDGETGT, EDGEPROB.
-    const std::uint64_t capacity[kNumSections] = {
-        4 * (static_cast<std::uint64_t>(graph.length()) + 1),
-        kMaxVarintBytes * (3 * nodes + 2 * graph.NumDepartures()),
-        8 * static_cast<std::uint64_t>(graph.SourceNodes().size()),
-        4 * (nodes + 1),
-        kMaxVarintBytes * edges,
-        8 * edges,
-    };
-    std::uint64_t total = 0;
-    for (const std::uint64_t bytes : capacity) total += bytes;
-    scratch_ = std::make_unique_for_overwrite<unsigned char[]>(
-        static_cast<std::size_t>(total));
-    unsigned char* region = scratch_.get();
-    for (std::uint32_t i = 0; i < kNumSections; ++i) {
-      begin_[i] = region;
-      capacity_[i] = capacity[i];
-      region += capacity[i];
+/// Bytes of `column` in the blob's little-endian layout.
+template <typename T>
+std::uint64_t ColumnBytes(std::span<const T> column) {
+  return std::uint64_t{sizeof(T)} * column.size();
+}
+
+/// Writes `column` to `at` in the blob's little-endian layout: one copy on
+/// little-endian hosts.
+template <typename T>
+void CopyColumn(std::span<const T> column, unsigned char* at) {
+  if constexpr (std::endian::native == std::endian::little) {
+    if (!column.empty()) std::memcpy(at, column.data(), column.size_bytes());
+  } else {
+    for (const T value : column) {
+      if constexpr (sizeof(T) == 4) {
+        StoreU32(at, value);
+      } else {
+        StoreDouble(at, value);
+      }
+      at += sizeof(T);
     }
   }
+}
 
-  /// Writes all six sections from `graph`'s nodes in id order. Returns
-  /// false as soon as a node's time falls below its predecessor's, i.e.
-  /// when the ids are not in layer order (the blob stores nodes in layer
-  /// order).
-  bool Write(const CtGraph& graph) {
-    unsigned char* layers = Begin(SectionId::kLayers);
-    unsigned char* keys = Begin(SectionId::kKeys);
-    unsigned char* source_prob = Begin(SectionId::kSourceProb);
-    unsigned char* edge_rows = Begin(SectionId::kEdgeRows);
-    unsigned char* edge_targets = Begin(SectionId::kEdgeTargets);
-    unsigned char* edge_prob = Begin(SectionId::kEdgeProb);
-    const std::size_t num_nodes = graph.NumNodes();
-    Timestamp prev_time = 0;
-    Timestamp layer = 0;  // the first layer whose offset is not written yet
+/// The two varint sections, KEYS and EDGETGT, written by one walk over a
+/// graph's columns into one scratch buffer that is never zero-filled: a
+/// region of kMaxVarintBytes per value each, so nothing has to be sized
+/// before the walk.
+class VarintSections {
+ public:
+  explicit VarintSections(const CtGraph::Columns& columns) {
+    const std::uint64_t keys_capacity =
+        kMaxVarintBytes *
+        (3 * columns.location.size() + 2 * columns.departures.size());
+    const std::uint64_t targets_capacity =
+        kMaxVarintBytes * columns.edge_to.size();
+    scratch_ = std::make_unique_for_overwrite<unsigned char[]>(
+        static_cast<std::size_t>(keys_capacity + targets_capacity));
+    unsigned char* keys = scratch_.get();
+    unsigned char* targets = keys + keys_capacity;
+
     std::int64_t prev_location = 0;
-    std::int64_t prev_target = 0;
-    std::uint32_t edge_cursor = 0;
-    StoreU32(edge_rows, 0);
-    edge_rows += 4;
+    const std::size_t num_nodes = columns.location.size();
     for (std::size_t i = 0; i < num_nodes; ++i) {
-      const NodeId id = static_cast<NodeId>(i);
-      const Timestamp time = graph.TimeOf(id);
-      if (time < prev_time) return false;
-      prev_time = time;
-      // Every layer up to this node's begins here: the ids before it are
-      // exactly the nodes of the earlier layers.
-      for (; layer <= time; ++layer) {
-        StoreU32(layers, static_cast<std::uint32_t>(i));
-        layers += 4;
-      }
-      const LocationId location = graph.LocationOf(id);
+      const LocationId location = columns.location[i];
       keys = WriteZigzag(keys, location - prev_location);
       prev_location = location;
-      keys = WriteZigzag(keys, graph.DeltaOf(id));
-      const std::span<const Departure> departures = graph.DeparturesOf(id);
-      keys = WriteVarint(keys, departures.size());
+      keys = WriteZigzag(keys, columns.delta[i]);
+      const std::uint32_t tl_end = columns.tl_begin[i + 1];
+      keys = WriteVarint(keys, tl_end - columns.tl_begin[i]);
       std::int64_t prev_tl_location = 0;
-      for (const Departure& departure : departures) {
+      for (std::uint32_t d = columns.tl_begin[i]; d < tl_end; ++d) {
+        const Departure& departure = columns.departures[d];
         keys = WriteZigzag(keys, departure.time);
         keys = WriteZigzag(keys, departure.location - prev_tl_location);
         prev_tl_location = departure.location;
       }
-      if (time == 0) {
-        StoreDouble(source_prob, graph.SourceProbability(id));
-        source_prob += 8;
-      }
-      const std::span<const CtGraph::Edge> out_edges = graph.OutEdges(id);
-      edge_cursor += static_cast<std::uint32_t>(out_edges.size());
-      StoreU32(edge_rows, edge_cursor);
-      edge_rows += 4;
-      for (const CtGraph::Edge& edge : out_edges) {
-        edge_targets = WriteZigzag(edge_targets, edge.to - prev_target);
-        prev_target = edge.to;
-        StoreDouble(edge_prob, edge.probability);
-        edge_prob += 8;
-      }
     }
-    for (; layer <= graph.length(); ++layer) {
-      StoreU32(layers, static_cast<std::uint32_t>(num_nodes));
-      layers += 4;
+    std::int64_t prev_target = 0;
+    for (const NodeId to : columns.edge_to) {
+      targets = WriteZigzag(targets, to - prev_target);
+      prev_target = to;
     }
-    const unsigned char* const ends[kNumSections] = {
-        layers, keys, source_prob, edge_rows, edge_targets, edge_prob};
-    for (std::uint32_t i = 0; i < kNumSections; ++i) {
-      bytes_[i] = static_cast<std::uint64_t>(ends[i] - begin_[i]);
-    }
-    // A fixed-width section fills its region exactly; a varint section
-    // stays within its bound.
-    for (const SectionId id : {SectionId::kLayers, SectionId::kSourceProb,
-                               SectionId::kEdgeRows, SectionId::kEdgeProb}) {
-      RFID_CHECK_EQ(Bytes(id), Capacity(id));
-    }
-    RFID_CHECK_LE(Bytes(SectionId::kKeys), Capacity(SectionId::kKeys));
-    RFID_CHECK_LE(Bytes(SectionId::kEdgeTargets),
-                  Capacity(SectionId::kEdgeTargets));
-    return true;
+    keys_ = {scratch_.get(), static_cast<std::size_t>(keys - scratch_.get())};
+    const unsigned char* targets_begin = scratch_.get() + keys_capacity;
+    targets_ = {targets_begin,
+                static_cast<std::size_t>(targets - targets_begin)};
+    RFID_CHECK_LE(keys_.size(), keys_capacity);
+    RFID_CHECK_LE(targets_.size(), targets_capacity);
   }
 
-  /// The payload bytes of the last complete Write, in SectionId order.
-  std::span<const unsigned char> Payload(std::uint32_t index) const {
-    return {begin_[index], static_cast<std::size_t>(bytes_[index])};
-  }
+  std::span<const unsigned char> keys() const { return keys_; }
+  std::span<const unsigned char> targets() const { return targets_; }
 
  private:
-  static std::uint32_t Index(SectionId id) {
-    return static_cast<std::uint32_t>(id) - 1;
-  }
-  unsigned char* Begin(SectionId id) { return begin_[Index(id)]; }
-  std::uint64_t Capacity(SectionId id) const { return capacity_[Index(id)]; }
-  std::uint64_t Bytes(SectionId id) const { return bytes_[Index(id)]; }
-
   std::unique_ptr<unsigned char[]> scratch_;
-  unsigned char* begin_[kNumSections] = {};
-  std::uint64_t capacity_[kNumSections] = {};
-  std::uint64_t bytes_[kNumSections] = {};
+  std::span<const unsigned char> keys_;
+  std::span<const unsigned char> targets_;
 };
 
-/// Allocates the blob once at its exact size (zero-filled, which covers
-/// every reserved field and padding byte), copies the six payloads to
-/// their 8-aligned offsets and writes the header and the section table.
-/// `graph` is the graph the payloads were written from.
-std::string AssembleBlob(const CtGraph& graph, const SectionScratch& sections,
-                         std::int64_t tag,
-                         const GraphProvenance& provenance) {
+}  // namespace
+
+std::string EncodeCtGraphBlob(const CtGraph& graph, std::int64_t tag,
+                              const GraphProvenance& provenance) {
+  RFID_STATS(obs::PhaseTimer timer(obs::Phase::kStoreEncode));
+  RFID_CHECK_GT(graph.length(), 0);
+  const CtGraph::Columns columns = graph.columns();
+  const VarintSections varints(columns);
+  // In SectionId order: LAYERS, KEYS, SRCPROB, EDGEROWS, EDGETGT, EDGEPROB.
+  const std::uint64_t sizes[kNumSections] = {
+      ColumnBytes(columns.layer_begin), varints.keys().size(),
+      ColumnBytes(columns.source_probability),
+      ColumnBytes(columns.edge_begin), varints.targets().size(),
+      ColumnBytes(columns.edge_probability)};
   std::uint64_t offsets[kNumSections] = {};
   std::uint64_t blob_bytes = kBlobPreludeBytes;
   for (std::uint32_t i = 0; i < kNumSections; ++i) {
     offsets[i] = blob_bytes;
-    blob_bytes = AlignUp(blob_bytes + sections.Payload(i).size());
+    blob_bytes = AlignUp(blob_bytes + sizes[i]);
   }
+  // Zero-filled, which covers every reserved field and padding byte.
   std::string blob(static_cast<std::size_t>(blob_bytes), '\0');
   unsigned char* const base = reinterpret_cast<unsigned char*>(blob.data());
+  CopyColumn(columns.layer_begin, base + offsets[0]);
+  if (!varints.keys().empty()) {
+    std::memcpy(base + offsets[1], varints.keys().data(),
+                varints.keys().size());
+  }
+  CopyColumn(columns.source_probability, base + offsets[2]);
+  CopyColumn(columns.edge_begin, base + offsets[3]);
+  if (!varints.targets().empty()) {
+    std::memcpy(base + offsets[4], varints.targets().data(),
+                varints.targets().size());
+  }
+  CopyColumn(columns.edge_probability, base + offsets[5]);
   for (std::uint32_t i = 0; i < kNumSections; ++i) {
-    const std::span<const unsigned char> payload = sections.Payload(i);
-    unsigned char* const at = base + offsets[i];
-    if (!payload.empty()) std::memcpy(at, payload.data(), payload.size());
     unsigned char* const entry =
         base + kBlobHeaderBytes + std::size_t{kSectionEntryBytes} * i;
     StoreU32(entry, i + 1);
-    StoreU32(entry + 4, Crc32(at, payload.size()));
+    StoreU32(entry + 4,
+             Crc32(base + offsets[i], static_cast<std::size_t>(sizes[i])));
     StoreU64(entry + 8, offsets[i]);
-    StoreU64(entry + 16, payload.size());
+    StoreU64(entry + 16, sizes[i]);
   }
 
   // Header fields at their docs/FORMATS.md offsets; flags and reserved
@@ -227,25 +162,6 @@ std::string AssembleBlob(const CtGraph& graph, const SectionScratch& sections,
   StoreU32(base + kBlobHeaderBytes - 4,
            Crc32(base + kBlobHeaderBytes, kBlobTableBytes,
                  Crc32(base, kBlobHeaderBytes - 4)));
-  return blob;
-}
-
-}  // namespace
-
-std::string EncodeCtGraphBlob(const CtGraph& graph, std::int64_t tag,
-                              const GraphProvenance& provenance) {
-  RFID_STATS(obs::PhaseTimer timer(obs::Phase::kStoreEncode));
-  RFID_CHECK_GT(graph.length(), 0);
-  SectionScratch sections(graph);
-  std::string blob;
-  if (sections.Write(graph)) {
-    blob = AssembleBlob(graph, sections, tag, provenance);
-  } else {
-    // The renumbered graph has the same counts, so the same regions fit.
-    const CtGraph canonical = Canonicalize(graph);
-    RFID_CHECK(sections.Write(canonical));
-    blob = AssembleBlob(canonical, sections, tag, provenance);
-  }
   RFID_STATS(obs::Add(obs::Counter::kStoreBlobsEncoded));
   RFID_STATS(obs::Add(obs::Counter::kStoreBytesEncoded, blob.size()));
   return blob;
@@ -259,11 +175,12 @@ Result<CtGraph> DecodeCtGraphBlob(const unsigned char* data,
 
   // The fill folds the graph digest that is checked against the header
   // below (CtGraph::Arrays).
+  const std::uint32_t num_sources = contents.LayerBegin(1);
   CtGraph::Arrays arrays(header.length,
                          static_cast<std::size_t>(header.num_nodes),
+                         num_sources,
                          static_cast<std::size_t>(contents.num_departures),
                          static_cast<std::size_t>(header.num_edges));
-  const std::uint32_t num_sources = contents.LayerBegin(1);
   Timestamp t = 0;
   RFID_RETURN_IF_ERROR(WalkKeys(
       contents.parsed, [&](std::uint64_t i, LocationId location,

@@ -28,11 +28,10 @@ struct GraphProvenance {
   std::uint64_t constraint_digest = 0;
 };
 
-/// Serializes `graph` into a self-contained blob. Nodes are stored in
-/// layer order; graphs whose ids are already layer-ordered (everything the
-/// builder and the decoders produce) round-trip with a bit-identical
-/// CtGraph::Digest(), otherwise ids are canonically renumbered (stable
-/// within each layer) and the stored digest is the renumbered graph's.
+/// Serializes `graph` into a self-contained blob. A graph's ids run in
+/// layer order, as a blob's do, so LAYERS, SRCPROB, EDGEROWS and EDGEPROB
+/// are copies of the graph's columns, only KEYS and EDGETGT are encoded,
+/// and the graph round-trips with a bit-identical CtGraph::Digest().
 std::string EncodeCtGraphBlob(const CtGraph& graph, std::int64_t tag,
                               const GraphProvenance& provenance = {});
 

@@ -172,21 +172,26 @@ std::size_t TotalDepartures(const CtGraph& graph) {
   return departures;
 }
 
-/// Bytes of the flat layout when every array is sized exactly: one record
-/// per node plus the sentinel, the TL entries, the edges, one source
-/// probability per node and the per-layer id index.
+/// Bytes of the column layout when every column is sized exactly: the
+/// layer offsets, 16 B per node (location, delta and the TL and edge
+/// offsets, each of which ends with one more), the TL entries, 12 B per
+/// edge (target, probability) and layer 0's source probabilities.
 std::size_t ExactArrayBytes(const CtGraph& graph) {
   const std::size_t nodes = graph.NumNodes();
   const std::size_t layers = static_cast<std::size_t>(graph.length());
-  return sizeof(CtGraph) + (nodes + 1) * sizeof(CtGraph::NodeRecord) +
+  return sizeof(CtGraph) + (layers + 1) * sizeof(std::uint32_t) +
+         nodes * (sizeof(LocationId) + sizeof(Timestamp)) +
+         2 * (nodes + 1) * sizeof(std::uint32_t) +
          TotalDepartures(graph) * sizeof(Departure) +
-         graph.NumEdges() * sizeof(CtGraph::Edge) + nodes * sizeof(double) +
-         (layers + 1) * sizeof(std::uint32_t) + nodes * sizeof(NodeId);
+         graph.NumEdges() * (sizeof(NodeId) + sizeof(double)) +
+         graph.SourceNodes().size() * sizeof(double);
 }
 
 TEST(CtGraphFlatLayoutTest, RecordSizes) {
-  EXPECT_EQ(sizeof(CtGraph::NodeRecord), 20u);
-  EXPECT_EQ(sizeof(CtGraph::Edge), 16u);
+  EXPECT_EQ(sizeof(LocationId) + sizeof(Timestamp) +
+                2 * sizeof(std::uint32_t),
+            16u);  // per node
+  EXPECT_EQ(sizeof(NodeId) + sizeof(double), 12u);  // per edge
   EXPECT_EQ(sizeof(Departure), 8u);
 }
 
@@ -222,10 +227,12 @@ TEST(CtGraphFlatLayoutTest, ApproximateBytesStaysUnderTheLayoutBoundOnSyn1) {
   const CtGraph& graph = built.value();
   const std::size_t departures = TotalDepartures(graph);
   EXPECT_GT(departures, 0u);
-  // 32 B per node, 16 B per edge, 8 B per TL entry, plus O(length).
+  // 16 B per node, 12 B per edge, 8 B per TL entry, plus the layer
+  // offsets, two end offsets and layer 0's source probabilities.
   const std::size_t bound =
-      32 * graph.NumNodes() + 16 * graph.NumEdges() + 8 * departures +
-      8 * (static_cast<std::size_t>(graph.length()) + 1) + sizeof(CtGraph);
+      16 * graph.NumNodes() + 12 * graph.NumEdges() + 8 * departures +
+      4 * (static_cast<std::size_t>(graph.length()) + 1) + 2 * 4 +
+      8 * graph.SourceNodes().size() + sizeof(CtGraph);
   EXPECT_LE(graph.ApproximateBytes(), bound);
   EXPECT_EQ(graph.ApproximateBytes(), ExactArrayBytes(graph));
   EXPECT_EQ(graph.NumDepartures(), departures);
@@ -391,8 +398,8 @@ TEST(CtGraphDigestTest, DecodeAndTextReadStoreTheDigest) {
 
 TEST(CtGraphDigestTest, FillOfAnotherNodeCountThanDeclaredFails) {
   {
-    CtGraph::Arrays arrays(/*length=*/1, /*nodes=*/2, /*departures=*/0,
-                           /*edges=*/0);
+    CtGraph::Arrays arrays(/*length=*/1, /*nodes=*/2, /*sources=*/2,
+                           /*departures=*/0, /*edges=*/0);
     arrays.AddNode(0, kL1, kDeltaBottom, 1.0);
     Result<CtGraph> graph = CtGraph::FromArrays(std::move(arrays));
     ASSERT_FALSE(graph.ok());
@@ -401,8 +408,8 @@ TEST(CtGraphDigestTest, FillOfAnotherNodeCountThanDeclaredFails) {
               "the fill added 1 nodes to a graph declared with 2");
   }
   {
-    CtGraph::Arrays arrays(/*length=*/1, /*nodes=*/1, /*departures=*/0,
-                           /*edges=*/0);
+    CtGraph::Arrays arrays(/*length=*/1, /*nodes=*/1, /*sources=*/1,
+                           /*departures=*/0, /*edges=*/0);
     arrays.AddNode(0, kL1, kDeltaBottom, 0.5);
     arrays.AddNode(0, kL2, kDeltaBottom, 0.5);
     Result<CtGraph> graph = CtGraph::FromArrays(std::move(arrays));
@@ -411,13 +418,66 @@ TEST(CtGraphDigestTest, FillOfAnotherNodeCountThanDeclaredFails) {
     EXPECT_EQ(graph.status().message(),
               "the fill added 2 nodes to a graph declared with 1");
   }
-  CtGraph::Arrays arrays(/*length=*/1, /*nodes=*/2, /*departures=*/0,
-                         /*edges=*/0);
+  CtGraph::Arrays arrays(/*length=*/1, /*nodes=*/2, /*sources=*/2,
+                         /*departures=*/0, /*edges=*/0);
   arrays.AddNode(0, kL1, kDeltaBottom, 0.5);
   arrays.AddNode(0, kL2, kDeltaBottom, 0.5);
   Result<CtGraph> graph = CtGraph::FromArrays(std::move(arrays));
   ASSERT_TRUE(graph.ok()) << graph.status().ToString();
   ExpectStoredDigest(graph.value());
+}
+
+/// The digest in a graph's own blob header.
+std::uint64_t BlobDigestOf(const CtGraph& graph) {
+  const std::string blob = store::EncodeCtGraphBlob(graph, /*tag=*/1);
+  Result<store::BlobInfo> info = store::InspectCtGraphBlob(
+      reinterpret_cast<const unsigned char*>(blob.data()), blob.size());
+  RFID_CHECK(info.ok());
+  return info.value().header.graph_digest;
+}
+
+// One digest per graph: whichever way a graph is built, Digest() is the
+// digest its blob carries, and so the digest the store hands back.
+TEST(CtGraphDigestTest, DigestIsTheBlobHeadersOnEveryConstructionPath) {
+  const ConstraintSet constraints = TlConstraints();
+  Result<CtGraph> built = CtGraphBuilder(constraints).Build(TlSequence());
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  std::vector<CtGraph::Node> reversed = TlNodes();
+  // The same graph with the layers' id blocks swapped: {2, 3} then {0, 1}.
+  std::rotate(reversed.begin(), reversed.begin() + 2, reversed.end());
+  for (CtGraph::Node& node : reversed) {
+    for (CtGraph::Edge& edge : node.out_edges) edge.to -= 2;
+  }
+  std::istringstream out_of_order_text(
+      "ctgraph 3 5\n"
+      "node 0 2 1 -1 0\n"
+      "node 1 0 1 -1 0.40000000000000002\n"
+      "node 2 1 2 0 0 4,1\n"
+      "node 3 0 3 -1 0.59999999999999998\n"
+      "node 4 1 4 -1 0 3,2 4,5\n"
+      "edge 1 2 0.25\n"
+      "edge 1 4 0.75\n"
+      "edge 2 0 1\n"
+      "edge 3 4 1\n"
+      "edge 4 0 1\n");
+  Result<CtGraph> decoded =
+      store::DecodeCtGraphBlob(store::EncodeCtGraphBlob(built.value(), 3));
+  Result<CtGraph> in_order = CtGraph::Assemble(TlNodes(), 2);
+  Result<CtGraph> out_of_order = CtGraph::Assemble(reversed, 2);
+  Result<CtGraph> read = ReadCtGraph(out_of_order_text);
+  const std::pair<const char*, const Result<CtGraph>*> paths[] = {
+      {"compaction", &built},         {"decoder", &decoded},
+      {"in-order Assemble", &in_order},
+      {"out-of-order Assemble", &out_of_order},
+      {"ReadCtGraph", &read}};
+  for (const auto& [name, graph] : paths) {
+    SCOPED_TRACE(name);
+    ASSERT_TRUE(graph->ok()) << graph->status().ToString();
+    EXPECT_EQ(graph->value().Digest(), BlobDigestOf(graph->value()));
+    ExpectStoredDigest(graph->value());
+  }
+  EXPECT_EQ(out_of_order.value().Digest(), in_order.value().Digest());
+  EXPECT_EQ(read.value().Digest(), 0xf86ecd207dc2b69fULL);
 }
 
 }  // namespace

@@ -396,7 +396,7 @@ TEST(CtGraphFlatLayoutTest, FiveConstructionPathsAgree) {
   const std::string text = TextOf(graph);
 
   // The same nodes with the layers' id blocks in reverse order: not layer
-  // ordered, so the encoder canonicalizes them back to `graph`'s ids.
+  // ordered, so Assemble renumbers them back to `graph`'s ids.
   std::vector<NodeId> shuffled_id(graph.NumNodes(), kInvalidNode);
   NodeId next = 0;
   for (Timestamp t = graph.length() - 1; t >= 0; --t) {
@@ -417,7 +417,8 @@ TEST(CtGraphFlatLayoutTest, FiveConstructionPathsAgree) {
   Result<CtGraph> shuffled =
       CtGraph::Assemble(std::move(shuffled_records), graph.length());
   ASSERT_TRUE(shuffled.ok()) << shuffled.status().ToString();
-  EXPECT_NE(shuffled.value().Digest(), graph.Digest());
+  // Assemble renumbers them back into layer order.
+  EXPECT_EQ(shuffled.value().Digest(), graph.Digest());
   const std::string canonical_blob =
       EncodeCtGraphBlob(shuffled.value(), /*tag=*/7);
   EXPECT_EQ(canonical_blob, blob);
@@ -430,7 +431,7 @@ TEST(CtGraphFlatLayoutTest, FiveConstructionPathsAgree) {
       DecodeCtGraphBlob(canonical_blob),
   };
   const char* names[] = {"Assemble", "DecodeCtGraphBlob", "ReadCtGraph",
-                         "Canonicalize"};
+                         "out-of-order Assemble"};
   for (std::size_t k = 0; k < std::size(paths); ++k) {
     SCOPED_TRACE(names[k]);
     ASSERT_TRUE(paths[k].ok()) << paths[k].status().ToString();
@@ -443,10 +444,11 @@ TEST(CtGraphFlatLayoutTest, FiveConstructionPathsAgree) {
   }
 }
 
-/// A text graph whose ids are not in layer order keeps its ids, its layer
-/// lists (ascending id within each layer) and its digest; its blob is the
-/// canonicalized graph's, pinned as the node-struct layout wrote it.
-TEST(CtGraphFlatLayoutTest, TextGraphOutOfLayerOrderKeepsIdsAndDigest) {
+/// A text graph whose ids are not in layer order is renumbered on read,
+/// stable within each layer, into the graph the store hands back: its
+/// digest is the one its blob carries, and the blob is pinned as the
+/// node-struct layout wrote it.
+TEST(CtGraphFlatLayoutTest, TextGraphOutOfLayerOrderIsRenumberedOnRead) {
   const std::string text =
       "ctgraph 3 5\n"
       "node 0 2 1 -1 0\n"
@@ -462,20 +464,31 @@ TEST(CtGraphFlatLayoutTest, TextGraphOutOfLayerOrderKeepsIdsAndDigest) {
   std::istringstream in(text);
   Result<CtGraph> graph = ReadCtGraph(in);
   ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  // Old ids 1, 3 | 2, 4 | 0 become 0, 1 | 2, 3 | 4.
   EXPECT_TRUE(std::ranges::equal(graph.value().NodesAt(0),
-                                 std::vector<NodeId>{1, 3}));
+                                 std::vector<NodeId>{0, 1}));
   EXPECT_TRUE(std::ranges::equal(graph.value().NodesAt(1),
-                                 std::vector<NodeId>{2, 4}));
+                                 std::vector<NodeId>{2, 3}));
   EXPECT_TRUE(std::ranges::equal(graph.value().NodesAt(2),
-                                 std::vector<NodeId>{0}));
-  EXPECT_EQ(graph.value().TimeOf(0), 2);
+                                 std::vector<NodeId>{4}));
+  EXPECT_EQ(graph.value().TimeOf(4), 2);
+  EXPECT_EQ(graph.value().LocationOf(1), 3);
   EXPECT_EQ(graph.value().DeltaOf(2), 0);
-  EXPECT_EQ(graph.value().DeparturesOf(4).size(), 2u);
-  EXPECT_EQ(TextOf(graph.value()), text);
-  EXPECT_EQ(graph.value().Digest(), 0x0282b329a38a7883ULL);
+  EXPECT_EQ(graph.value().DeparturesOf(3).size(), 2u);
+  EXPECT_EQ(graph.value().OutEdges(0)[1].to, 3);
+  EXPECT_EQ(graph.value().Digest(), 0xf86ecd207dc2b69fULL);
   const std::string blob = EncodeCtGraphBlob(graph.value(), /*tag=*/7);
   EXPECT_EQ(blob.size(), 416u);
   EXPECT_EQ(BlobFnv(blob), 0x3cc5bccee5b668c4ULL);
+  const Result<store::BlobInfo> info = store::InspectCtGraphBlob(
+      reinterpret_cast<const unsigned char*>(blob.data()), blob.size());
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  EXPECT_EQ(info.value().header.graph_digest, graph.value().Digest());
+  // The renumbered text reads back unchanged.
+  std::istringstream again(TextOf(graph.value()));
+  Result<CtGraph> reread = ReadCtGraph(again);
+  ASSERT_TRUE(reread.ok()) << reread.status().ToString();
+  EXPECT_EQ(TextOf(reread.value()), TextOf(graph.value()));
 }
 
 // --- Vector vs scalar decode ------------------------------------------------
@@ -876,7 +889,7 @@ TEST(OneReadEncoderTest, FiveByteVarintsMatchTheTwoPassEncoder) {
   EXPECT_EQ(EncodeCtGraphBlob(wide_decoded.value(), /*tag=*/11), wide_blob);
 }
 
-TEST(OneReadEncoderTest, LateOutOfLayerOrderIdFallsBackToTheCanonicalBlob) {
+TEST(OneReadEncoderTest, LateOutOfLayerOrderIdIsRenumberedBeforeEncoding) {
   DatasetOptions options = DatasetOptions::Syn1();
   options.durations_ticks = {60};
   options.trajectories_per_duration = 1;
@@ -918,16 +931,11 @@ TEST(OneReadEncoderTest, LateOutOfLayerOrderIdFallsBackToTheCanonicalBlob) {
   }
   Result<CtGraph> assembled = CtGraph::Assemble(reordered, graph.length());
   ASSERT_TRUE(assembled.ok()) << assembled.status().ToString();
-  std::istringstream text(TextOf(assembled.value()));
-  Result<CtGraph> read = ReadCtGraph(text);
-  ASSERT_TRUE(read.ok()) << read.status().ToString();
-  ASSERT_EQ(read.value().TimeOf(static_cast<NodeId>(first_out_of_order)),
-            last - 1);
-  ASSERT_EQ(read.value().TimeOf(static_cast<NodeId>(first_out_of_order - 1)),
-            last);
-  EXPECT_NE(read.value().Digest(), graph.Digest());
-
-  const std::string blob = EncodeCtGraphBlob(read.value(), /*tag=*/7);
+  // Assemble renumbered the late ids back into layer order: the graph,
+  // its digest and its blob are the built graph's.
+  ExpectSameAccessors(graph, assembled.value());
+  EXPECT_EQ(assembled.value().Digest(), graph.Digest());
+  const std::string blob = EncodeCtGraphBlob(assembled.value(), /*tag=*/7);
   EXPECT_EQ(blob, EncodeCtGraphBlob(graph, /*tag=*/7));
   EXPECT_EQ(ParsedOf(blob).header.graph_digest, graph.Digest());
 }
