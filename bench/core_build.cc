@@ -5,9 +5,10 @@
 // median build time and the median forward and backward phase times over
 // the repetitions, ns per timestamp, forward-phase node+edge throughput
 // and peak RSS per point, the built graph's size (graph_bytes,
-// CtGraph::ApproximateBytes), plus an FNV digest of the serialized graph so
-// perf runs double as a semantic cross-check (the digest is timing-free
-// and must be stable across core refactors).
+// CtGraph::ApproximateBytes), the bytes the forward phase holds at its end
+// (work_bytes, BuildStats::work_bytes), plus an FNV digest of the
+// serialized graph so perf runs double as a semantic cross-check (the
+// digest is timing-free and must be stable across core refactors).
 //
 // With --trace FILE a trace session records every rep (so the numbers
 // measure the armed-tracer hot path, which CI gates against the untraced
@@ -436,6 +437,7 @@ int Main(int argc, char** argv) {
         .Add("final_edges", stats.final_edges)
         .Add("peak_rss_bytes", rss)
         .Add("graph_bytes", graph_bytes)
+        .Add("work_bytes", stats.work_bytes)
         .Add("stats_forward_nodes",
              static_cast<long long>(
                  stats_snapshot.Get(obs::Counter::kForwardNodes)))

@@ -323,33 +323,6 @@ void BM_SimdBlockedSum(benchmark::State& state) {
 }
 BENCHMARK(BM_SimdBlockedSum)->Arg(0)->Arg(1);
 
-void BM_SimdGatherProducts(benchmark::State& state) {
-  ScopedKernelPath path(state.range(0) == 1);
-  Rng rng(12);
-  // Mirror the backward sweep's layout: edge probability at double-stride
-  // 2, target node id at int32-stride 4, survived mass at double-stride 5.
-  constexpr std::size_t kEdges = 1024;
-  std::vector<double> edge_probs(kEdges * 2);
-  std::vector<std::int32_t> edge_targets(kEdges * 4);
-  std::vector<double> nodes(256 * 5);
-  for (double& v : edge_probs) v = rng.UniformDouble(0.0, 1.0);
-  for (std::size_t k = 0; k < kEdges; ++k) {
-    edge_targets[k * 4] = static_cast<std::int32_t>(rng.UniformInt(0, 255));
-  }
-  for (std::size_t i = 0; i < 256; ++i) {
-    nodes[i * 5 + 3] = rng.UniformDouble(0.0, 1.0);
-  }
-  std::vector<double> out(kEdges);
-  for (auto _ : state) {
-    simd::GatherProducts(edge_probs.data(), 2, edge_targets.data(), 4,
-                         nodes.data() + 3, 5, kEdges, out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kEdges));
-}
-BENCHMARK(BM_SimdGatherProducts)->Arg(0)->Arg(1);
-
 void BM_SimdScanProbeGroup(benchmark::State& state) {
   ScopedKernelPath path(state.range(0) == 1);
   Rng rng(13);

@@ -17,19 +17,6 @@ void DivideInPlaceScalar(double* x, std::size_t n, double divisor) {
   for (std::size_t i = 0; i < n; ++i) x[i] /= divisor;
 }
 
-void GatherProductsScalar(const double* values, std::size_t value_stride,
-                          const std::int32_t* indices,
-                          std::size_t index_stride, const double* table,
-                          std::size_t table_stride, std::size_t n,
-                          double* out) {
-  for (std::size_t k = 0; k < n; ++k) {
-    out[k] =
-        values[k * value_stride] *
-        table[static_cast<std::size_t>(indices[k * index_stride]) *
-              table_stride];
-  }
-}
-
 ProbeGroupMasks ScanProbeGroupScalar(const std::int32_t* slots,
                                      const std::size_t* hashes,
                                      std::size_t target_hash) {
@@ -70,21 +57,6 @@ void DivideInPlace(double* x, std::size_t n, double divisor) {
   }
 #endif
   internal::DivideInPlaceScalar(x, n, divisor);
-}
-
-void GatherProducts(const double* values, std::size_t value_stride,
-                    const std::int32_t* indices, std::size_t index_stride,
-                    const double* table, std::size_t table_stride,
-                    std::size_t n, double* out) {
-#if RFIDCLEAN_SIMD_ENABLED
-  if (VectorKernelsActive()) {
-    internal::GatherProductsAvx2(values, value_stride, indices, index_stride,
-                                 table, table_stride, n, out);
-    return;
-  }
-#endif
-  internal::GatherProductsScalar(values, value_stride, indices, index_stride,
-                                 table, table_stride, n, out);
 }
 
 ProbeGroupMasks ScanProbeGroup(const std::int32_t* slots,

@@ -19,10 +19,10 @@
 /// (mod 4) in ascending order, and the lanes combine as
 /// (l0 + l1) + (l2 + l3). That is exactly one 4-wide vector accumulator
 /// with a lane-aligned tail, so the vector loop reproduces the scalar
-/// reference without reassociation. Elementwise kernels (multiply, divide)
-/// are single IEEE-754 operations per element and carry no ordering at all.
+/// reference without reassociation. The elementwise kernel (divide) is a
+/// single IEEE-754 operation per element and carries no ordering at all.
 /// Kernel translation units compile with -ffp-contract=off so no
-/// fused-multiply-add can sneak a differently-rounded product in.
+/// fused-multiply-add can sneak a differently-rounded result in.
 ///
 /// Configure with -DRFIDCLEAN_SIMD=OFF to exclude the vector translation
 /// unit entirely (the build defines RFIDCLEAN_SIMD_OFF); the binary then
@@ -97,20 +97,6 @@ double BlockedSum(const double* x, std::size_t n);
 /// x[i] /= divisor for i in [0, n). Elementwise IEEE division.
 void DivideInPlace(double* x, std::size_t n, double divisor);
 
-/// out[k] = values[k·value_stride] · table[indices[k·index_stride] ·
-/// table_stride] for k in [0, n) — the backward sweep's per-edge
-/// p(k)·S(k) products over a CSR slab, with the strides expressing the
-/// WorkEdge / WorkNode record layouts. Elementwise IEEE multiplication.
-///
-/// The vector path computes indices[·]·table_stride in 32-bit lanes, so
-/// the caller must guarantee max_index · table_stride ≤ INT32_MAX (the
-/// sweep checks node count against that bound and falls back to its own
-/// scalar loop otherwise).
-void GatherProducts(const double* values, std::size_t value_stride,
-                    const std::int32_t* indices, std::size_t index_stride,
-                    const double* table, std::size_t table_stride,
-                    std::size_t n, double* out);
-
 /// Slots inspected at once by ScanProbeGroup.
 inline constexpr std::size_t kProbeGroupWidth = 8;
 
@@ -134,11 +120,6 @@ namespace internal {
 
 double BlockedSumScalar(const double* x, std::size_t n);
 void DivideInPlaceScalar(double* x, std::size_t n, double divisor);
-void GatherProductsScalar(const double* values, std::size_t value_stride,
-                          const std::int32_t* indices,
-                          std::size_t index_stride, const double* table,
-                          std::size_t table_stride, std::size_t n,
-                          double* out);
 ProbeGroupMasks ScanProbeGroupScalar(const std::int32_t* slots,
                                      const std::size_t* hashes,
                                      std::size_t target_hash);
@@ -148,10 +129,6 @@ ProbeGroupMasks ScanProbeGroupScalar(const std::int32_t* slots,
 // -mavx2); absent from SIMD-off binaries, which CI verifies with nm.
 double BlockedSumAvx2(const double* x, std::size_t n);
 void DivideInPlaceAvx2(double* x, std::size_t n, double divisor);
-void GatherProductsAvx2(const double* values, std::size_t value_stride,
-                        const std::int32_t* indices, std::size_t index_stride,
-                        const double* table, std::size_t table_stride,
-                        std::size_t n, double* out);
 ProbeGroupMasks ScanProbeGroupAvx2(const std::int32_t* slots,
                                    const std::size_t* hashes,
                                    std::size_t target_hash);

@@ -4,9 +4,9 @@
 // blocked sums keep one 4-wide accumulator whose lanes match the scalar
 // lane assignment i & 3 (the main loop ends on a multiple of 4, so tail
 // element i lands in lane i & 3 exactly like the scalar loop), and the
-// elementwise kernels are one IEEE multiply or divide per element with no
-// contraction. Excluded entirely from -DRFIDCLEAN_SIMD=OFF builds — CI
-// asserts with `nm` that no *Avx2 symbol survives there.
+// elementwise kernel is one IEEE divide per element with no contraction.
+// Excluded entirely from -DRFIDCLEAN_SIMD=OFF builds — CI asserts with
+// `nm` that no *Avx2 symbol survives there.
 
 #include "common/simd.h"
 
@@ -38,36 +38,6 @@ void DivideInPlaceAvx2(double* x, std::size_t n, double divisor) {
     _mm256_storeu_pd(x + i, _mm256_div_pd(_mm256_loadu_pd(x + i), d));
   }
   for (; i < n; ++i) x[i] /= divisor;
-}
-
-void GatherProductsAvx2(const double* values, std::size_t value_stride,
-                        const std::int32_t* indices, std::size_t index_stride,
-                        const double* table, std::size_t table_stride,
-                        std::size_t n, double* out) {
-  const __m128i stride_v = _mm_set1_epi32(static_cast<int>(table_stride));
-  std::size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    const std::int32_t* idx = indices + k * index_stride;
-    __m128i idx32 = _mm_setr_epi32(idx[0], idx[index_stride],
-                                   idx[2 * index_stride],
-                                   idx[3 * index_stride]);
-    // 32-bit index scaling is why simd.h demands max_index · table_stride
-    // ≤ INT32_MAX of callers.
-    idx32 = _mm_mullo_epi32(idx32, stride_v);
-    const __m256i idx64 = _mm256_cvtepi32_epi64(idx32);
-    const __m256d gathered = _mm256_i64gather_pd(table, idx64, 8);
-    const double* v = values + k * value_stride;
-    const __m256d vv = _mm256_setr_pd(v[0], v[value_stride],
-                                      v[2 * value_stride],
-                                      v[3 * value_stride]);
-    _mm256_storeu_pd(out + k, _mm256_mul_pd(vv, gathered));
-  }
-  for (; k < n; ++k) {
-    out[k] =
-        values[k * value_stride] *
-        table[static_cast<std::size_t>(indices[k * index_stride]) *
-              table_stride];
-  }
 }
 
 ProbeGroupMasks ScanProbeGroupAvx2(const std::int32_t* slots,

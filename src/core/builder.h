@@ -48,6 +48,11 @@ struct BuildStats {
   /// Distinct node keys interned during the forward phase (the arena's
   /// high-water mark, recycled across cleanings in batch mode).
   std::size_t peak_keys = 0;
+  /// Bytes the forward phase holds at its end, from capacities: the work
+  /// graph's columns, its key arena and the engine's key-indexed scratch
+  /// (ForwardEngine::ApproximateBytes). Deterministic for one input and
+  /// one build, so CI gates it exactly.
+  std::size_t work_bytes = 0;
   /// Counts in the returned graph.
   std::size_t final_nodes = 0;
   std::size_t final_edges = 0;
@@ -62,9 +67,9 @@ struct BuildStats {
 ///
 /// The *forward phase* sweeps timestamps in increasing order, materializing
 /// only nodes that are successors of already-materialized nodes (interning
-/// equal keys) and labeling edges with the a-priori probability of their
-/// target (time, location) pair. Each node records its `loss`: the a-priori
-/// probability mass of candidate continuations that are not successors.
+/// equal keys) and labeling each node with the a-priori probability of its
+/// (time, location) pair — the label the paper puts on each of the node's
+/// in-edges. No node records a `loss`; the backward phase below replaces it.
 ///
 /// The *backward phase* sweeps timestamps in decreasing order. Where the
 /// paper's pseudo-code propagates an additive per-node `loss`, this

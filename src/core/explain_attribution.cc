@@ -24,7 +24,7 @@ constexpr std::size_t kMaxKilledCandidatesPerTag = 4096;
 struct NodeFacts {
   LocationId location = kInvalidLocation;
   bool delta_bottom = false;
-  bool dead = false;      // the backward sweep cleared `alive`
+  bool dead = false;      // the backward sweep left S(n) at 0
   bool survives = false;  // compaction reached it
 };
 
@@ -48,14 +48,13 @@ struct NodeFacts {
 /// forward/preflight decisions that emptied the suffix.
 void RecordExplainAttribution(const WorkGraph& work,
                               const ExplainBuildContext& context,
+                              std::span<const double> survival,
                               std::span<const NodeId> remap,
                               std::string status,
                               std::uint64_t mass_lost_backward_ppb,
                               std::uint64_t mass_lost_compaction_ppb) {
-  const std::vector<WorkNode>& nodes = work.nodes;
-  const std::vector<WorkEdge>& edges = work.edges;
   const std::size_t length = static_cast<std::size_t>(work.num_layers());
-  const std::size_t num_nodes = nodes.size();
+  const std::size_t num_nodes = work.num_nodes();
   // The one precondition. StreamingCleaner captures a tick's candidates,
   // its α delta and the successor generator together, for every layer.
   RFID_CHECK_EQ(context.ticks.size(), length);
@@ -85,8 +84,8 @@ void RecordExplainAttribution(const WorkGraph& work,
     }
     for (std::size_t i = 0; i < num_nodes; ++i) {
       NodeFacts& node = facts[i];
-      node = key_facts[static_cast<std::size_t>(nodes[i].key_id)];
-      node.dead = !nodes[i].alive;
+      node = key_facts[static_cast<std::size_t>(work.key_id[i])];
+      node.dead = survival[i] <= 0.0;
       node.survives = compacted && remap[i] != kInvalidNode;
     }
   }
@@ -283,11 +282,9 @@ void RecordExplainAttribution(const WorkGraph& work,
           emit_base = l * nxt->ncand;
         }
       }
-      const WorkNode& node = nodes[i];
-      const WorkEdge* out =
-          edges.data() + static_cast<std::size_t>(node.edge_begin);
-      for (std::int32_t k = 0; k < node.edge_count; ++k) {
-        const std::size_t to = static_cast<std::size_t>(out[k].to);
+      for (std::size_t e = work.edge_begin[i]; e < work.edge_begin[i + 1];
+           ++e) {
+        const std::size_t to = static_cast<std::size_t>(work.edge_to[e]);
         const std::size_t to_l = static_cast<std::size_t>(facts[to].location);
         const double edge_mass = mass * label[to_l];
         prior[to] += edge_mass;

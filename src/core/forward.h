@@ -15,16 +15,16 @@ namespace rfidclean::internal_core {
 /// The forward phase of Algorithm 1 (lines 1-14), driven tick by tick by
 /// StreamingCleaner (the one cleaning pipeline, docs/ALGORITHM.md §7):
 /// materialize the source layer, then expand layer by layer, interning
-/// equal keys and labeling each edge with the a-priori probability of its
-/// target location. Produces the CSR WorkGraph consumed by
+/// equal keys and labeling each new node with the a-priori probability of
+/// its location. Produces the columnar WorkGraph consumed by
 /// ConditionAndCompact.
 ///
 /// Locality-oriented internals (see docs/ALGORITHM.md §8):
 ///  - node keys live in a per-build NodeKeyArena; nodes and the per-layer
 ///    dedup work on dense 4-byte key ids (stamp arrays indexed by id, no
 ///    per-layer hashing),
-///  - edges append to one contiguous array — each frontier node is expanded
-///    exactly once, so its out-edges form a CSR slice for free,
+///  - edge targets append to one contiguous column — each frontier node is
+///    expanded exactly once, so its out-edges form a CSR slice for free,
 ///  - successor expansion is memoized per parent key across ticks while the
 ///    candidate location sequence repeats and no traveling-time bookkeeping
 ///    is pending (the common steady state), skipping the constraint checks
@@ -39,8 +39,9 @@ class ForwardEngine {
   /// ConstraintSet the successor generator was built from).
   explicit ForwardEngine(std::size_t num_locations);
 
-  /// Pre-sizes node, edge, layer, and interned-key storage. Purely an
-  /// allocation hint; results are bit-identical with or without it.
+  /// Pre-sizes the node, edge and layer columns and the interned-key
+  /// storage. Purely an allocation hint; results are bit-identical with or
+  /// without it.
   void ReserveCapacity(std::size_t nodes, std::size_t edges, Timestamp ticks,
                        std::size_t keys);
 
@@ -53,13 +54,15 @@ class ForwardEngine {
                     const std::vector<Candidate>& candidates);
 
   /// Expands the current frontier (time t) to time t + 1 under
-  /// `next_candidates` and records the new layer. Returns false, recording
-  /// nothing, when the new layer would be empty — no frontier node admits
-  /// a successor, so every interpretation dies at t + 1. An empty expansion
-  /// appends no node and no edge either, so the graph stays observably at
-  /// its previous state (the streaming cleaner's failed-Push contract).
-  bool AdvanceLayer(const SuccessorGenerator& successors, Timestamp t,
-                    const std::vector<Candidate>& next_candidates);
+  /// `next_candidates` and records the new layer. Fails, recording
+  /// nothing, with InfeasibleSequenceError when the new layer would be
+  /// empty — no frontier node admits a successor, so every interpretation
+  /// dies at t + 1 — and with WorkGraphBoundError's ResourceExhausted when
+  /// the layer would take a node id or an edge offset past INT32_MAX. On
+  /// failure the graph stays observably at its previous state (the
+  /// streaming cleaner's failed-Push contract).
+  Status AdvanceLayer(const SuccessorGenerator& successors, Timestamp t,
+                      const std::vector<Candidate>& next_candidates);
 
   /// Layers recorded so far (== ticks consumed).
   Timestamp num_layers() const { return work_.num_layers(); }
@@ -68,6 +71,11 @@ class ForwardEngine {
 
   /// Distinct keys interned so far (capacity-recycling diagnostic).
   std::size_t num_keys() const { return work_.keys.size(); }
+
+  /// Bytes the work graph's columns, its key arena and the engine's
+  /// key-indexed scratch (dedup stamps, memo and memo pool, location
+  /// cache) hold, from their capacities: the forward phase's large owners.
+  std::size_t ApproximateBytes() const;
 
   /// Surrenders the work graph to ConditionAndCompact, first freeing what
   /// only the forward phase reads: the key-indexed dedup, memo and

@@ -1,6 +1,7 @@
 #ifndef RFIDCLEAN_CORE_KEY_ARENA_H_
 #define RFIDCLEAN_CORE_KEY_ARENA_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -32,7 +33,7 @@ struct NodeKeyView {
 /// by a dense 32-bit id, so the forward phase deduplicates and memoizes on
 /// 4-byte ids instead of re-hashing and re-comparing full key tuples: the
 /// per-layer node table becomes a direct array indexed by key id (see
-/// forward.h) and WorkNode shrinks to a flat POD record.
+/// forward.h) and a work-graph node carries a 4-byte key id.
 ///
 /// Storage is flat: each key is one 16-byte record {location, δ, TL
 /// offset, TL length} over a single departure pool of 8-byte entries, plus
@@ -95,6 +96,16 @@ class NodeKeyArena {
   /// recycles the high-water marks of previous builds through this); the
   /// TL pool grows on demand.
   void Reserve(std::size_t expected_keys);
+
+  /// Bytes the records, the TL pool, the cached hashes and both intern
+  /// tables hold, from their capacities.
+  std::size_t ApproximateBytes() const {
+    return records_.capacity() * sizeof(KeyRecord) +
+           pool_.capacity() * sizeof(Departure) +
+           hashes_.capacity() * sizeof(std::size_t) +
+           persistent_slots_.capacity() * sizeof(std::int32_t) +
+           scoped_slots_.capacity() * sizeof(ScopedSlot);
+  }
 
   /// Ends interning: frees the scoped table and the cached hashes, which
   /// only Intern reads. key(), location(), size() and intern_stats() keep

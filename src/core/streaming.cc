@@ -15,9 +15,7 @@
 
 namespace rfidclean {
 
-using internal_core::WorkEdge;
 using internal_core::WorkGraph;
-using internal_core::WorkNode;
 
 namespace {
 
@@ -163,12 +161,7 @@ Status StreamingCleaner::Push(const std::vector<Candidate>& candidates) {
     capture_explain_ = obs::ExplainArmed();
     engine_.BeginSources(*successors_, *effective);
     const WorkGraph& work = engine_.work();
-    frontier_alpha_.clear();
-    const std::int32_t end = work.layer_begin[1];
-    for (std::int32_t id = 0; id < end; ++id) {
-      frontier_alpha_.push_back(
-          work.nodes[static_cast<std::size_t>(id)].source_probability);
-    }
+    frontier_alpha_.assign(work.apriori.begin(), work.apriori.end());
     CaptureExplainTick(candidates, 0.0);
     return Status::Ok();
   }
@@ -178,31 +171,32 @@ Status StreamingCleaner::Push(const std::vector<Candidate>& candidates) {
   const std::size_t layers = work.layer_begin.size();
   const std::int32_t frontier_begin = work.layer_begin[layers - 2];
   const std::int32_t frontier_end = work.layer_begin[layers - 1];
-  if (!engine_.AdvanceLayer(*successors_, t, *effective)) {
-    // No node of the frontier admits a successor compatible with this
-    // tick: every interpretation is now invalid. Nothing was appended
-    // (successor generation produced no node or edge), so the previous
-    // state remains intact for inspection.
+  if (Status advanced = engine_.AdvanceLayer(*successors_, t, *effective);
+      !advanced.ok()) {
+    // Either no node of the frontier admits a successor compatible with
+    // this tick, so every interpretation is now invalid, or the layer
+    // would outgrow the work graph's 32-bit ids. Nothing was appended, so
+    // the previous state remains intact for inspection.
     failed_ = true;
-    return internal_core::InfeasibleSequenceError();
+    return advanced;
   }
 
-  // Forward-filter update: each fresh edge carries the a-priori mass of
-  // its target, and the frontier's CSR slices enumerate successors in
+  // Forward-filter update: each fresh node carries the a-priori mass of
+  // its location, and the frontier's CSR slices enumerate successors in
   // generation order, so this reproduces the classical alpha recursion
   // term by term.
   const std::int32_t layer_begin = frontier_end;
   const std::int32_t layer_end = work.layer_begin.back();
   next_alpha_.assign(static_cast<std::size_t>(layer_end - layer_begin), 0.0);
   for (std::int32_t id = frontier_begin; id < frontier_end; ++id) {
-    const WorkNode& node = work.nodes[static_cast<std::size_t>(id)];
+    const std::size_t n = static_cast<std::size_t>(id);
     const double mass =
         frontier_alpha_[static_cast<std::size_t>(id - frontier_begin)];
-    const WorkEdge* out =
-        work.edges.data() + static_cast<std::size_t>(node.edge_begin);
-    for (std::int32_t k = 0; k < node.edge_count; ++k) {
-      next_alpha_[static_cast<std::size_t>(out[k].to - layer_begin)] +=
-          mass * out[k].probability;
+    for (std::size_t e = work.edge_begin[n]; e < work.edge_begin[n + 1];
+         ++e) {
+      const std::size_t to = static_cast<std::size_t>(work.edge_to[e]);
+      next_alpha_[to - static_cast<std::size_t>(layer_begin)] +=
+          mass * work.apriori[to];
     }
   }
   const double total =
@@ -270,7 +264,7 @@ StreamingCleaner::CurrentDistribution() const {
   std::vector<LocationId> order;
   for (std::int32_t id = frontier_begin; id < frontier_end; ++id) {
     const LocationId location =
-        work.keys.location(work.nodes[static_cast<std::size_t>(id)].key_id);
+        work.keys.location(work.key_id[static_cast<std::size_t>(id)]);
     const std::size_t l = static_cast<std::size_t>(location);
     if (dist_seen_[l] == 0) {
       dist_seen_[l] = 1;
@@ -293,9 +287,10 @@ Result<CtGraph> StreamingCleaner::Finish(BuildStats* stats) && {
   RFID_TRACE(span.AddArg("ticks", static_cast<std::uint64_t>(TicksSeen())));
   RFID_CHECK_GT(engine_.num_layers(), 0);
   if (stats != nullptr) {
-    stats->peak_nodes = engine_.work().nodes.size();
-    stats->peak_edges = engine_.work().edges.size();
+    stats->peak_nodes = engine_.work().num_nodes();
+    stats->peak_edges = engine_.work().num_edges();
     stats->peak_keys = engine_.num_keys();
+    stats->work_bytes = engine_.ApproximateBytes();
   }
   // TakeWork frees the forward-only state (dedup, memo, intern tables)
   // before conditioning allocates the compacted graph.

@@ -83,7 +83,9 @@ class StreamingCleaner {
   /// CtGraphBuilder::Build report for an infeasible sequence — when no
   /// frontier node admits a successor: every interpretation dies at this
   /// tick, nothing is appended, the cleaner stays observably at its
-  /// previous state, and further Pushes are rejected.
+  /// previous state, and further Pushes are rejected. Fails the same way,
+  /// but with ResourceExhausted naming the tick and the count, when the
+  /// tick would take a node id or an edge offset past INT32_MAX.
   ///
   /// A tick whose successors exist but whose filtered mass underflows to
   /// exact zero (possible only with denormal-scale candidate

@@ -135,52 +135,6 @@ TEST(DivideInPlaceTest, MatchesScalarBitForBit) {
   }
 }
 
-TEST(GatherProductsTest, MatchesScalarBitForBitOnStridedRecords) {
-  // Exercise the exact stride pairs the backward sweep uses (WorkEdge:
-  // probability at double-stride 2, target id at int32-stride 4; WorkNode:
-  // survived at double-stride 5) plus unit strides.
-  Rng rng(77, /*stream=*/92);
-  for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2},
-                        std::size_t{3}, std::size_t{4}, std::size_t{5},
-                        std::size_t{31}, std::size_t{128}}) {
-    std::vector<double> values(n * 2);
-    std::vector<std::int32_t> indices(n * 4);
-    std::vector<double> table(64 * 5);
-    for (double& v : values) v = rng.UniformDouble(0.0, 1.0);
-    for (std::size_t k = 0; k < n; ++k) {
-      indices[k * 4] = static_cast<std::int32_t>(rng.UniformInt(0, 63));
-    }
-    for (std::size_t i = 0; i < 64; ++i) {
-      // Include denormals and exact zeros in the table — survived masses
-      // genuinely hit both.
-      table[i * 5 + 3] =
-          i % 7 == 0 ? 0.0
-                     : (i % 5 == 0 ? 1e-310 : rng.UniformDouble(0.0, 1.0));
-    }
-    ExpectDispatchIdentical([&] {
-      std::vector<double> out(n, -1.0);
-      GatherProducts(values.data(), 2, indices.data(), 4, table.data() + 3,
-                     5, n, out.data());
-      return out;
-    });
-    // Unit-stride variant (plain arrays).
-    std::vector<double> flat_table(64);
-    for (double& v : flat_table) v = rng.UniformDouble(0.0, 1.0);
-    std::vector<std::int32_t> flat_indices(n);
-    for (std::size_t k = 0; k < n; ++k) {
-      flat_indices[k] = static_cast<std::int32_t>(rng.UniformInt(0, 63));
-    }
-    std::vector<double> flat_values(n);
-    for (double& v : flat_values) v = rng.UniformDouble(0.0, 1.0);
-    ExpectDispatchIdentical([&] {
-      std::vector<double> out(n, -1.0);
-      GatherProducts(flat_values.data(), 1, flat_indices.data(), 1,
-                     flat_table.data(), 1, n, out.data());
-      return out;
-    });
-  }
-}
-
 TEST(ScanProbeGroupTest, ClassifiesEmptyAndMatchingSlots) {
   // Slot layout: ids into `hashes`, -1 = empty. Target hash 0xABCD.
   const std::vector<std::size_t> hashes = {0xABCD, 0x1111, 0xABCD, 0x2222,
